@@ -46,16 +46,12 @@ from .modulation import (
     window_signal,
 )
 from .orlicz import (
-    MeasureSpec,
     convolve_phase_space,
-    counting_measure,
     holder_pairing,
     luxemburg,
     mixed_norm,
     mixed_norm_swapped,
     orlicz_norm,
-    product_measure,
-    torus_measure,
 )
 from .stft import SymbolTransform, invert, stft, stft_adjoint, stft_symbol
 from .verify import (
@@ -73,7 +69,6 @@ from .young import (
     conjugate_table,
     delta2_probe,
     eq5,
-    evaluate,
     power,
     quasi_young,
 )

@@ -34,12 +34,7 @@ from .modulation import (
     symbol_window,
     window_signal,
 )
-from .orlicz import (
-    counting_measure,
-    luxemburg,
-    mixed_norm,
-    mixed_norm_swapped,
-)
+from .orlicz import luxemburg, mixed_norm, mixed_norm_swapped
 from .serialization import (
     dump_field,
     dump_kernel_json,
@@ -79,7 +74,7 @@ class Config:
     output: str | None = None
 
 
-_CHECK_KEYS = {"id", "trials", "tolerance", "ensemble", "seed"}
+_CHECK_KEYS = {"id", "trials", "tolerance", "seed"}
 
 
 def config_from_dict(obj: dict) -> Config:
@@ -267,7 +262,7 @@ def _norm_value(args) -> float:
         sig = load_signal(_read(args.input))
         if args.phi is None:
             raise UsageError("--phi is required for lphi")
-        return luxemburg(sig.values, counting_measure(), _parse_young(args.phi))
+        return luxemburg(sig.values, 1.0, _parse_young(args.phi))
     if space in ("L", "Lstar"):
         F = load_field(_read(args.input))
         if args.phi is None or args.psi is None:
@@ -375,7 +370,6 @@ def _cmd_verify(args) -> int:
                 id=cid,
                 trials=o.get("trials"),
                 tolerance=o.get("tolerance"),
-                ensemble=o.get("ensemble"),
                 seed=int(o.get("seed", seed)),
             )
         )

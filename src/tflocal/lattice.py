@@ -10,6 +10,11 @@ every torus integral used here into a finite sum with no discretization
 error.  The default M = 6K+1 is large enough for every integrand this
 package produces.
 
+The phases exp(+-2 pi i d.j/M) of that quadrature come from one place,
+`phase_matrix`; every transform, kernel and coefficient map in the package
+uses it.  Its result is cached and read-only, so no caller can corrupt the
+phases another caller sees.
+
 Array layout is lexicographic with the slowest axis first (NumPy C order),
 so serialized files are reproducible bit for bit.
 """
@@ -17,7 +22,8 @@ so serialized files are reproducible bit for bit.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,6 +34,7 @@ __all__ = [
     "TorusGrid",
     "Signal",
     "PhaseSpaceField",
+    "phase_matrix",
     "translate",
     "modulate",
     "gabor_atom",
@@ -97,6 +104,23 @@ class TorusGrid:
     def nodes(self) -> np.ndarray:
         """Per-axis node coordinates j/M, j = 0..M-1."""
         return np.arange(self.M) / self.M
+
+
+@lru_cache(maxsize=None)
+def phase_matrix(M: int, lo: int, hi: int, sign: int, n: int = 1) -> np.ndarray:
+    """P[d, j] = exp(sign 2 pi i d.j / M) for d in [lo, hi]^n and grid nodes j/M.
+
+    Rows run over d and columns over the M^n nodes, both flattened
+    lexicographically, so for n > 1 the result is the n-th Kronecker power of
+    the one-axis matrix.  The array is cached and read-only: writing into it
+    raises ValueError.
+    """
+    P = np.exp(sign * 2j * np.pi * np.outer(np.arange(lo, hi + 1), np.arange(M)) / M)
+    out = P
+    for _ in range(n - 1):
+        out = np.kron(out, P)
+    out.flags.writeable = False
+    return out
 
 
 def _check_finite(values: np.ndarray, what: str) -> None:
@@ -175,8 +199,7 @@ class PhaseSpaceField:
 
 def _as_vector(x, n: int, name: str) -> tuple:
     if np.isscalar(x):
-        vec = (x,) * n if n == 1 else None
-        if vec is None and n > 1:
+        if n > 1:
             raise DomainError(f"{name} must have {n} components")
         return (x,)
     vec = tuple(x)

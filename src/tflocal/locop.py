@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from .lattice import (
     PhaseSpaceField,
     Signal,
     TorusGrid,
+    phase_matrix,
     shift_array,
 )
 from .stft import _stft_values, stft, stft_adjoint
@@ -81,18 +81,6 @@ class SpectralSummary:
         if np.any(np.diff(s) > 0):
             raise DomainError("singular values must be sorted descending")
         self.singular_values = s
-
-
-@lru_cache(maxsize=None)
-def _atom_phases(M: int, C: int, n: int) -> np.ndarray:
-    """EP[k_flat, j_flat] = exp(2 pi i w_j . k) over the box and grid."""
-    ks = np.arange(-C, C + 1)
-    js = np.arange(M)
-    E = np.exp(2j * np.pi * np.outer(ks, js) / M)
-    out = E
-    for _ in range(n - 1):
-        out = np.kron(out, E)
-    return out
 
 
 def _check_operator_inputs(sigma: PhaseSpaceField, g1: Signal, g2: Signal) -> None:
@@ -174,7 +162,7 @@ def kernel(sigma: PhaseSpaceField, g1: Signal, g2: Signal) -> OperatorKernel:
     spec, torus = sigma.spec, sigma.torus
     n = spec.n
     size = spec.side**n
-    EP = _atom_phases(torus.M, spec.C, n)
+    EP = phase_matrix(torus.M, -spec.C, spec.C, 1, n)
     weights = sigma.values.reshape(sigma.values.shape[: n] + (-1,)) * torus.weight
     K = np.zeros((size, size), dtype=np.complex128)
     for m in sigma.m_points():
@@ -229,7 +217,7 @@ def sigma_tilde(sigma: PhaseSpaceField, g: Signal) -> PhaseSpaceField:
     spec, torus = sigma.spec, sigma.torus
     n = spec.n
     K = kernel(sigma, g, g).matrix
-    EP = _atom_phases(torus.M, spec.C, n)
+    EP = phase_matrix(torus.M, -spec.C, spec.C, 1, n)
     Mn = torus.M**n
     out = np.empty(sigma.lattice_shape + (Mn,), dtype=np.complex128)
     for m in sigma.m_points():

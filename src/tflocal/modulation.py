@@ -27,6 +27,7 @@ from .lattice import (
     TorusGrid,
     delta_signal,
     norm2,
+    phase_matrix,
 )
 from .orlicz import field_lp_norm, mixed_norm, mixed_norm_swapped, orlicz_norm
 from .stft import stft, stft_symbol
@@ -69,7 +70,6 @@ def window_signal(spec: WindowSpec, lattice: LatticeSpec) -> Signal:
         width = spec.width if spec.width is not None else lattice.K / 2.0
         if width <= 0:
             raise DomainError("gaussian window width must be positive")
-        ks = lattice.axis()
         v = np.zeros(lattice.shape, dtype=np.complex128)
         prof = np.exp(-math.pi * (np.arange(-lattice.K, lattice.K + 1) ** 2) / width)
         block = prof
@@ -77,7 +77,6 @@ def window_signal(spec: WindowSpec, lattice: LatticeSpec) -> Signal:
             block = np.multiply.outer(block, prof)
         sl = lattice.admissible_slices()
         v[sl] = block.reshape((2 * lattice.K + 1,) * lattice.n)
-        del ks
         g = Signal(lattice, v)
     else:
         raise DomainError("file windows must be loaded before use")
@@ -92,11 +91,8 @@ def default_window(lattice: LatticeSpec) -> Signal:
 
 def _fejer_values(M: int, degree: int) -> np.ndarray:
     """Fejer kernel samples sum_{|d|<=L} (1 - |d|/(L+1)) e^{2 pi i d j / M}."""
-    ds = np.arange(-degree, degree + 1)
-    coefs = 1.0 - np.abs(ds) / (degree + 1.0)
-    js = np.arange(M)
-    vals = (coefs[None, :] * np.exp(2j * np.pi * np.outer(js, ds) / M)).sum(axis=1)
-    return vals.real
+    coefs = 1.0 - np.abs(np.arange(-degree, degree + 1)) / (degree + 1.0)
+    return (coefs[:, None] * phase_matrix(M, -degree, degree, 1)).sum(axis=0).real
 
 
 def symbol_window(lattice: LatticeSpec, torus: TorusGrid) -> PhaseSpaceField:

@@ -1,9 +1,11 @@
 """Luxemburg norms and the mixed Orlicz norms on the lattice-torus product.
 
-The Luxemburg norm is inf{b > 0 : sum_i w_i Phi(|v_i|/b) <= 1}.  The modular
-b -> G(b) is continuous and nonincreasing, so bisection brackets the norm to
-a relative width of 1e-12; the returned value b satisfies G(b(1+eps)) <= 1
-<= G(b(1-eps)) with eps = 1e-12.
+The Luxemburg norm is inf{b > 0 : w sum_i Phi(|v_i|/b) <= 1} for a uniform
+weight w per point (1 for counting, 1/M^n for torus quadrature).  The
+modular b -> G(b) is continuous and nonincreasing, so bisection brackets the
+norm to a relative width of 1e-12; the returned value b satisfies
+G(b(1+eps)) <= 1 <= G(b(1-eps)) with eps = 1e-12.  A bracket that cannot be
+certified within the pass limits raises PrecisionError.
 
 Mixed norms take an inner Luxemburg norm along the lattice axes per torus
 node and an outer one across the torus (or the other way round for the
@@ -15,53 +17,21 @@ these fields represent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, PrecisionError, RangeError
-from .lattice import PhaseSpaceField, TorusGrid
+from .lattice import PhaseSpaceField, TorusGrid, phase_matrix
 from .young import YoungFunction
 
 __all__ = [
-    "MeasureSpec",
-    "counting_measure",
-    "torus_measure",
-    "product_measure",
     "luxemburg",
     "orlicz_norm",
     "mixed_norm",
     "mixed_norm_swapped",
     "field_lp_norm",
-    "field_l1_norm",
-    "field_l2_norm",
     "convolve_phase_space",
     "holder_pairing",
 ]
-
-
-@dataclass(frozen=True)
-class MeasureSpec:
-    """Uniform weight per point: counting (1), torus quadrature, or product."""
-
-    kind: str
-    weight: float
-
-    def __post_init__(self):
-        if self.weight <= 0 or not np.isfinite(self.weight):
-            raise DomainError("measure weight must be positive and finite")
-
-
-def counting_measure() -> MeasureSpec:
-    return MeasureSpec("counting", 1.0)
-
-
-def torus_measure(torus: TorusGrid) -> MeasureSpec:
-    return MeasureSpec("quadrature", torus.weight)
-
-
-def product_measure(torus: TorusGrid) -> MeasureSpec:
-    return MeasureSpec("product", torus.weight)
 
 
 _REL_TOL = 1e-12
@@ -87,12 +57,16 @@ def _lux_batched(v: np.ndarray, weight: float, phi: YoungFunction) -> np.ndarray
             if not np.any(grow):
                 break
             hi = np.where(grow, hi * 2.0, hi)
+        else:
+            raise PrecisionError("Luxemburg upper bracket not found in 200 doublings")
         lo = hi.copy()
         for _ in range(200):
             shrink = modular(lo) < 1.0
             if not np.any(shrink):
                 break
             lo = np.where(shrink, lo / 2.0, lo)
+        else:
+            raise PrecisionError("Luxemburg lower bracket not found in 200 halvings")
         # invariant: G(hi) <= 1 <= G(lo); stop once the bracket is 1e-12 wide
         for _ in range(80):
             if np.all(hi - lo <= 0.5 * _REL_TOL * hi):
@@ -101,18 +75,22 @@ def _lux_batched(v: np.ndarray, weight: float, phi: YoungFunction) -> np.ndarray
             ok = modular(mid) <= 1.0
             hi = np.where(ok, mid, hi)
             lo = np.where(ok, lo, mid)
+        else:
+            raise PrecisionError("Luxemburg bisection did not narrow in 80 passes")
     out[act] = hi
     return out
 
 
-def luxemburg(values, measure: MeasureSpec, phi: YoungFunction) -> float:
-    """Luxemburg norm of a (flattened) array under a uniform-weight measure."""
+def luxemburg(values, weight: float, phi: YoungFunction) -> float:
+    """Luxemburg norm of a (flattened) array with the same weight on every point."""
     if not (phi.finite and phi.continuous):
         raise DomainError("luxemburg requires a finite continuous Young function")
+    if not (weight > 0 and np.isfinite(weight)):
+        raise DomainError("measure weight must be positive and finite")
     v = np.abs(np.asarray(values, dtype=np.complex128)).reshape(1, -1)
     if not np.all(np.isfinite(v)):
         raise DomainError("luxemburg input must be finite")
-    return float(_lux_batched(v, measure.weight, phi)[0])
+    return float(_lux_batched(v, weight, phi)[0])
 
 
 def _field_abs(F: PhaseSpaceField) -> np.ndarray:
@@ -123,14 +101,14 @@ def _field_abs(F: PhaseSpaceField) -> np.ndarray:
 
 def orlicz_norm(F: PhaseSpaceField, phi: YoungFunction) -> float:
     """Luxemburg norm over the product measure (counting x quadrature)."""
-    return luxemburg(F.values, product_measure(F.torus), phi)
+    return luxemburg(F.values, F.torus.weight, phi)
 
 
 def mixed_norm(F: PhaseSpaceField, phi1: YoungFunction, phi2: YoungFunction) -> float:
     """Inner Luxemburg over the lattice per node (phi1), outer over the torus (phi2)."""
     v = _field_abs(F)
     inner = _lux_batched(v.T.copy(), 1.0, phi1)  # one norm per torus node
-    return luxemburg(inner, torus_measure(F.torus), phi2)
+    return luxemburg(inner, F.torus.weight, phi2)
 
 
 def mixed_norm_swapped(
@@ -139,7 +117,7 @@ def mixed_norm_swapped(
     """Inner Luxemburg over the torus per lattice point (phi2), outer over the lattice (phi1)."""
     v = _field_abs(F)  # rows = lattice points, reduced over torus samples
     inner = _lux_batched(v, F.torus.weight, phi2)
-    return luxemburg(inner, counting_measure(), phi1)
+    return luxemburg(inner, 1.0, phi1)
 
 
 def field_lp_norm(F: PhaseSpaceField, p: float) -> float:
@@ -152,28 +130,13 @@ def field_lp_norm(F: PhaseSpaceField, p: float) -> float:
     return float((F.torus.weight * (a**p).sum()) ** (1.0 / p))
 
 
-def field_l1_norm(F: PhaseSpaceField) -> float:
-    return field_lp_norm(F, 1.0)
-
-
-def field_l2_norm(F: PhaseSpaceField) -> float:
-    return field_lp_norm(F, 2.0)
-
-
-def _coeff_matrix(M: int, deg: int, sign: float) -> np.ndarray:
-    """Per-axis phase matrix exp(sign * 2 pi i d j / M), shape (2deg+1, M)."""
-    ds = np.arange(-deg, deg + 1)
-    js = np.arange(M)
-    return np.exp(sign * 2j * np.pi * np.outer(ds, js) / M)
-
-
 def field_coefficients(F: PhaseSpaceField) -> np.ndarray:
     """Torus Fourier coefficients per lattice point, exact for deg <= (M-1)/2."""
     M, n, deg = F.torus.M, F.n, F.degree_bound
     if 2 * deg > M - 1:
         raise PrecisionError("coefficient extraction would alias: need 2*degree <= M-1")
     coef = F.values
-    E = _coeff_matrix(M, deg, -1.0) / M
+    E = phase_matrix(M, -deg, deg, -1) / M
     for _ in range(n):
         # contract the leading torus axis, appending the degree axis at the end
         coef = np.tensordot(coef, E, axes=([n], [1]))
@@ -182,7 +145,7 @@ def field_coefficients(F: PhaseSpaceField) -> np.ndarray:
 
 def coefficients_to_values(coef: np.ndarray, torus: TorusGrid, deg: int) -> np.ndarray:
     vals = coef
-    E = _coeff_matrix(torus.M, deg, +1.0)
+    E = phase_matrix(torus.M, -deg, deg, 1)
     for _ in range(torus.n):
         vals = np.tensordot(vals, E, axes=([torus.n], [0]))
     return vals

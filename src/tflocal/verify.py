@@ -40,6 +40,7 @@ from .lattice import (
     inner,
     modulate,
     norm2,
+    phase_matrix,
     shift_array,
     signal_from_block,
     translate,
@@ -62,15 +63,12 @@ from .modulation import (
 )
 from .orlicz import (
     convolve_phase_space,
-    counting_measure,
-    field_l1_norm,
-    field_l2_norm,
+    field_lp_norm,
     holder_pairing,
     luxemburg,
     mixed_norm,
     mixed_norm_swapped,
     orlicz_norm,
-    product_measure,
 )
 from .serialization import fmt17
 from .stft import _stft_values, stft, invert
@@ -178,9 +176,7 @@ def _trig_symbol(env: Environment, rng) -> PhaseSpaceField:
     K, n, M = env.lattice.K, env.lattice.n, env.torus.M
     R = 2 * K
     coefs = _crandn(rng, (2 * R + 1,) * n + (2 * K + 1,) * n)
-    ds = np.arange(-K, K + 1)
-    js = np.arange(M)
-    E = np.exp(2j * np.pi * np.outer(ds, js) / M)
+    E = phase_matrix(M, -K, K, 1)
     vals = coefs
     for _ in range(n):
         vals = np.tensordot(vals, E, axes=([n], [0]))
@@ -190,11 +186,8 @@ def _trig_symbol(env: Environment, rng) -> PhaseSpaceField:
 def _fixed_bump(env: Environment) -> np.ndarray:
     """Nonnegative trig bump of degree K: a squared Dirichlet-style kernel."""
     K, M, n = env.lattice.K, env.torus.M, env.lattice.n
-    half = K // 2
-    ds = np.arange(-half, half + 1)
-    js = np.arange(M)
-    d = np.exp(2j * np.pi * np.outer(js, ds) / M).sum(axis=1)
-    bump = (np.abs(d) ** 2).real  # degree 2*half <= K
+    d = phase_matrix(M, -(K // 2), K // 2, 1).sum(axis=0)
+    bump = (np.abs(d) ** 2).real  # degree 2*(K//2) <= K
     out = bump
     for _ in range(n - 1):
         out = np.multiply.outer(out, bump)
@@ -286,7 +279,7 @@ def _le_margin(lhs: float, rhs: float, scale: Optional[float] = None) -> float:
 def _chk_plancherel(env, ctx, rng, t):
     f = _random_signal(env, rng)
     g = _random_signal(env, rng)
-    lhs = field_l2_norm(stft(f, g, env.torus))
+    lhs = field_lp_norm(stft(f, g, env.torus), 2.0)
     rhs = norm2(f) * norm2(g)
     return [_eq_margin(lhs, rhs)], None
 
@@ -394,20 +387,20 @@ def _chk_power_reduction(env, ctx, rng, t):
     if use_field:
         F = _trig_symbol(env, rng)
         v = np.abs(F.values).ravel()
-        measure = product_measure(env.torus)
+        weight = env.torus.weight
     else:
         v = np.abs(_crandn(rng, ((2 * K + 1) ** n,)))
-        measure = counting_measure()
+        weight = 1.0
     margins = []
     for p in _LUX_PS:
         phi = power(p)
-        b = luxemburg(v, measure, phi)
-        direct = float((measure.weight * v**p).sum() ** (1.0 / p))
+        b = luxemburg(v, weight, phi)
+        direct = float((weight * v**p).sum() ** (1.0 / p))
         margins.append(_eq_margin(b, direct, scale=max(direct, _TINY)))
         if b > 0:
             eps = 1e-12
-            up = (measure.weight * phi._eval(v / (b * (1 + eps)))).sum()
-            dn = (measure.weight * phi._eval(v / (b * (1 - eps)))).sum()
+            up = (weight * phi._eval(v / (b * (1 + eps)))).sum()
+            dn = (weight * phi._eval(v / (b * (1 - eps)))).sum()
             margins.append(0.0 if (up <= 1.0 <= dn) else -1.0)
     return margins, None
 
@@ -423,9 +416,7 @@ def _chk_holder_lattice_power(env, ctx, rng, t):
     p = _HOLDER_PS[t % len(_HOLDER_PS)]
     q = p / (p - 1.0)
     lhs = float((f * g).sum())
-    rhs = luxemburg(f, counting_measure(), power(p)) * luxemburg(
-        g, counting_measure(), power(q)
-    )
+    rhs = luxemburg(f, 1.0, power(p)) * luxemburg(g, 1.0, power(q))
     return [_le_margin(lhs, rhs)], None
 
 
@@ -435,9 +426,7 @@ def _chk_holder_lattice_conj(env, ctx, rng, t):
     f = np.abs(_crandn(rng, (size,)))
     g = np.abs(_crandn(rng, (size,)))
     lhs = float((f * g).sum())
-    rhs = 2.0 * luxemburg(f, counting_measure(), env.phi) * luxemburg(
-        g, counting_measure(), env.psi
-    )
+    rhs = 2.0 * luxemburg(f, 1.0, env.phi) * luxemburg(g, 1.0, env.psi)
     return [_le_margin(lhs, rhs)], None
 
 
@@ -472,7 +461,7 @@ def _chk_convolution_mixed_power(env, ctx, rng, t):
     p1 = _HOLDER_PS[t % len(_HOLDER_PS)]
     p2 = p1 if t % 3 == 0 else _HOLDER_PS[(t + 1) % len(_HOLDER_PS)]
     lhs = mixed_norm(H, power(p1), power(p2))
-    rhs = field_l1_norm(F) * mixed_norm(G, power(p1), power(p2))
+    rhs = field_lp_norm(F, 1.0) * mixed_norm(G, power(p1), power(p2))
     return [_le_margin(lhs, rhs)], None
 
 
@@ -480,7 +469,7 @@ def _chk_convolution_mixed_orlicz(env, ctx, rng, t):
     F, G = _conv_pair(env, rng, t)
     H = convolve_phase_space(F, G)
     lhs = mixed_norm(H, env.phi, power(2))
-    rhs = field_l1_norm(F) * mixed_norm(G, env.phi, power(2))
+    rhs = field_lp_norm(F, 1.0) * mixed_norm(G, env.phi, power(2))
     return [_le_margin(lhs, rhs)], None
 
 
@@ -489,7 +478,7 @@ def _chk_convolution_product(env, ctx, rng, t):
     H = convolve_phase_space(F, G)
     phi = env.phi if t % 2 else power(1.5)
     lhs = orlicz_norm(H, phi)
-    rhs = field_l1_norm(F) * orlicz_norm(G, phi)
+    rhs = field_lp_norm(F, 1.0) * orlicz_norm(G, phi)
     return [_le_margin(lhs, rhs)], None
 
 
@@ -764,7 +753,7 @@ def _pre_mphi(env, spec):
     norm_g2_phi = orlicz_modulation_norm(g2, g0, env.phi, variant="MPhi", torus=env.torus)
     sym_m1 = symbol_modulation_norm(sigma, env.G0, 1.0)
     rhs_m1 = sym_m1 * norm_g1_psi * norm_g2_phi
-    rhs_l1 = field_l1_norm(sigma) * norm_g1_psi * norm_g2_phi
+    rhs_l1 = field_lp_norm(sigma, 1.0) * norm_g1_psi * norm_g2_phi
     g1_m1 = modulation_norm(g1, g0, 1.0, env.torus)
     g2_m1 = modulation_norm(g2, g0, 1.0, env.torus)
     g1_inf = float(np.abs(g1.values).max())
@@ -826,7 +815,6 @@ class CheckDef:
     id: str
     trials: int
     tolerance: float
-    ensemble: str
     trial_fn: Callable
     tier: Optional[str] = None
     precompute: Optional[Callable] = None
@@ -840,7 +828,6 @@ class CheckSpec:
     id: str
     trials: Optional[int] = None
     tolerance: Optional[float] = None
-    ensemble: Optional[str] = None
     seed: int = 20240801
 
 
@@ -857,21 +844,18 @@ class CheckResult:
 
 def _defs():
     d = [
-        CheckDef("plancherel", 100, 1e-10, "gaussian-signal", _chk_plancherel),
-        CheckDef("orthogonality", 100, 1e-10, "gaussian-signal", _chk_orthogonality),
-        CheckDef("inversion_roundtrip", 100, 1e-10, "gaussian-signal", _chk_inversion),
-        CheckDef("stft_covariance", 100, 1e-12, "gaussian-signal", _chk_covariance),
-        CheckDef("orlicz_homogeneity", 100, 1e-9, "trig-symbol", _chk_homogeneity),
-        CheckDef("orlicz_triangle", 100, 1e-9, "trig-symbol", _chk_triangle),
-        CheckDef("orlicz_monotonicity", 100, 1e-12, "trig-symbol", _chk_monotonicity),
-        CheckDef(
-            "luxemburg_power_reduction", 100, 1e-9, "trig-symbol", _chk_power_reduction
-        ),
+        CheckDef("plancherel", 100, 1e-10, _chk_plancherel),
+        CheckDef("orthogonality", 100, 1e-10, _chk_orthogonality),
+        CheckDef("inversion_roundtrip", 100, 1e-10, _chk_inversion),
+        CheckDef("stft_covariance", 100, 1e-12, _chk_covariance),
+        CheckDef("orlicz_homogeneity", 100, 1e-9, _chk_homogeneity),
+        CheckDef("orlicz_triangle", 100, 1e-9, _chk_triangle),
+        CheckDef("orlicz_monotonicity", 100, 1e-12, _chk_monotonicity),
+        CheckDef("luxemburg_power_reduction", 100, 1e-9, _chk_power_reduction),
         CheckDef(
             "holder_lattice_power",
             500,
             1e-9,
-            "gaussian-signal",
             _chk_holder_lattice_power,
             tier="holder-constant-1",
         ),
@@ -879,7 +863,6 @@ def _defs():
             "holder_lattice_conjugate",
             500,
             1e-9,
-            "gaussian-signal",
             _chk_holder_lattice_conj,
             tier="holder-constant-2",
         ),
@@ -887,7 +870,6 @@ def _defs():
             "holder_mixed_power",
             500,
             1e-9,
-            "trig-symbol",
             _chk_holder_mixed_power,
             tier="holder-constant-1",
         ),
@@ -895,69 +877,43 @@ def _defs():
             "holder_mixed_conjugate",
             500,
             1e-9,
-            "trig-symbol",
             _chk_holder_mixed_conj,
             tier="holder-constant-2",
         ),
-        CheckDef(
-            "convolution_mixed_power",
-            100,
-            1e-9,
-            "trig-symbol",
-            _chk_convolution_mixed_power,
-        ),
-        CheckDef(
-            "convolution_mixed_orlicz",
-            100,
-            1e-9,
-            "trig-symbol",
-            _chk_convolution_mixed_orlicz,
-        ),
-        CheckDef(
-            "convolution_product", 100, 1e-9, "trig-symbol", _chk_convolution_product
-        ),
-        CheckDef("embedding_criteria", 1, 1e-9, "trig-symbol", _chk_embedding),
+        CheckDef("convolution_mixed_power", 100, 1e-9, _chk_convolution_mixed_power),
+        CheckDef("convolution_mixed_orlicz", 100, 1e-9, _chk_convolution_mixed_orlicz),
+        CheckDef("convolution_product", 100, 1e-9, _chk_convolution_product),
+        CheckDef("embedding_criteria", 1, 1e-9, _chk_embedding),
         CheckDef(
             "inclusion_chain_flanks",
             1,
             1e-9,
-            "trig-symbol",
             _chk_inclusion_flanks,
             finalize=_fin_inclusion,
         ),
-        CheckDef("m2_identity", 100, 1e-10, "gaussian-signal", _chk_m2_identity),
-        CheckDef(
-            "tf_shift_invariance", 100, 1e-10, "gaussian-signal", _chk_shift_invariance
-        ),
+        CheckDef("m2_identity", 100, 1e-10, _chk_m2_identity),
+        CheckDef("tf_shift_invariance", 100, 1e-10, _chk_shift_invariance),
         CheckDef(
             "window_robustness",
             100,
             1e-9,
-            "gaussian-signal",
             _chk_window_robustness,
             finalize=_fin_window_robustness,
         ),
-        CheckDef("locop_two_path", 50, 1e-12, "trig-symbol", _chk_two_path),
-        CheckDef("identity_operator", 1, 1e-10, "trig-symbol", _chk_identity_operator),
-        CheckDef("adjoint_identity", 50, 1e-12, "trig-symbol", _chk_adjoint_identity),
-        CheckDef("trace_identity", 50, 1e-10, "trig-symbol", _chk_trace_identity),
-        CheckDef(
-            "opnorm_plancherel_bound", 100, 1e-9, "trig-symbol", _chk_opnorm_plancherel
-        ),
-        CheckDef("opnorm_schur_bound", 100, 1e-9, "trig-symbol", _chk_opnorm_schur),
-        CheckDef(
-            "s1_positive_trace", 50, 1e-10, "indicator-symbol", _chk_s1_positive
-        ),
-        CheckDef("s1_general_split", 50, 1e-9, "trig-symbol", _chk_s1_general),
-        CheckDef(
-            "schatten_logconvexity", 50, 1e-9, "trig-symbol", _chk_schatten_logconvexity
-        ),
-        CheckDef("trace_sandwich", 50, 1e-9, "indicator-symbol", _chk_trace_sandwich),
+        CheckDef("locop_two_path", 50, 1e-12, _chk_two_path),
+        CheckDef("identity_operator", 1, 1e-10, _chk_identity_operator),
+        CheckDef("adjoint_identity", 50, 1e-12, _chk_adjoint_identity),
+        CheckDef("trace_identity", 50, 1e-10, _chk_trace_identity),
+        CheckDef("opnorm_plancherel_bound", 100, 1e-9, _chk_opnorm_plancherel),
+        CheckDef("opnorm_schur_bound", 100, 1e-9, _chk_opnorm_schur),
+        CheckDef("s1_positive_trace", 50, 1e-10, _chk_s1_positive),
+        CheckDef("s1_general_split", 50, 1e-9, _chk_s1_general),
+        CheckDef("schatten_logconvexity", 50, 1e-9, _chk_schatten_logconvexity),
+        CheckDef("trace_sandwich", 50, 1e-9, _chk_trace_sandwich),
         CheckDef(
             "mphi_boundedness",
             100,
             1e-9,
-            "gaussian-signal",
             _chk_mphi,
             precompute=_pre_mphi,
             finalize=_fin_mphi,
@@ -1033,7 +989,6 @@ def _resolve(spec: CheckSpec) -> CheckSpec:
         spec,
         trials=cd.trials if spec.trials is None else spec.trials,
         tolerance=cd.tolerance if spec.tolerance is None else spec.tolerance,
-        ensemble=cd.ensemble if spec.ensemble is None else spec.ensemble,
     )
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "eq5",
     "quasi_young",
     "table",
-    "evaluate",
     "complementary",
     "conjugate_table",
     "delta2_probe",
@@ -193,11 +192,6 @@ def table(xs, ys) -> YoungFunction:
             strictly_convex=flags["strictly_convex"],
         )
     )
-
-
-def evaluate(phi: YoungFunction, t):
-    """Evaluate phi at t >= 0 (scalar or array)."""
-    return phi(t)
 
 
 _BRACKET_CAP = 2.0**60

@@ -248,6 +248,10 @@ def test_verify_bad_config(tmp_path, capsys):
     bad.write_text(json.dumps({"checks": [{"id": "nope"}]}))
     code, _, _ = run(capsys, "verify", "--config", str(bad))
     assert code == 2
+    check = {"id": "identity_operator", "ensemble": "no-such-ensemble"}
+    bad.write_text(json.dumps({"checks": [check]}))
+    code, _, _ = run(capsys, "verify", "--config", str(bad))
+    assert code == 2
 
 
 def test_config_round_trip():

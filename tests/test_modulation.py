@@ -24,7 +24,7 @@ from tflocal import (
     window_signal,
 )
 from tflocal.lattice import delta_signal
-from tflocal.orlicz import field_l2_norm
+from tflocal.orlicz import field_lp_norm
 from tflocal.verify import _random_signal, trial_rng
 
 
@@ -111,7 +111,7 @@ def test_symbol_norm_identity(env):
     sigma = _trig_symbol(env, rng)
     G0 = env.G0
     got = symbol_modulation_norm(sigma, G0, 2.0)
-    want = field_l2_norm(sigma) * field_l2_norm(G0)
+    want = field_lp_norm(sigma, 2.0) * field_lp_norm(G0, 2.0)
     assert abs(got - want) <= 1e-9 * want
     Z = PhaseSpaceField(
         env.lattice,

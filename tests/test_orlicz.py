@@ -9,7 +9,6 @@ from tflocal import (
     PrecisionError,
     RangeError,
     convolve_phase_space,
-    counting_measure,
     eq5,
     holder_pairing,
     luxemburg,
@@ -17,10 +16,8 @@ from tflocal import (
     mixed_norm_swapped,
     orlicz_norm,
     power,
-    product_measure,
-    torus_measure,
 )
-from tflocal.orlicz import field_l1_norm, field_l2_norm
+from tflocal.orlicz import field_lp_norm
 from tflocal.verify import (
     _rank_one_symbol,
     _trig_symbol,
@@ -55,14 +52,14 @@ def lux_oracle(vals, weight, phi, iters=200):
 
 
 def test_luxemburg_zero_and_pythagoras():
-    assert luxemburg(np.zeros(5), counting_measure(), power(2)) == 0.0
-    got = luxemburg(np.array([3.0, 4.0]), counting_measure(), power(2))
+    assert luxemburg(np.zeros(5), 1.0, power(2)) == 0.0
+    got = luxemburg(np.array([3.0, 4.0]), 1.0, power(2))
     assert abs(got - 5.0) <= 1e-9 * 5.0
 
 
 def test_luxemburg_eq5_atom():
     phi = eq5()
-    got = luxemburg(np.array([1.0]), counting_measure(), phi)
+    got = luxemburg(np.array([1.0]), 1.0, phi)
     analytic = 1.0 / math.sqrt(1.0 - math.exp(-3) / 2)
     assert abs(got - analytic) <= 1e-9 * analytic
     oracle = lux_oracle(np.array([1.0]), 1.0, phi)
@@ -73,7 +70,7 @@ def test_luxemburg_bracket_property():
     rng = trial_rng(5, "lux-bracket", 0)
     for phi in (power(1.5), power(3), eq5()):
         v = np.abs(rng.standard_normal(40)) + 0.01
-        b = luxemburg(v, counting_measure(), phi)
+        b = luxemburg(v, 1.0, phi)
         eps = 1e-12
         up = float(phi(v / (b * (1 + eps))).sum())
         dn = float(phi(v / (b * (1 - eps))).sum())
@@ -85,13 +82,13 @@ def test_power_case_reduction(env):
     for t in range(10):
         v = np.abs(rng.standard_normal(50))
         for p in (1.0, 1.5, 2.0, 3.0):
-            got = luxemburg(v, counting_measure(), power(p))
+            got = luxemburg(v, 1.0, power(p))
             want = float((v**p).sum() ** (1 / p))
             assert abs(got - want) <= 1e-9 * want
     F = _trig_symbol(env, rng)
     w = env.torus.weight
     for p in (1.0, 1.5, 2.0, 3.0):
-        got = luxemburg(F.values, product_measure(env.torus), power(p))
+        got = luxemburg(F.values, w, power(p))
         want = float((w * np.abs(F.values) ** p).sum() ** (1 / p))
         assert abs(got - want) <= 1e-9 * want
 
@@ -100,14 +97,20 @@ def test_luxemburg_cross_oracle(env):
     rng = trial_rng(7, "lux-oracle", 0)
     phi = eq5()
     v = np.abs(rng.standard_normal(30)) * 3
-    got = luxemburg(v, counting_measure(), phi)
+    got = luxemburg(v, 1.0, phi)
     want = lux_oracle(v, 1.0, phi)
     assert abs(got - want) <= 1e-9 * want
 
 
 def test_luxemburg_rejects_bad_input():
     with pytest.raises(DomainError):
-        luxemburg(np.array([np.inf]), counting_measure(), power(2))
+        luxemburg(np.array([np.inf]), 1.0, power(2))
+    for weight in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            luxemburg(np.array([1.0]), weight, power(2))
+    # the norm is 6e-300, far below the 200 halvings of the initial bracket
+    with pytest.raises(PrecisionError):
+        luxemburg(np.array([1.0, 2.0, 3.0]), 1e-300, power(1))
 
 
 def test_mixed_norm_power_oracle(env):
@@ -134,13 +137,13 @@ def test_mixed_norm_separable(env):
         lat, tor, R, np.multiply.outer(a, b).astype(complex), degree_bound=1
     )
     phi, psi = eq5(), power(2)
-    na = luxemburg(a, counting_measure(), phi)
-    nb = luxemburg(b, torus_measure(tor), psi)
+    na = luxemburg(a, 1.0, phi)
+    nb = luxemburg(b, tor.weight, psi)
     assert abs(mixed_norm(F, phi, psi) - na * nb) <= 1e-9 * na * nb
     # swapped variant: the first function measures the lattice factor, the
     # second the torus factor
-    na2 = luxemburg(a, counting_measure(), psi)
-    nb2 = luxemburg(b, torus_measure(tor), phi)
+    na2 = luxemburg(a, 1.0, psi)
+    nb2 = luxemburg(b, tor.weight, phi)
     got = mixed_norm_swapped(F, psi, phi)
     assert abs(got - na2 * nb2) <= 1e-9 * na2 * nb2
 
@@ -233,7 +236,11 @@ def test_holder_pairing_cases(env):
     rng = trial_rng(11, "pairing", 0)
     G = _trig_symbol(env, rng)
     Gn = PhaseSpaceField(
-        lat, tor, G.m_radius, G.values / field_l2_norm(G), degree_bound=G.degree_bound
+        lat,
+        tor,
+        G.m_radius,
+        G.values / field_lp_norm(G, 2.0),
+        degree_bound=G.degree_bound,
     )
     assert abs(holder_pairing(Gn, Gn) - 1.0) <= 1e-10
 
@@ -247,15 +254,9 @@ def test_holder_inequalities_small(env):
         g = np.abs(rng.standard_normal(17))
         lhs = float((f * g).sum())
         p = 1.5
-        rhs1 = luxemburg(f, counting_measure(), power(p)) * luxemburg(
-            g, counting_measure(), power(3.0)
-        )
+        rhs1 = luxemburg(f, 1.0, power(p)) * luxemburg(g, 1.0, power(3.0))
         assert lhs <= rhs1 * (1 + 1e-9)
-        rhs2 = (
-            2.0
-            * luxemburg(f, counting_measure(), eq5())
-            * luxemburg(g, counting_measure(), psi)
-        )
+        rhs2 = 2.0 * luxemburg(f, 1.0, eq5()) * luxemburg(g, 1.0, psi)
         assert lhs <= rhs2 * (1 + 1e-9)
 
 
@@ -267,8 +268,8 @@ def test_convolution_inequality_small(env):
         G = _rank_one_symbol(env, rng)
         H = convolve_phase_space(F, G)
         lhs = mixed_norm(H, eq5(), psi)
-        rhs = field_l1_norm(F) * mixed_norm(G, eq5(), psi)
+        rhs = field_lp_norm(F, 1.0) * mixed_norm(G, eq5(), psi)
         assert lhs <= rhs * (1 + 1e-9)
         lhs2 = orlicz_norm(H, eq5())
-        rhs2 = field_l1_norm(F) * orlicz_norm(G, eq5())
+        rhs2 = field_lp_norm(F, 1.0) * orlicz_norm(G, eq5())
         assert lhs2 <= rhs2 * (1 + 1e-9)

@@ -19,30 +19,30 @@ from tflocal import (
     stft_adjoint,
     stft_symbol,
 )
-from tflocal.lattice import delta_signal
-from tflocal.orlicz import field_l2_norm
-from tflocal.stft import _stft_via_convolution
+from tflocal.lattice import delta_signal, phase_matrix
+from tflocal.orlicz import field_lp_norm
 from tflocal.verify import Environment, _random_signal, trial_rng
 
 
 def direct_stft_oracle(f, g, torus):
-    """Triple-loop evaluation of the defining sum (independent path)."""
+    """Loop evaluation of the defining sum in any dimension (independent path)."""
     spec = f.spec
-    R = 2 * spec.K
-    ks = spec.axis()
-    out = np.zeros((2 * R + 1, torus.M), complex)
-    for mi, m in enumerate(range(-R, R + 1)):
-        for j in range(torus.M):
-            w = j / torus.M
+    n, R, C = spec.n, 2 * spec.K, spec.C
+    box = list(itertools.product(range(-C, C + 1), repeat=n))
+    out = np.zeros((2 * R + 1,) * n + torus.shape, complex)
+    for m in itertools.product(range(-R, R + 1), repeat=n):
+        for j in np.ndindex(torus.shape):
+            w = [jj / torus.M for jj in j]
             acc = 0.0
-            for ki, k in enumerate(ks):
-                if -spec.C <= k - m <= spec.C:
+            for k in box:
+                km = [a - b for a, b in zip(k, m)]
+                if all(-C <= c <= C for c in km):
                     acc += (
-                        f.values[ki]
-                        * np.conj(g.values[k - m + spec.C])
-                        * np.exp(-2j * np.pi * w * k)
+                        f.values[tuple(c + C for c in k)]
+                        * np.conj(g.values[tuple(c + C for c in km)])
+                        * np.exp(-2j * np.pi * sum(a * b for a, b in zip(w, k)))
                     )
-            out[mi, j] = acc
+            out[tuple(c + R for c in m) + j] = acc
     return out
 
 
@@ -92,23 +92,24 @@ def test_stft_rejects_bad_inputs(env):
         stft(wide, d0, tor)
 
 
-def test_fast_path_agreement(env):
-    rng = trial_rng(23, "stft-conv", 0)
-    f = _random_signal(env, rng)
-    g = _random_signal(env, rng)
-    a = stft(f, g, env.torus).values
-    b = _stft_via_convolution(f, g, env.torus).values
-    assert np.abs(a - b).max() <= 1e-12 * max(np.abs(a).max(), 1.0)
-
-
-def test_fast_path_agreement_2d():
+def test_stft_matches_oracle_2d():
     env2 = Environment(LatticeSpec(2, 1, 3), TorusGrid(2, 7))
-    rng = trial_rng(24, "stft-conv-2d", 0)
+    rng = trial_rng(24, "stft-loop-2d", 0)
     f = _random_signal(env2, rng)
     g = _random_signal(env2, rng)
-    a = stft(f, g, env2.torus).values
-    b = _stft_via_convolution(f, g, env2.torus).values
-    assert np.abs(a - b).max() <= 1e-12 * max(np.abs(a).max(), 1.0)
+    got = stft(f, g, env2.torus).values
+    want = direct_stft_oracle(f, g, env2.torus)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_phase_matrix_is_cached_and_read_only():
+    P = phase_matrix(7, -2, 2, -1, 2)
+    assert P.shape == (25, 49)
+    assert phase_matrix(7, -2, 2, -1, 2) is P
+    # row d = (1, -2), column j = (3, 5): exp(-2 pi i (1*3 - 2*5) / 7)
+    assert abs(P[3 * 5 + 0, 3 * 7 + 5] - np.exp(-2j * np.pi * (3 - 10) / 7)) <= 1e-14
+    with pytest.raises(ValueError):
+        P[0, 0] = 0.0
 
 
 def test_adjoint_examples(env):
@@ -179,7 +180,7 @@ def test_plancherel_and_orthogonality(env):
         g = _random_signal(env, rng)
         F = stft(f, g, env.torus)
         rhs = norm2(f) * norm2(g)
-        assert abs(field_l2_norm(F) - rhs) <= 1e-10 * rhs
+        assert abs(field_lp_norm(F, 2.0) - rhs) <= 1e-10 * rhs
         f2 = _random_signal(env, rng)
         g2 = _random_signal(env, rng)
         V2 = stft(f2, g2, env.torus)
@@ -257,7 +258,7 @@ def test_symbol_transform_plancherel(env):
     G0 = env.G0
     T = stft_symbol(F, G0)
     lhs = math.sqrt(env.torus.weight**2 * float((np.abs(T.values) ** 2).sum()))
-    rhs = field_l2_norm(F) * field_l2_norm(G0)
+    rhs = field_lp_norm(F, 2.0) * field_lp_norm(G0, 2.0)
     assert abs(lhs - rhs) <= 1e-10 * rhs
 
 
@@ -285,5 +286,5 @@ def test_symbol_transform_plancherel_2d():
     G0 = env2.G0
     T = stft_symbol(F, G0)
     lhs = math.sqrt(tor.weight**2 * float((np.abs(T.values) ** 2).sum()))
-    rhs = field_l2_norm(F) * field_l2_norm(G0)
+    rhs = field_lp_norm(F, 2.0) * field_lp_norm(G0, 2.0)
     assert abs(lhs - rhs) <= 1e-10 * rhs

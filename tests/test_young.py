@@ -11,7 +11,6 @@ from tflocal import (
     conjugate_table,
     delta2_probe,
     eq5,
-    evaluate,
     power,
     quasi_young,
 )
@@ -32,10 +31,10 @@ def conj_eq5_closed(y: float) -> float:
 
 
 def test_power_eval():
-    assert evaluate(power(2), 3.0) == 9.0
-    assert evaluate(power(1), 0.0) == 0.0
+    assert power(2)(3.0) == 9.0
+    assert power(1)(0.0) == 0.0
     with pytest.raises(DomainError):
-        evaluate(power(2), -1.0)
+        power(2)(-1.0)
     with pytest.raises(DomainError):
         power(0.5)  # not convex; use quasi_young
 
