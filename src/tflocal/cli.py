@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .errors import (
     UnboundedError,
     UsageError,
 )
-from .lattice import LatticeSpec, PhaseSpaceField, Signal, TorusGrid
+from .lattice import LatticeSpec, Signal, TorusGrid
 from .locop import apply_operator, kernel, spectrum
 from .modulation import (
     WindowSpec,
@@ -48,10 +48,14 @@ from .serialization import (
 )
 from .stft import stft
 from .verify import (
+    DEFAULT_SEED,
+    ENSEMBLES,
     CheckSpec,
     Environment,
+    default_specs,
     generate_ensemble,
-    registered_ids,
+    integer,
+    number,
     report_lines,
     run_suite,
 )
@@ -64,70 +68,70 @@ from .young import YoungFunction, eq5, power, quasi_young, young_from_dict
 
 @dataclass
 class Config:
-    """Verification-suite configuration with defaults C = 3K, M = 6K + 1."""
+    """A validated verify config: grids, window, requested checks, report path."""
 
-    seed: int = 20240801
-    lattice: LatticeSpec = dc_field(default_factory=LatticeSpec)
-    torus: TorusGrid = dc_field(default_factory=lambda: TorusGrid(1, 49))
-    window: WindowSpec = dc_field(default_factory=WindowSpec)
-    checks: list = dc_field(default_factory=list)  # list of dict overrides
-    output: str | None = None
-
-
-_CHECK_KEYS = {"id", "trials", "tolerance", "seed"}
+    seed: int
+    lattice: LatticeSpec
+    torus: TorusGrid
+    window: WindowSpec
+    checks: list  # CheckSpecs, in file order
+    output: str | None
 
 
-def config_from_dict(obj: dict) -> Config:
+def _section(obj: dict, name: str, keys: tuple) -> dict:
+    sec = obj.get(name, {})
+    if not isinstance(sec, dict):
+        raise UsageError(f"config {name!r} must be an object")
+    extra = set(sec) - set(keys)
+    if extra:
+        raise UsageError(f"unknown {name} keys: {sorted(extra)}")
+    return sec
+
+
+def config_from_dict(obj: dict, seed: int | None = None) -> Config:
+    """Validate a parsed config file; `seed`, when given, replaces the file's seed.
+
+    A check's own seed still wins over both.
+    """
     if not isinstance(obj, dict):
         raise UsageError("config must be a JSON object")
-    known = {"seed", "lattice", "torus", "window", "checks", "output"}
-    extra = set(obj) - known
+    extra = set(obj) - {"seed", "lattice", "torus", "window", "checks", "output"}
     if extra:
         raise UsageError(f"unknown config keys: {sorted(extra)}")
-    try:
-        lat = obj.get("lattice", {})
-        n = int(lat.get("n", 1))
-        K = int(lat.get("K", 8))
-        C = lat.get("C")
-        lattice = LatticeSpec(n, K, None if C is None else int(C))
-        tor = obj.get("torus", {})
-        M = int(tor.get("M", 6 * K + 1))
-        torus = TorusGrid(n, M)
-        win = obj.get("window", {})
-        window = WindowSpec(
-            kind=win.get("kind", "gaussian"),
-            width=(None if win.get("width") is None else float(win["width"])),
-            normalization=win.get("normalization", "l2"),
-        )
-        checks = []
-        for c in obj.get("checks", []):
-            if not isinstance(c, dict) or "id" not in c:
-                raise UsageError("each check override needs an 'id'")
-            bad = set(c) - _CHECK_KEYS
-            if bad:
-                raise UsageError(f"unknown check keys: {sorted(bad)}")
-            checks.append(dict(c))
-        out = obj.get("output")
-        seed = int(obj.get("seed", 20240801))
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"malformed config: {exc}") from exc
-    return Config(seed, lattice, torus, window, checks, out)
-
-
-def config_to_dict(cfg: Config) -> dict:
-    win = {"kind": cfg.window.kind, "normalization": cfg.window.normalization}
-    if cfg.window.width is not None:
-        win["width"] = cfg.window.width
-    out = {
-        "seed": cfg.seed,
-        "lattice": {"n": cfg.lattice.n, "K": cfg.lattice.K, "C": cfg.lattice.C},
-        "torus": {"M": cfg.torus.M},
-        "window": win,
-        "checks": [dict(c) for c in cfg.checks],
-    }
-    if cfg.output is not None:
-        out["output"] = cfg.output
-    return out
+    lat = _section(obj, "lattice", ("n", "K", "C"))
+    C = lat.get("C")
+    lattice = LatticeSpec(
+        integer(lat.get("n", 1), "lattice.n"),
+        integer(lat.get("K", 8), "lattice.K"),
+        None if C is None else integer(C, "lattice.C"),
+    )
+    M = _section(obj, "torus", ("M",)).get("M")
+    torus = _torus(lattice, None if M is None else integer(M, "torus.M"))
+    win = _section(obj, "window", ("kind", "width", "normalization"))
+    width = win.get("width")
+    window = WindowSpec(
+        kind=win.get("kind", "gaussian"),
+        width=None if width is None else number(width, "window.width"),
+        normalization=win.get("normalization", "l2"),
+    )
+    file_seed = integer(obj.get("seed", DEFAULT_SEED), "seed")  # checked even if replaced
+    seed = file_seed if seed is None else seed
+    checks = obj.get("checks", [])
+    if not isinstance(checks, list):
+        raise UsageError("config 'checks' must be a list")
+    keys = {f.name for f in fields(CheckSpec)}
+    specs = []
+    for c in checks:
+        if not isinstance(c, dict) or "id" not in c:
+            raise UsageError("each check override needs an 'id'")
+        bad = set(c) - keys
+        if bad:
+            raise UsageError(f"unknown check keys: {sorted(bad)}")
+        specs.append(CheckSpec(**{"seed": seed, **c}))
+    out = obj.get("output")
+    if out is not None and not isinstance(out, str):
+        raise UsageError("config 'output' must be a file name")
+    return Config(seed, lattice, torus, window, specs, out)
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +192,9 @@ def _lattice_from_args(args) -> LatticeSpec:
     return LatticeSpec(args.n, args.K, args.C)
 
 
-def _torus_from_args(args, lattice: LatticeSpec) -> TorusGrid:
-    M = args.M if args.M is not None else 6 * lattice.K + 1
-    return TorusGrid(lattice.n, M)
+def _torus(lattice: LatticeSpec, M: int | None) -> TorusGrid:
+    """The torus grid for `lattice`: M samples per axis, 6K + 1 unless given."""
+    return TorusGrid(lattice.n, 6 * lattice.K + 1 if M is None else M)
 
 
 def _add_grid_options(p: argparse.ArgumentParser) -> None:
@@ -206,16 +210,10 @@ def _add_grid_options(p: argparse.ArgumentParser) -> None:
 
 def _cmd_gen(args) -> int:
     lattice = _lattice_from_args(args)
-    torus = _torus_from_args(args, lattice)
+    torus = _torus(lattice, args.M)
     if args.kind == "window":
         sig = _window_signal(args.window, lattice)
         _write(args.out, dump_signal(sig))
-        return 0
-    if args.kind == "constant-symbol":
-        R = 2 * lattice.K
-        vals = np.ones((2 * R + 1,) * lattice.n + torus.shape, dtype=np.complex128)
-        F = PhaseSpaceField(lattice, torus, R, vals, degree_bound=0)
-        _write(args.out, dump_field(F))
         return 0
     env = Environment(lattice, torus, _parse_window_spec_or_default(args.window))
     obj = generate_ensemble(args.kind, args.seed, env)
@@ -235,7 +233,7 @@ def _parse_window_spec_or_default(token: str) -> WindowSpec:
 
 def _cmd_stft(args) -> int:
     sig = load_signal(_read(args.signal))
-    torus = TorusGrid(sig.spec.n, args.M if args.M is not None else 6 * sig.spec.K + 1)
+    torus = _torus(sig.spec, args.M)
     g = _window_signal(args.window, sig.spec)
     F = stft(sig, g, torus)
     _write(args.out, dump_field(F))
@@ -271,9 +269,7 @@ def _norm_value(args) -> float:
         return mixed_norm(F, f1, f2) if space == "L" else mixed_norm_swapped(F, f1, f2)
     if space.startswith("M") or space.startswith("W"):
         sig = load_signal(_read(args.input))
-        torus = TorusGrid(
-            sig.spec.n, args.M if args.M is not None else 6 * sig.spec.K + 1
-        )
+        torus = _torus(sig.spec, args.M)
         g = _window_signal(args.window, sig.spec)
         if space == "MPhi":
             if args.phi is None:
@@ -347,32 +343,20 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = Config()
+    obj = {}
     if args.config is not None:
         try:
-            cfg = config_from_dict(json.loads(_read(args.config)))
+            obj = json.loads(_read(args.config))
         except json.JSONDecodeError as exc:
             raise UsageError(f"config is not valid JSON: {exc}") from exc
-    seed = args.seed if args.seed is not None else cfg.seed
+    cfg = config_from_dict(obj, seed=args.seed)
     env = Environment(cfg.lattice, cfg.torus, cfg.window)
-    overrides = {c["id"]: c for c in cfg.checks}
+    configured = {s.id: s for s in cfg.checks}
     if args.checks is not None:
         ids = [s.strip() for s in args.checks.split(",") if s.strip()]
-    elif cfg.checks:
-        ids = list(overrides)
     else:
-        ids = registered_ids()
-    specs = []
-    for cid in ids:
-        o = overrides.get(cid, {})
-        specs.append(
-            CheckSpec(
-                id=cid,
-                trials=o.get("trials"),
-                tolerance=o.get("tolerance"),
-                seed=int(o.get("seed", seed)),
-            )
-        )
+        ids = list(configured) or None  # None: the whole registry
+    specs = [configured.get(s.id, s) for s in default_specs(ids, cfg.seed)]
     results = run_suite(specs, env, threads=args.threads)
     _write(args.output if args.output is not None else cfg.output, report_lines(results))
     return 0 if all(r.violations == 0 for r in results) else 1
@@ -388,18 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="write a seeded signal or symbol file")
     _add_grid_options(p)
-    p.add_argument(
-        "--kind",
-        required=True,
-        choices=[
-            "gaussian-signal",
-            "trig-symbol",
-            "indicator-symbol",
-            "rank-one-symbol",
-            "window",
-            "constant-symbol",
-        ],
-    )
+    p.add_argument("--kind", required=True, choices=[*ENSEMBLES, "window"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--window", default="gaussian")
     p.add_argument("--out", default="-")

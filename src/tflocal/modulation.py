@@ -36,7 +36,6 @@ from .young import YoungFunction
 __all__ = [
     "WindowSpec",
     "window_signal",
-    "default_window",
     "symbol_window",
     "modulation_norm",
     "orlicz_modulation_norm",
@@ -48,15 +47,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """Analysis window: gaussian(width), kronecker, or loaded from file."""
+    """Built-in analysis window: gaussian(width) or kronecker."""
 
     kind: str = "gaussian"
     width: Optional[float] = None
     normalization: str = "l2"  # "l2" or "none"
-    path: Optional[str] = None
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "kronecker", "file"):
+        if self.kind not in ("gaussian", "kronecker"):
             raise DomainError(f"unknown window kind {self.kind!r}")
         if self.normalization not in ("l2", "none"):
             raise DomainError("window normalization must be 'l2' or 'none'")
@@ -64,9 +62,9 @@ class WindowSpec:
 
 def window_signal(spec: WindowSpec, lattice: LatticeSpec) -> Signal:
     """Realize a window spec as an admissible non-zero signal."""
-    if spec.kind == "kronecker" or (spec.kind == "gaussian" and lattice.K == 0):
+    if spec.kind == "kronecker" or lattice.K == 0:
         g = delta_signal(lattice)
-    elif spec.kind == "gaussian":
+    else:
         width = spec.width if spec.width is not None else lattice.K / 2.0
         if width <= 0:
             raise DomainError("gaussian window width must be positive")
@@ -78,15 +76,9 @@ def window_signal(spec: WindowSpec, lattice: LatticeSpec) -> Signal:
         sl = lattice.admissible_slices()
         v[sl] = block.reshape((2 * lattice.K + 1,) * lattice.n)
         g = Signal(lattice, v)
-    else:
-        raise DomainError("file windows must be loaded before use")
     if spec.normalization == "l2":
         g = Signal(lattice, g.values / norm2(g))
     return g
-
-
-def default_window(lattice: LatticeSpec) -> Signal:
-    return window_signal(WindowSpec(), lattice)
 
 
 def _fejer_values(M: int, degree: int) -> np.ndarray:
@@ -163,13 +155,16 @@ def symbol_modulation_norm(
     torus-type axes.
     """
     T = stft_symbol(sigma, G0)
-    a = np.abs(T.values)
     w = T.torus.weight**2
+    a = np.abs(T.values)
+    del T  # the complex transform is twice the size of `a`
     if np.isinf(p):
         return float(a.max(initial=0.0))
     if p < 1:
         raise DomainError("p must be >= 1")
-    return float((w * (a**p).sum()) ** (1.0 / p))
+    if p != 1:
+        np.power(a, p, out=a)
+    return float((w * a.sum()) ** (1.0 / p))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ variable is realized by index rotation on the shared grid.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass
 
@@ -129,7 +128,6 @@ class SymbolTransform:
     m_radius: int
     freq_radius: int
     values: np.ndarray
-    window_id: str = ""
 
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=np.complex128)
@@ -212,5 +210,4 @@ def stft_symbol(
     shaped = out.reshape(
         (2 * Rm + 1,) * n + (M,) * n + (M,) * n + (2 * D + 1,) * n
     )
-    wid = hashlib.sha256(np.ascontiguousarray(G.values).tobytes()).hexdigest()[:12]
-    return SymbolTransform(spec, torus, Rm, D, shaped, window_id=wid)
+    return SymbolTransform(spec, torus, Rm, D, shaped)

@@ -1,7 +1,10 @@
 """Randomized verification harness.
 
 Every identity and inequality the toolkit claims is registered here as a
-named check.  A check draws a seeded ensemble, evaluates its predicate
+named check.  A check is declared in one place only, its row in the
+registry: id, invariant, trial count, tolerance and trial function;
+`SPEC_INVARIANTS`, `registered_ids` and every `CheckSpec` default are read
+from those rows.  A check draws a seeded ensemble, evaluates its predicate
 trial by trial, and reports the worst margin, where margins are normalized
 by the right-hand side (or by the natural scale of an identity) so that
 tolerances are scale free.  Equality checks report minus the relative
@@ -24,9 +27,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -77,6 +81,8 @@ from .young import YoungFunction, conjugate_table, eq5, power
 __all__ = [
     "CheckSpec",
     "CheckResult",
+    "DEFAULT_SEED",
+    "ENSEMBLES",
     "Environment",
     "REGISTRY",
     "SPEC_INVARIANTS",
@@ -89,8 +95,27 @@ __all__ = [
     "trial_rng",
 ]
 
+DEFAULT_SEED = 20240801
 _TINY = 1e-300
 _NEG_CAP = -1e300
+
+
+def integer(value, what: str) -> int:
+    """`value` as an int: an int or an integral float, never a bool."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise UsageError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def number(value, what: str) -> float:
+    """`value` as a finite float: an int or a float, never a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise UsageError(f"{what} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise UsageError(f"{what} must be finite, got {value!r}")
+    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -233,26 +258,21 @@ def _constant_symbol(env: Environment, value: complex = 1.0) -> PhaseSpaceField:
     return PhaseSpaceField(env.lattice, env.torus, R, vals, degree_bound=0)
 
 
-ENSEMBLE_KINDS = (
-    "gaussian-signal",
-    "trig-symbol",
-    "indicator-symbol",
-    "rank-one-symbol",
-)
+# name -> builder(env, rng); `generate_ensemble` and `tflocal gen --kind` read it
+ENSEMBLES = {
+    "gaussian-signal": _random_signal,
+    "trig-symbol": _trig_symbol,
+    "indicator-symbol": _indicator_symbol,
+    "rank-one-symbol": _rank_one_symbol,
+    "constant-symbol": lambda env, rng: _constant_symbol(env),
+}
 
 
 def generate_ensemble(kind: str, seed: int, env: Environment):
     """Draw one registered ensemble member deterministically from the seed."""
-    rng = trial_rng(seed, f"ensemble:{kind}", 0)
-    if kind == "gaussian-signal":
-        return _random_signal(env, rng)
-    if kind == "trig-symbol":
-        return _trig_symbol(env, rng)
-    if kind == "indicator-symbol":
-        return _indicator_symbol(env, rng)
-    if kind == "rank-one-symbol":
-        return _rank_one_symbol(env, rng)
-    raise UsageError(f"unknown ensemble kind {kind!r}")
+    if kind not in ENSEMBLES:
+        raise UsageError(f"unknown ensemble kind {kind!r}")
+    return ENSEMBLES[kind](env, trial_rng(seed, f"ensemble:{kind}", 0))
 
 
 # ---------------------------------------------------------------------------
@@ -813,6 +833,7 @@ def _fin_mphi(env, ctx, payloads):
 @dataclass(frozen=True)
 class CheckDef:
     id: str
+    invariant: str  # the module invariant (stft / orlicz / modulation / locop) it checks
     trials: int
     tolerance: float
     trial_fn: Callable
@@ -821,14 +842,75 @@ class CheckDef:
     finalize: Optional[Callable] = None
 
 
+_H1, _H2 = "holder-constant-1", "holder-constant-2"  # Hoelder-check tiers
+
+# the registry: one row per check, the only place a check is declared
+_ROWS = (
+    CheckDef("plancherel", "stft.plancherel", 100, 1e-10, _chk_plancherel),
+    CheckDef("orthogonality", "stft.orthogonality", 100, 1e-10, _chk_orthogonality),
+    CheckDef("inversion_roundtrip", "stft.inversion_round_trip", 100, 1e-10, _chk_inversion),
+    CheckDef("stft_covariance", "stft.covariance", 100, 1e-12, _chk_covariance),
+    CheckDef("orlicz_homogeneity", "orlicz.norm_axioms", 100, 1e-9, _chk_homogeneity),
+    CheckDef("orlicz_triangle", "orlicz.norm_axioms", 100, 1e-9, _chk_triangle),
+    CheckDef("orlicz_monotonicity", "orlicz.norm_axioms", 100, 1e-12, _chk_monotonicity),
+    CheckDef("luxemburg_power_reduction", "orlicz.power_reduction", 100, 1e-9, _chk_power_reduction),
+    CheckDef("holder_lattice_power", "orlicz.holder_lattice", 500, 1e-9, _chk_holder_lattice_power, tier=_H1),
+    CheckDef("holder_lattice_conjugate", "orlicz.holder_lattice", 500, 1e-9, _chk_holder_lattice_conj, tier=_H2),
+    CheckDef("holder_mixed_power", "orlicz.holder_mixed", 500, 1e-9, _chk_holder_mixed_power, tier=_H1),
+    CheckDef("holder_mixed_conjugate", "orlicz.holder_mixed", 500, 1e-9, _chk_holder_mixed_conj, tier=_H2),
+    CheckDef("convolution_mixed_power", "orlicz.convolution_young", 100, 1e-9, _chk_convolution_mixed_power),
+    CheckDef("convolution_mixed_orlicz", "orlicz.convolution_young", 100, 1e-9, _chk_convolution_mixed_orlicz),
+    CheckDef("convolution_product", "orlicz.convolution_young", 100, 1e-9, _chk_convolution_product),
+    CheckDef("embedding_criteria", "modulation.embedding_criteria", 1, 1e-9, _chk_embedding),
+    CheckDef("inclusion_chain_flanks", "modulation.embedding_criteria", 1, 1e-9, _chk_inclusion_flanks, finalize=_fin_inclusion),
+    CheckDef("m2_identity", "modulation.m2_identity", 100, 1e-10, _chk_m2_identity),
+    CheckDef("tf_shift_invariance", "modulation.shift_invariance", 100, 1e-10, _chk_shift_invariance),
+    CheckDef("window_robustness", "modulation.window_robustness", 100, 1e-9, _chk_window_robustness, finalize=_fin_window_robustness),
+    CheckDef("locop_two_path", "locop.two_path_consistency", 50, 1e-12, _chk_two_path),
+    CheckDef("identity_operator", "locop.identity_case", 1, 1e-10, _chk_identity_operator),
+    CheckDef("adjoint_identity", "locop.adjoint_identity", 50, 1e-12, _chk_adjoint_identity),
+    CheckDef("trace_identity", "locop.trace_identity", 50, 1e-10, _chk_trace_identity),
+    CheckDef("opnorm_plancherel_bound", "locop.operator_norm_bound", 100, 1e-9, _chk_opnorm_plancherel),
+    CheckDef("opnorm_schur_bound", "locop.schur_test", 100, 1e-9, _chk_opnorm_schur),
+    CheckDef("s1_positive_trace", "locop.positive_trace_class", 50, 1e-10, _chk_s1_positive),
+    CheckDef("s1_general_split", "locop.general_trace_class", 50, 1e-9, _chk_s1_general),
+    CheckDef("schatten_logconvexity", "locop.schatten_interpolation", 50, 1e-9, _chk_schatten_logconvexity),
+    CheckDef("trace_sandwich", "locop.trace_sandwich", 50, 1e-9, _chk_trace_sandwich),
+    CheckDef("mphi_boundedness", "locop.mphi_harness", 100, 1e-9, _chk_mphi, precompute=_pre_mphi, finalize=_fin_mphi),
+)
+REGISTRY = {c.id: c for c in _ROWS}
+
+# invariant -> the ids of the checks that prove it, in registry order
+SPEC_INVARIANTS: dict = {}
+for _row in _ROWS:
+    SPEC_INVARIANTS.setdefault(_row.invariant, []).append(_row.id)
+
+
 @dataclass(frozen=True)
 class CheckSpec:
-    """One requested check run; None fields fall back to registry defaults."""
+    """One requested check run, validated on construction.
+
+    `trials` and `tolerance` left as None take the registry row's values.
+    """
 
     id: str
     trials: Optional[int] = None
     tolerance: Optional[float] = None
-    seed: int = 20240801
+    seed: int = DEFAULT_SEED
+
+    def __post_init__(self):
+        if not isinstance(self.id, str) or self.id not in REGISTRY:
+            raise UsageError(f"unknown check id {self.id!r}")
+        row = REGISTRY[self.id]
+        trials = row.trials if self.trials is None else integer(self.trials, f"{self.id}.trials")
+        if trials < 1:
+            raise UsageError(f"{self.id}.trials must be >= 1")
+        tol = row.tolerance if self.tolerance is None else number(self.tolerance, f"{self.id}.tolerance")
+        if tol < 0:
+            raise UsageError(f"{self.id}.tolerance must be >= 0")
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "tolerance", tol)
+        object.__setattr__(self, "seed", integer(self.seed, f"{self.id}.seed"))
 
 
 @dataclass
@@ -842,164 +924,26 @@ class CheckResult:
     tier: Optional[str] = None
 
 
-def _defs():
-    d = [
-        CheckDef("plancherel", 100, 1e-10, _chk_plancherel),
-        CheckDef("orthogonality", 100, 1e-10, _chk_orthogonality),
-        CheckDef("inversion_roundtrip", 100, 1e-10, _chk_inversion),
-        CheckDef("stft_covariance", 100, 1e-12, _chk_covariance),
-        CheckDef("orlicz_homogeneity", 100, 1e-9, _chk_homogeneity),
-        CheckDef("orlicz_triangle", 100, 1e-9, _chk_triangle),
-        CheckDef("orlicz_monotonicity", 100, 1e-12, _chk_monotonicity),
-        CheckDef("luxemburg_power_reduction", 100, 1e-9, _chk_power_reduction),
-        CheckDef(
-            "holder_lattice_power",
-            500,
-            1e-9,
-            _chk_holder_lattice_power,
-            tier="holder-constant-1",
-        ),
-        CheckDef(
-            "holder_lattice_conjugate",
-            500,
-            1e-9,
-            _chk_holder_lattice_conj,
-            tier="holder-constant-2",
-        ),
-        CheckDef(
-            "holder_mixed_power",
-            500,
-            1e-9,
-            _chk_holder_mixed_power,
-            tier="holder-constant-1",
-        ),
-        CheckDef(
-            "holder_mixed_conjugate",
-            500,
-            1e-9,
-            _chk_holder_mixed_conj,
-            tier="holder-constant-2",
-        ),
-        CheckDef("convolution_mixed_power", 100, 1e-9, _chk_convolution_mixed_power),
-        CheckDef("convolution_mixed_orlicz", 100, 1e-9, _chk_convolution_mixed_orlicz),
-        CheckDef("convolution_product", 100, 1e-9, _chk_convolution_product),
-        CheckDef("embedding_criteria", 1, 1e-9, _chk_embedding),
-        CheckDef(
-            "inclusion_chain_flanks",
-            1,
-            1e-9,
-            _chk_inclusion_flanks,
-            finalize=_fin_inclusion,
-        ),
-        CheckDef("m2_identity", 100, 1e-10, _chk_m2_identity),
-        CheckDef("tf_shift_invariance", 100, 1e-10, _chk_shift_invariance),
-        CheckDef(
-            "window_robustness",
-            100,
-            1e-9,
-            _chk_window_robustness,
-            finalize=_fin_window_robustness,
-        ),
-        CheckDef("locop_two_path", 50, 1e-12, _chk_two_path),
-        CheckDef("identity_operator", 1, 1e-10, _chk_identity_operator),
-        CheckDef("adjoint_identity", 50, 1e-12, _chk_adjoint_identity),
-        CheckDef("trace_identity", 50, 1e-10, _chk_trace_identity),
-        CheckDef("opnorm_plancherel_bound", 100, 1e-9, _chk_opnorm_plancherel),
-        CheckDef("opnorm_schur_bound", 100, 1e-9, _chk_opnorm_schur),
-        CheckDef("s1_positive_trace", 50, 1e-10, _chk_s1_positive),
-        CheckDef("s1_general_split", 50, 1e-9, _chk_s1_general),
-        CheckDef("schatten_logconvexity", 50, 1e-9, _chk_schatten_logconvexity),
-        CheckDef("trace_sandwich", 50, 1e-9, _chk_trace_sandwich),
-        CheckDef(
-            "mphi_boundedness",
-            100,
-            1e-9,
-            _chk_mphi,
-            precompute=_pre_mphi,
-            finalize=_fin_mphi,
-        ),
-    ]
-    return {c.id: c for c in d}
-
-
-REGISTRY = _defs()
-
-# module invariants (stft / orlicz / modulation / locop) -> check ids; the
-# registry-completeness test enumerates both sides of this table
-SPEC_INVARIANTS = {
-    "stft.orthogonality": ["orthogonality"],
-    "stft.plancherel": ["plancherel"],
-    "stft.inversion_round_trip": ["inversion_roundtrip"],
-    "stft.covariance": ["stft_covariance"],
-    "orlicz.norm_axioms": [
-        "orlicz_homogeneity",
-        "orlicz_triangle",
-        "orlicz_monotonicity",
-    ],
-    "orlicz.power_reduction": ["luxemburg_power_reduction"],
-    "orlicz.holder_lattice": ["holder_lattice_power", "holder_lattice_conjugate"],
-    "orlicz.holder_mixed": ["holder_mixed_power", "holder_mixed_conjugate"],
-    "orlicz.convolution_young": [
-        "convolution_mixed_power",
-        "convolution_mixed_orlicz",
-        "convolution_product",
-    ],
-    "modulation.m2_identity": ["m2_identity"],
-    "modulation.shift_invariance": ["tf_shift_invariance"],
-    "modulation.embedding_criteria": ["embedding_criteria", "inclusion_chain_flanks"],
-    "modulation.window_robustness": ["window_robustness"],
-    "locop.two_path_consistency": ["locop_two_path"],
-    "locop.identity_case": ["identity_operator"],
-    "locop.adjoint_identity": ["adjoint_identity"],
-    "locop.trace_identity": ["trace_identity"],
-    "locop.operator_norm_bound": ["opnorm_plancherel_bound"],
-    "locop.schur_test": ["opnorm_schur_bound"],
-    "locop.positive_trace_class": ["s1_positive_trace"],
-    "locop.general_trace_class": ["s1_general_split"],
-    "locop.schatten_interpolation": ["schatten_logconvexity"],
-    "locop.trace_sandwich": ["trace_sandwich"],
-    "locop.mphi_harness": ["mphi_boundedness"],
-}
-
-
 def registered_ids():
     return sorted(REGISTRY)
 
 
-def default_specs(ids=None, seed: int = 20240801):
+def default_specs(ids=None, seed: int = DEFAULT_SEED):
     """CheckSpecs with registry defaults, in a fixed order."""
-    sel = registered_ids() if ids is None else list(ids)
-    out = []
-    for cid in sel:
-        if cid not in REGISTRY:
-            raise UsageError(f"unknown check id {cid!r}")
-        out.append(CheckSpec(id=cid, seed=seed))
-    return out
+    return [CheckSpec(cid, seed=seed) for cid in (registered_ids() if ids is None else ids)]
 
 
 # ---------------------------------------------------------------------------
 # runner
 
 
-def _resolve(spec: CheckSpec) -> CheckSpec:
-    if spec.id not in REGISTRY:
-        raise UsageError(f"unknown check id {spec.id!r}")
-    cd = REGISTRY[spec.id]
-    return replace(
-        spec,
-        trials=cd.trials if spec.trials is None else spec.trials,
-        tolerance=cd.tolerance if spec.tolerance is None else spec.tolerance,
-    )
-
-
 def run_suite(specs, env: Environment, threads: int = 1):
     """Run the requested checks; deterministic for fixed seeds and any thread count."""
+    threads = integer(threads, "threads")
+    if threads < 1:
+        raise UsageError(f"threads must be >= 1, got {threads}")
     results = []
-    threads = max(1, int(threads))
-    for raw in specs:
-        spec = _resolve(raw)
-        if spec.trials < 1:
-            raise UsageError("trials must be >= 1")
+    for spec in specs:
         cd = REGISTRY[spec.id]
         t0 = time.perf_counter()
         ctx = cd.precompute(env, spec) if cd.precompute else None
@@ -1036,18 +980,17 @@ def run_suite(specs, env: Environment, threads: int = 1):
 # report I/O
 
 
-def report_lines(results, canonical_elapsed: bool = True) -> str:
+def report_lines(results) -> str:
     """JSON Lines report; elapsed is canonicalized to 0 for reproducibility."""
     lines = []
     for r in results:
         tier = json.dumps(r.tier) if r.tier is not None else "null"
-        elapsed = 0.0 if canonical_elapsed else r.elapsed
         lines.append(
             "{"
             + f'"id": {json.dumps(r.id)}, "trials": {r.trials}, '
             + f'"violations": {r.violations}, '
             + f'"worst_margin": {fmt17(r.worst_margin)}, '
-            + f'"seed": {r.seed}, "elapsed": {fmt17(elapsed)}, "tier": {tier}'
+            + f'"seed": {r.seed}, "elapsed": {fmt17(0.0)}, "tier": {tier}'
             + "}"
         )
     return "\n".join(lines) + ("\n" if lines else "")

@@ -103,13 +103,6 @@ class YoungFunction:
             return out
         raise DomainError(f"unknown Young-function kind {self.kind!r}")
 
-    def label(self) -> str:
-        if self.kind == "power":
-            return f"power({self.p:g})"
-        if self.kind == "quasi":
-            return f"quasi({self.base.label()},{self.p:g})"
-        return self.kind
-
 
 def _probe_flags(phi: YoungFunction) -> dict:
     with np.errstate(all="ignore"):

@@ -1,7 +1,7 @@
 import json
 
 from tflocal import LatticeSpec, Signal, norm2
-from tflocal.cli import config_from_dict, config_to_dict, dispatch
+from tflocal.cli import config_from_dict, dispatch
 from tflocal.serialization import dump_signal, load_field, load_signal
 from tflocal.verify import parse_report
 
@@ -242,16 +242,33 @@ def test_verify_bad_config(tmp_path, capsys):
     bad.write_text("{nope")
     code, _, _ = run(capsys, "verify", "--config", str(bad))
     assert code == 2
-    bad.write_text(json.dumps({"mystery": 1}))
-    code, _, _ = run(capsys, "verify", "--config", str(bad))
-    assert code == 2
-    bad.write_text(json.dumps({"checks": [{"id": "nope"}]}))
-    code, _, _ = run(capsys, "verify", "--config", str(bad))
-    assert code == 2
-    check = {"id": "identity_operator", "ensemble": "no-such-ensemble"}
-    bad.write_text(json.dumps({"checks": [check]}))
-    code, _, _ = run(capsys, "verify", "--config", str(bad))
-    assert code == 2
+    check = {"id": "identity_operator"}
+    for cfg in [
+        {"mystery": 1},
+        {"checks": [{"id": "nope"}]},
+        {"checks": [{**check, "ensemble": "no-such-ensemble"}]},
+        {"lattice": {"bogus": 1}},
+        {"torus": {"n": 1}},
+        {"window": {"path": "w.json"}},
+        {"window": {"kind": "file"}},
+        {"lattice": [1, 2]},
+        {"lattice": {"K": 2.9}},
+        {"lattice": {"K": True}},
+        {"seed": 1.5},
+        {"checks": [{**check, "seed": 3.7}]},
+        {"checks": [{**check, "trials": 2.7}]},
+        {"checks": [{**check, "trials": "abc"}]},
+        {"checks": [{**check, "tolerance": "x"}]},
+        {"checks": [{**check, "tolerance": -1}]},
+        {"checks": {"id": "identity_operator"}},
+        {"output": 1},
+    ]:
+        bad.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, "verify", "--config", str(bad), "--threads", "1")
+        assert code == 2, cfg
+        assert err.startswith("error: ") and "Traceback" not in err, cfg
+    code, _, err = run(capsys, "verify", "--checks", "identity_operator", "--threads", "-4")
+    assert code == 2 and err.startswith("error: ")
 
 
 def test_config_round_trip():
@@ -264,7 +281,13 @@ def test_config_round_trip():
         "output": "report.jsonl",
     }
     cfg = config_from_dict(obj)
-    canon = config_to_dict(cfg)
-    assert config_to_dict(config_from_dict(canon)) == canon
-    assert canon["lattice"]["C"] == 12
-    assert canon["torus"]["M"] == 25
+    assert cfg.lattice.C == 12
+    assert cfg.torus.M == 25
+    (spec,) = cfg.checks
+    assert (spec.id, spec.trials, spec.seed) == ("plancherel", 5, 7)
+    assert cfg.window.width == 2.0 and cfg.output == "report.jsonl"
+    # a check's own seed wins over the command line's, which wins over the file's
+    obj["checks"].append({"id": "m2_identity", "seed": 3})
+    cfg = config_from_dict(obj, seed=11)
+    assert [s.seed for s in cfg.checks] == [11, 3]
+    assert config_from_dict({}).seed == 20240801

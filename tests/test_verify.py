@@ -112,3 +112,20 @@ def test_trial_rng_splitting():
 def test_trials_validation(env):
     with pytest.raises(UsageError):
         run_suite([CheckSpec(id="plancherel", trials=0)], env)
+    for bad in (
+        {"trials": 2.7},
+        {"trials": "abc"},
+        {"trials": True},
+        {"tolerance": "x"},
+        {"tolerance": -1},
+        {"tolerance": float("nan")},
+        {"seed": 3.7},
+    ):
+        with pytest.raises(UsageError):
+            CheckSpec(id="plancherel", **bad)
+    row = REGISTRY["plancherel"]
+    assert CheckSpec("plancherel") == CheckSpec("plancherel", row.trials, row.tolerance)
+    spec = CheckSpec(id="plancherel", trials=3.0, tolerance=1)
+    assert (spec.trials, spec.tolerance) == (3, 1.0)
+    with pytest.raises(UsageError, match="threads"):
+        run_suite([spec], env, threads=0)
