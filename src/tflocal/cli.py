@@ -354,6 +354,8 @@ def _cmd_verify(args) -> int:
     configured = {s.id: s for s in cfg.checks}
     if args.checks is not None:
         ids = [s.strip() for s in args.checks.split(",") if s.strip()]
+        if not ids:
+            raise UsageError(f"--checks {args.checks!r} names no check")
     else:
         ids = list(configured) or None  # None: the whole registry
     specs = [configured.get(s.id, s) for s in default_specs(ids, cfg.seed)]

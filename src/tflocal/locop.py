@@ -1,10 +1,12 @@
 """Time-frequency localization operators and their spectral summaries.
 
 The operator analyzes with g1, multiplies by a phase-space symbol, and
-synthesizes with g2.  On the truncation it is a dense matrix assembled from
-rank-one atom updates in a fixed (m, node) order, so kernels are
-reproducible bit for bit.  Spectral data comes from a dense SVD; every
-singular value is kept (thresholding would corrupt trace norms).
+synthesizes with g2.  On the truncation it is a dense matrix, the sum over
+lattice shifts m of diag(T_m g2) C_m diag(conj T_m g1) with the Toeplitz
+matrix C_m(k, l) = c_m(k - l).  Each term lives on the (2K+1)^n block
+around m, so the kernel is assembled one small block per m, in a fixed
+order, and is reproducible bit for bit.  Spectral data comes from a dense
+SVD; every singular value is kept (thresholding would corrupt trace norms).
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,7 +25,6 @@ from .lattice import (
     Signal,
     TorusGrid,
     phase_matrix,
-    shift_array,
 )
 from .stft import _stft_values, stft, stft_adjoint
 
@@ -152,26 +154,57 @@ def _conj_field(F: PhaseSpaceField) -> PhaseSpaceField:
     )
 
 
+@lru_cache(maxsize=None)
+def _difference_index(n: int, K: int) -> np.ndarray:
+    """idx[u, v] = flat index of u - v + 2K in [0, 4K]^n, for u, v in [-K, K]^n.
+
+    Rows and columns run lexicographically over the (2K+1)^n block.  Cached
+    and read-only, like `phase_matrix`.
+    """
+    u = np.indices((2 * K + 1,) * n).reshape(n, -1)
+    diff = u[:, :, None] - u[:, None, :] + 2 * K
+    idx = np.ravel_multi_index(tuple(diff), (4 * K + 1,) * n)
+    idx.flags.writeable = False
+    return idx
+
+
+def _shift_blocks(sigma: PhaseSpaceField, matrix: np.ndarray):
+    """Views of matrix[B_m, B_m] for each lattice shift m of sigma, in order.
+
+    B_m holds the box rows of m + [-K, K]^n; the guard |m| <= 2K keeps it
+    inside [-C, C]^n.  Each view has shape (2K+1,) * 2n: row axes first.
+    """
+    spec = sigma.spec
+    t = matrix.reshape(spec.shape * 2)
+    lo = spec.C - spec.K
+    for m in sigma.m_points():
+        sl = tuple(slice(lo + a, lo + a + 2 * spec.K + 1) for a in m)
+        yield t[sl + sl]
+
+
+def _local(g: Signal) -> np.ndarray:
+    """The window on [-K, K]^n, flattened lexicographically."""
+    return g.values[g.spec.admissible_slices()].ravel()
+
+
 def kernel(sigma: PhaseSpaceField, g1: Signal, g2: Signal) -> OperatorKernel:
     """Dense kernel K(k, l) = sum_m int sigma(m, w) conj(atom1(l)) atom2(k) dw.
 
-    Assembled by accumulating one rank-one update per (m, node) in a fixed
-    order; the quadrature weight 1/M^n is folded into the symbol samples.
+    One matmul gives c_m(d) = (1/M^n) sum_j sigma(m, j) e^{2 pi i d.j/M} for
+    every m and every d in [-2K, 2K]^n.  Each shift m then adds the block
+    g2(u) c_m(u - v) conj(g1(v)) at rows and columns m + [-K, K]^n, in a
+    fixed order of m.
     """
     _check_operator_inputs(sigma, g1, g2)
     spec, torus = sigma.spec, sigma.torus
-    n = spec.n
-    size = spec.side**n
-    EP = phase_matrix(torus.M, -spec.C, spec.C, 1, n)
-    weights = sigma.values.reshape(sigma.values.shape[: n] + (-1,)) * torus.weight
-    K = np.zeros((size, size), dtype=np.complex128)
-    for m in sigma.m_points():
-        t1 = shift_array(g1.values, m).ravel()
-        t2 = shift_array(g2.values, m).ravel()
-        a1 = t1[:, None] * EP
-        a2 = t2[:, None] * EP
-        s = weights[sigma.m_index(m)]
-        K += np.einsum("kj,j,lj->kl", a2, s, np.conj(a1), optimize=False)
+    n, R = spec.n, spec.K
+    P = phase_matrix(torus.M, -2 * R, 2 * R, 1, n)
+    c = (sigma.values.reshape(-1, torus.M**n) * torus.weight) @ P.T
+    G = _local(g2)[:, None] * np.conj(_local(g1))[None, :]
+    idx = _difference_index(n, R)
+    K = np.zeros((spec.side**n,) * 2, dtype=np.complex128)
+    for cm, block in zip(c, _shift_blocks(sigma, K)):
+        block += (G * cm[idx]).reshape(block.shape)
     prov = {
         "symbol": _content_id(sigma.values),
         "g1": _content_id(g1.values),
@@ -210,23 +243,30 @@ def spectrum(K: OperatorKernel, ps=(1.0, 2.0, math.inf)) -> SpectralSummary:
 
 
 def sigma_tilde(sigma: PhaseSpaceField, g: Signal) -> PhaseSpaceField:
-    """Diagonal expectations <L atom, atom> over every phase-space grid point."""
+    """Diagonal expectations <L atom, atom> over every phase-space grid point.
+
+    The atom at (m, j/M) lives on m + [-K, K]^n, so only the kernel block
+    K[B_m, B_m] enters.  Summing conj(g(u)) K[m+u, m+v] g(v) along the
+    diagonals u - v = d gives q_m(d), and one matmul with the phases
+    e^{-2 pi i d.j/M} gives every node j at once.
+    """
     _check_operator_inputs(sigma, g, g)
     if g.is_zero():
         raise DomainError("window must be non-zero")
     spec, torus = sigma.spec, sigma.torus
-    n = spec.n
+    n, R = spec.n, spec.K
     K = kernel(sigma, g, g).matrix
-    EP = phase_matrix(torus.M, -spec.C, spec.C, 1, n)
-    Mn = torus.M**n
-    out = np.empty(sigma.lattice_shape + (Mn,), dtype=np.complex128)
-    for m in sigma.m_points():
-        t = shift_array(g.values, m).ravel()
-        a = t[:, None] * EP
-        out[sigma.m_index(m)] = np.einsum(
-            "kj,kl,lj->j", np.conj(a), K, a, optimize=False
-        )
-    vals = out.reshape(sigma.lattice_shape + torus.shape)
+    gl = _local(g)
+    G = np.conj(gl)[:, None] * gl[None, :]
+    idx = _difference_index(n, R).ravel()
+    D = (4 * R + 1) ** n
+    q = np.empty((math.prod(sigma.lattice_shape), D), dtype=np.complex128)
+    for qm, block in zip(q, _shift_blocks(sigma, K)):
+        Q = (G * block.reshape(G.shape)).ravel()
+        qm[:] = np.bincount(idx, Q.real, D) + 1j * np.bincount(idx, Q.imag, D)
+    vals = (q @ phase_matrix(torus.M, -2 * R, 2 * R, -1, n)).reshape(
+        sigma.lattice_shape + torus.shape
+    )
     return PhaseSpaceField(
         spec, torus, sigma.m_radius, vals, degree_bound=min(2 * spec.K, torus.M - 1)
     )

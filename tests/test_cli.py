@@ -1,5 +1,10 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
+import tflocal
 from tflocal import LatticeSpec, Signal, norm2
 from tflocal.cli import config_from_dict, dispatch
 from tflocal.serialization import dump_signal, load_field, load_signal
@@ -15,6 +20,20 @@ def run(capsys, *argv):
 def test_unknown_subcommand(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 2
+
+
+def test_python_dash_m_entry_point():
+    src = str(pathlib.Path(tflocal.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tflocal", "--help"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "verify" in proc.stdout
 
 
 def test_missing_arguments(capsys):
@@ -269,6 +288,9 @@ def test_verify_bad_config(tmp_path, capsys):
         assert err.startswith("error: ") and "Traceback" not in err, cfg
     code, _, err = run(capsys, "verify", "--checks", "identity_operator", "--threads", "-4")
     assert code == 2 and err.startswith("error: ")
+    for checks in (",", "", " , "):
+        code, _, err = run(capsys, "verify", "--checks", checks, "--threads", "1")
+        assert code == 2 and err.startswith("error: "), checks
 
 
 def test_config_round_trip():
