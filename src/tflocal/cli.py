@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, fields
 
@@ -138,6 +137,14 @@ def config_from_dict(obj: dict, seed: int | None = None) -> Config:
 # argument helpers
 
 
+def _number(token: str, what: str) -> float:
+    """A numeric command-line token ("inf" included) as a float."""
+    try:
+        return float(token)
+    except ValueError:
+        raise UsageError(f"{what}: {token!r} is not a number") from None
+
+
 def _parse_window(token: str) -> WindowSpec | str:
     """A window token: gaussian[:width], kronecker, or a signal file path."""
     if token == "kronecker":
@@ -145,7 +152,7 @@ def _parse_window(token: str) -> WindowSpec | str:
     if token == "gaussian":
         return WindowSpec("gaussian")
     if token.startswith("gaussian:"):
-        return WindowSpec("gaussian", width=float(token.split(":", 1)[1]))
+        return WindowSpec("gaussian", width=_number(token[9:], "gaussian window width"))
     return token  # treated as a path
 
 
@@ -165,10 +172,12 @@ def _parse_young(token: str) -> YoungFunction:
     if token == "eq5":
         return eq5()
     if token.startswith("power:"):
-        return power(float(token.split(":", 1)[1]))
+        return power(_number(token[6:], "power exponent"))
     if token.startswith("quasi:"):
-        _, p, rest = token.split(":", 2)
-        return quasi_young(_parse_young(rest), float(p))
+        parts = token.split(":", 2)
+        if len(parts) < 3:
+            raise UsageError(f"quasi needs quasi:<p>:<base>, got {token!r}")
+        return quasi_young(_parse_young(parts[2]), _number(parts[1], "quasi order"))
     try:
         return young_from_dict(json.loads(token))
     except json.JSONDecodeError as exc:
@@ -240,19 +249,10 @@ def _cmd_stft(args) -> int:
     return 0
 
 
-def _parse_exponent(text: str, space: str) -> float:
-    if text == "inf":
-        return math.inf
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise UsageError(f"unknown norm space {space!r}") from exc
-
-
 def _norm_value(args) -> float:
     space = args.space
     if space.startswith("symbol-M"):
-        p = _parse_exponent(space[8:], space)
+        p = _number(space[8:], f"norm space {space!r}")
         F = load_field(_read(args.input))
         G0 = symbol_window(F.spec, F.torus)
         return symbol_modulation_norm(F, G0, p)
@@ -288,7 +288,7 @@ def _norm_value(args) -> float:
                 variant=space,
                 torus=torus,
             )
-        p = _parse_exponent(space[1:], space)
+        p = _number(space[1:], f"norm space {space!r}")
         return modulation_norm(sig, g, p, torus)
     raise UsageError(f"unknown norm space {space!r}")
 
@@ -327,10 +327,7 @@ def _cmd_locop(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    ps = []
-    for tok in args.ps.split(","):
-        tok = tok.strip()
-        ps.append(math.inf if tok == "inf" else float(tok))
+    ps = [_number(tok, "--ps") for tok in args.ps.split(",")]
     if args.kernel is not None:
         K = load_kernel_json(_read(args.kernel))
     else:

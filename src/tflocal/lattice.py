@@ -13,7 +13,10 @@ package produces.
 The phases exp(+-2 pi i d.j/M) of that quadrature come from one place,
 `phase_matrix`; every transform, kernel and coefficient map in the package
 uses it.  Its result is cached and read-only, so no caller can corrupt the
-phases another caller sees.
+phases another caller sees.  Likewise the box position of the block
+m + [-K, K]^n that a lattice shift m touches comes from one place,
+`block_slices`: the STFT analysis and synthesis and the kernel assembly all
+read or write their shifted blocks through it.
 
 Array layout is lexicographic with the slowest axis first (NumPy C order),
 so serialized files are reproducible bit for bit.
@@ -35,6 +38,7 @@ __all__ = [
     "Signal",
     "PhaseSpaceField",
     "phase_matrix",
+    "block_slices",
     "translate",
     "modulate",
     "gabor_atom",
@@ -121,6 +125,17 @@ def phase_matrix(M: int, lo: int, hi: int, sign: int, n: int = 1) -> np.ndarray:
         out = np.kron(out, P)
     out.flags.writeable = False
     return out
+
+
+def block_slices(spec: LatticeSpec, m, radius: int | None = None) -> tuple:
+    """Slices of the [-C, C]^n box that hold the block m + [-r, r]^n, r = K by default.
+
+    Raises RangeError when the block would leave the box.
+    """
+    r = spec.K if radius is None else radius
+    if any(abs(int(a)) + r > spec.C for a in m):
+        raise RangeError(f"block {tuple(m)} + [-{r}, {r}]^n leaves the box [-C, C]^n")
+    return tuple(slice(spec.C + a - r, spec.C + a + r + 1) for a in m)
 
 
 def _check_finite(values: np.ndarray, what: str) -> None:

@@ -24,6 +24,7 @@ from .lattice import (
     PhaseSpaceField,
     Signal,
     TorusGrid,
+    block_slices,
     phase_matrix,
 )
 from .stft import _stft_values, stft, stft_adjoint
@@ -174,11 +175,9 @@ def _shift_blocks(sigma: PhaseSpaceField, matrix: np.ndarray):
     B_m holds the box rows of m + [-K, K]^n; the guard |m| <= 2K keeps it
     inside [-C, C]^n.  Each view has shape (2K+1,) * 2n: row axes first.
     """
-    spec = sigma.spec
-    t = matrix.reshape(spec.shape * 2)
-    lo = spec.C - spec.K
+    t = matrix.reshape(sigma.spec.shape * 2)
     for m in sigma.m_points():
-        sl = tuple(slice(lo + a, lo + a + 2 * spec.K + 1) for a in m)
+        sl = block_slices(sigma.spec, m)
         yield t[sl + sl]
 
 

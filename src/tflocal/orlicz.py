@@ -83,8 +83,8 @@ def _lux_batched(v: np.ndarray, weight: float, phi: YoungFunction) -> np.ndarray
 
 def luxemburg(values, weight: float, phi: YoungFunction) -> float:
     """Luxemburg norm of a (flattened) array with the same weight on every point."""
-    if not (phi.finite and phi.continuous):
-        raise DomainError("luxemburg requires a finite continuous Young function")
+    if not phi.finite:
+        raise DomainError("luxemburg requires a finite Young function")
     if not (weight > 0 and np.isfinite(weight)):
         raise DomainError("measure weight must be positive and finite")
     v = np.abs(np.asarray(values, dtype=np.complex128)).reshape(1, -1)
@@ -135,20 +135,17 @@ def field_coefficients(F: PhaseSpaceField) -> np.ndarray:
     M, n, deg = F.torus.M, F.n, F.degree_bound
     if 2 * deg > M - 1:
         raise PrecisionError("coefficient extraction would alias: need 2*degree <= M-1")
-    coef = F.values
-    E = phase_matrix(M, -deg, deg, -1) / M
-    for _ in range(n):
-        # contract the leading torus axis, appending the degree axis at the end
-        coef = np.tensordot(coef, E, axes=([n], [1]))
-    return coef
+    coef = F.values.reshape(-1, M**n) @ phase_matrix(M, -deg, deg, -1, n).T
+    coef *= F.torus.weight
+    return coef.reshape(F.lattice_shape + (2 * deg + 1,) * n)
 
 
 def coefficients_to_values(coef: np.ndarray, torus: TorusGrid, deg: int) -> np.ndarray:
-    vals = coef
-    E = phase_matrix(torus.M, -deg, deg, 1)
-    for _ in range(torus.n):
-        vals = np.tensordot(vals, E, axes=([torus.n], [0]))
-    return vals
+    """Samples on the torus grid of the coefficients over the last n = torus.n axes."""
+    n = torus.n
+    lead = coef.shape[: coef.ndim - n]
+    vals = coef.reshape(-1, (2 * deg + 1) ** n) @ phase_matrix(torus.M, -deg, deg, 1, n)
+    return vals.reshape(lead + torus.shape)
 
 
 def _lattice_convolve(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:

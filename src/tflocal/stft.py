@@ -5,22 +5,35 @@ with m restricted to [-2K, 2K]^n, which covers the support of V_g f for
 admissible f and g.  Sampled at the torus grid this is exact: each slice
 V_g f(m, .) is a trigonometric polynomial of per-axis degree <= K.
 
+Every lattice-shift sum here runs in block form.  The window lives on
+[-K, K]^n, so with k = m + u only u in [-K, K]^n enters:
+
+    V_g f(m, w) = e^{-2 pi i m.w} sum_u f(m+u) conj(g(u)) e^{-2 pi i u.w}.
+
+Analysis reads every block f(m + [-K, K]^n) through one window view, then
+does one matmul against the phases of [-K, K]^n and one product with the
+phases of m.  Synthesis is the transpose: the phases of m, one matmul back
+to u, and an overlap-add of each block into m + [-K, K]^n in a fixed order
+of m.  The box position of each block comes from `lattice.block_slices`.
+
 The adjoint sums Gabor atoms against a field; its torus integral is done by
 grid quadrature, which is exact as long as degree_bound + K <= M - 1, and
 the operation refuses to run otherwise rather than approximate silently.
 
 A second-level transform analyzes phase-space fields themselves against a
 phase-space window, producing the four-index array indexed by (lattice
-shift, torus shift, lattice frequency, torus frequency); the torus-shift
-variable is realized by index rotation on the shared grid.
+shift, torus shift, lattice frequency, torus frequency).  It has the same
+block form in the lattice variable, one (2R+1)^n block per lattice shift
+m, where R is the window's lattice radius; the torus shift is one gather
+on the shared grid.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConditioningError, DomainError, PrecisionError
 from .lattice import (
@@ -28,10 +41,10 @@ from .lattice import (
     PhaseSpaceField,
     Signal,
     TorusGrid,
+    block_slices,
     inner,
     norm2,
     phase_matrix,
-    shift_array,
 )
 
 __all__ = [
@@ -51,17 +64,18 @@ def _require_admissible(f: Signal, name: str) -> None:
 def _stft_values(
     fvals: np.ndarray, gvals: np.ndarray, spec: LatticeSpec, torus: TorusGrid, R: int
 ) -> np.ndarray:
-    """Defining sum over m in [-R, R]^n for arbitrary box-supported arrays."""
-    # (j, k) operand layout: BLAS rounds the two layouts differently, and this
-    # one keeps seeded reports bit-identical to those of earlier versions
-    E = np.ascontiguousarray(phase_matrix(torus.M, -spec.C, spec.C, -1).T)
-    out = np.empty((2 * R + 1,) * spec.n + torus.shape, dtype=np.complex128)
-    for m in itertools.product(range(-R, R + 1), repeat=spec.n):
-        h = fvals * np.conj(shift_array(gvals, m))
-        for _ in range(spec.n):
-            h = np.tensordot(h, E, axes=([0], [1]))
-        out[tuple(c + R for c in m)] = h
-    return out
+    """V(m, w) for m in [-R, R]^n, in block form (see the module docstring).
+
+    f may be any box signal (operator outputs reach [-3K, 3K]^n): with g
+    admissible and R + K <= C every block m + [-K, K]^n stays in the box.
+    """
+    n, K = spec.n, spec.K
+    box = fvals[block_slices(spec, (0,) * n, R + K)]
+    blocks = sliding_window_view(box, (2 * K + 1,) * n)
+    h = blocks * np.conj(gvals[spec.admissible_slices()])
+    out = h.reshape((2 * R + 1) ** n, -1) @ phase_matrix(torus.M, -K, K, -1, n)
+    out *= phase_matrix(torus.M, -R, R, -1, n)
+    return out.reshape((2 * R + 1,) * n + torus.shape)
 
 
 def stft(f: Signal, g: Signal, torus: TorusGrid) -> PhaseSpaceField:
@@ -79,7 +93,10 @@ def stft(f: Signal, g: Signal, torus: TorusGrid) -> PhaseSpaceField:
 
 
 def stft_adjoint(F: PhaseSpaceField, g: Signal) -> Signal:
-    """Synthesis: sum_m (1/M^n) sum_j F(m, w_j) e^{2 pi i w_j.k} g(k-m)."""
+    """Synthesis: sum_m (1/M^n) sum_j F(m, w_j) e^{2 pi i w_j.k} g(k-m).
+
+    Block form, the transpose of the analysis, overlap-added in the order of m.
+    """
     spec = F.spec
     if g.spec != spec:
         raise DomainError("window lattice must match the field")
@@ -93,13 +110,13 @@ def stft_adjoint(F: PhaseSpaceField, g: Signal) -> Signal:
         raise PrecisionError(
             "atoms at the outermost lattice shifts would leave the computation box"
         )
-    E = phase_matrix(F.torus.M, -spec.C, spec.C, 1) / F.torus.M
-    coef = F.values
-    for _ in range(spec.n):
-        coef = np.tensordot(coef, E, axes=([spec.n], [1]))
+    n, K, M = spec.n, spec.K, F.torus.M
+    coef = F.values.reshape(-1, M**n) * phase_matrix(M, -F.m_radius, F.m_radius, 1, n)
+    coef = (coef @ phase_matrix(M, -K, K, 1, n).T) * F.torus.weight
+    coef *= g.values[spec.admissible_slices()].ravel()
     out = np.zeros(spec.shape, dtype=np.complex128)
-    for m in F.m_points():
-        out += coef[F.m_index(m)] * shift_array(g.values, m)
+    for cm, m in zip(coef, F.m_points()):
+        out[block_slices(spec, m)] += cm.reshape((2 * K + 1,) * n)
     return Signal(spec, out)
 
 
@@ -152,8 +169,11 @@ def stft_symbol(
     values(m, omega, xi, k) =
         sum_j int e^{-2 pi i j.xi} e^{-2 pi i eta.k} F(j, eta)
               conj(G(j-m, eta-omega)) d eta,
-    with the eta integral evaluated by exact grid quadrature and the omega
-    shift realized by index rotation (G is sampled on the same grid).
+    with the eta integral evaluated by exact grid quadrature.
+
+    Block form: j = m + u with u in [-R, R]^n, R = G.m_radius.  Per shift m,
+    F(m + u, eta) times conj(G(u, eta - omega)) for every omega (one gather),
+    then one matmul from eta to k and one from u to xi.
     """
     if F.torus != G.torus or F.spec != G.spec:
         raise DomainError("field and window must share lattice and torus grids")
@@ -170,44 +190,24 @@ def stft_symbol(
             f"{F.degree_bound + G.degree_bound + D} exceeds M-1 = {M - 1}"
         )
     Rf, Rg = F.m_radius, G.m_radius
-    Rm = Rf + Rg
-
-    Mn = M**n
-    EkB = phase_matrix(M, -D, D, -1, n).T / Mn  # eta -> k, with weight
-    ExiB = phase_matrix(M, -Rf, Rf, -1, n)  # lattice j -> xi
-    Dn = (2 * D + 1) ** n
-    Fflat = F.values.reshape((2 * Rf + 1,) * n + (Mn,))
-    out = np.zeros(
-        ((2 * Rm + 1,) * n) + (Mn, Mn * Dn), dtype=np.complex128
-    )  # (m..., omega_flat, xi_flat*k_flat)
-
-    for wi, omega in enumerate(np.ndindex(torus.shape)):
-        Grot = np.conj(np.roll(G.values, omega, axis=tuple(range(n, 2 * n))))
-        Grot = Grot.reshape((2 * Rg + 1,) * n + (Mn,))
-        for m in itertools.product(range(-Rm, Rm + 1), repeat=n):
-            lo = [max(-Rf, mc - Rg) for mc in m]
-            hi = [min(Rf, mc + Rg) for mc in m]
-            if any(l > h for l, h in zip(lo, hi)):
-                continue
-            fsl = tuple(slice(l + Rf, h + Rf + 1) for l, h in zip(lo, hi))
-            gsl = tuple(
-                slice(l - mc + Rg, h - mc + Rg + 1) for l, h, mc in zip(lo, hi, m)
-            )
-            H = Fflat[fsl] * Grot[gsl]  # (overlap..., eta_flat)
-            olap = int(np.prod(H.shape[:n]))
-            T = H.reshape(olap, Mn) @ EkB  # (overlap, k_flat)
-            # rows of ExiB for the overlapping lattice indices
-            rows = np.ravel_multi_index(
-                np.meshgrid(
-                    *[np.arange(l + Rf, h + Rf + 1) for l, h in zip(lo, hi)],
-                    indexing="ij",
-                ),
-                (2 * Rf + 1,) * n,
-            ).reshape(-1)
-            block = ExiB[rows].T @ T  # (xi_flat, k_flat)
-            out[tuple(c + Rm for c in m)][wi] = block.reshape(-1)
-
-    shaped = out.reshape(
-        (2 * Rm + 1,) * n + (M,) * n + (M,) * n + (2 * D + 1,) * n
-    )
+    Rm, Mn, U = Rf + Rg, M**n, (2 * Rg + 1) ** n
+    # rot[w, eta] = flat grid index of eta - w, so G(u, eta - w) is one gather
+    c = np.indices(torus.shape).reshape(n, Mn)
+    rot = np.ravel_multi_index(tuple((c[:, None] - c[:, :, None]) % M), torus.shape)
+    Gc = np.conj(G.values.reshape(U, Mn))
+    Grot = Gc[np.arange(U)[:, None], rot[:, None]]  # (w, u, eta)
+    # F zero-padded by 2 Rg: every shift m in [-Rm, Rm]^n sees a full block
+    Fpad = np.pad(F.values, [(2 * Rg, 2 * Rg)] * n + [(0, 0)] * n)
+    blocks = sliding_window_view(Fpad, (2 * Rg + 1,) * n, axis=tuple(range(n)))
+    Ek = phase_matrix(M, -D, D, -1, n).T * torus.weight  # eta -> k, with weight
+    Pu = phase_matrix(M, -Rg, Rg, -1, n).T  # (xi, u)
+    Pm = phase_matrix(M, -Rm, Rm, -1, n)  # (m, xi)
+    out = np.empty(((2 * Rm + 1) ** n, Mn, Mn, (2 * D + 1) ** n), dtype=np.complex128)
+    H = np.empty(Grot.shape, dtype=np.complex128)
+    T = np.empty((Mn, U, out.shape[-1]), dtype=np.complex128)  # (w, u, k)
+    for i, m in enumerate(np.ndindex(blocks.shape[:n])):
+        np.multiply(blocks[m].reshape(Mn, U).T, Grot, out=H)
+        np.matmul(H.reshape(-1, Mn), Ek, out=T.reshape(-1, T.shape[-1]))
+        np.matmul(Pm[i][:, None] * Pu, T, out=out[i])  # (w, xi, k)
+    shaped = out.reshape((2 * Rm + 1,) * n + (M,) * (2 * n) + (2 * D + 1,) * n)
     return SymbolTransform(spec, torus, Rm, D, shaped)

@@ -31,6 +31,7 @@ import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -66,6 +67,7 @@ from .modulation import (
     window_signal,
 )
 from .orlicz import (
+    coefficients_to_values,
     convolve_phase_space,
     field_lp_norm,
     holder_pairing,
@@ -138,34 +140,28 @@ class Environment:
         self.lattice = lattice
         self.torus = torus
         self.window_spec = window_spec
-        self._cache: dict = {}
 
-    def _get(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
-
-    @property
+    @cached_property
     def window(self) -> Signal:
-        return self._get("window", lambda: window_signal(self.window_spec, self.lattice))
+        return window_signal(self.window_spec, self.lattice)
 
-    @property
+    @cached_property
     def window2(self) -> Signal:
         spec = WindowSpec("gaussian", width=max(self.lattice.K / 3.0, 0.5))
-        return self._get("window2", lambda: window_signal(spec, self.lattice))
+        return window_signal(spec, self.lattice)
 
-    @property
+    @cached_property
     def phi(self) -> YoungFunction:
-        return self._get("phi", eq5)
+        return eq5()
 
-    @property
+    @cached_property
     def psi(self) -> YoungFunction:
         """Tabulated numeric conjugate of the default Young function."""
-        return self._get("psi", lambda: conjugate_table(self.phi))
+        return conjugate_table(self.phi)
 
-    @property
+    @cached_property
     def G0(self) -> PhaseSpaceField:
-        return self._get("G0", lambda: symbol_window(self.lattice, self.torus))
+        return symbol_window(self.lattice, self.torus)
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +194,10 @@ def _random_signal(env: Environment, rng, half: bool = False) -> Signal:
 
 def _trig_symbol(env: Environment, rng) -> PhaseSpaceField:
     """Random trigonometric coefficients up to degree K per axis, per slice."""
-    K, n, M = env.lattice.K, env.lattice.n, env.torus.M
+    K, n = env.lattice.K, env.lattice.n
     R = 2 * K
     coefs = _crandn(rng, (2 * R + 1,) * n + (2 * K + 1,) * n)
-    E = phase_matrix(M, -K, K, 1)
-    vals = coefs
-    for _ in range(n):
-        vals = np.tensordot(vals, E, axes=([n], [0]))
+    vals = coefficients_to_values(coefs, env.torus, K)
     return PhaseSpaceField(env.lattice, env.torus, R, vals, degree_bound=K)
 
 

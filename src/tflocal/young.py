@@ -73,7 +73,6 @@ class YoungFunction:
     xs: Optional[tuple] = None
     ys: Optional[tuple] = None
     finite: bool = field(default=True, compare=False)
-    continuous: bool = field(default=True, compare=False)
     strictly_convex: bool = field(default=False, compare=False)
 
     def __call__(self, t):
@@ -115,7 +114,7 @@ def _probe_flags(phi: YoungFunction) -> dict:
         lo, hi = phi._eval(x), phi._eval(y)
     ok = np.isfinite(mid) & np.isfinite(lo) & np.isfinite(hi)
     strict = bool(np.all(mid[ok] < (lo[ok] + hi[ok]) / 2.0 - 1e-15 * (1 + hi[ok])))
-    return {"finite": finite, "continuous": True, "strictly_convex": strict and finite}
+    return {"finite": finite, "strictly_convex": strict and finite}
 
 
 def _validate(phi: YoungFunction) -> YoungFunction:
@@ -157,7 +156,6 @@ def quasi_young(base: YoungFunction, p: float) -> YoungFunction:
             p=float(p),
             base=base,
             finite=flags["finite"],
-            continuous=flags["continuous"],
             strictly_convex=flags["strictly_convex"],
         )
     )
@@ -181,7 +179,6 @@ def table(xs, ys) -> YoungFunction:
             xs=xs,
             ys=ys,
             finite=flags["finite"],
-            continuous=True,
             strictly_convex=flags["strictly_convex"],
         )
     )
@@ -198,8 +195,8 @@ def complementary(phi: YoungFunction, y):
     search.  Raises UnboundedError when the bracket cap 2^60 is hit,
     which is how extended-valued conjugates are refused.
     """
-    if not (phi.finite and phi.continuous):
-        raise DomainError("complementary requires a finite continuous Young function")
+    if not phi.finite:
+        raise DomainError("complementary requires a finite Young function")
     arr = np.abs(np.asarray(y, dtype=np.float64))
     scalar = np.isscalar(y) or arr.ndim == 0
     yv = np.atleast_1d(arr).astype(np.float64)

@@ -211,6 +211,20 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
     assert "numeric failure" in err
 
 
+def test_malformed_number_tokens(tmp_path, capsys):
+    sig = tmp_path / "f.json"
+    run(capsys, "gen", "--kind", "gaussian-signal", "--seed", "3", "--out", str(sig))
+    for argv in (
+        ("spectrum", "--ps", "1,abc"),
+        ("gen", "--kind", "window", "--window", "gaussian:abc"),
+        ("norm", "--space", "lphi", "--input", str(sig), "--phi", "power:abc"),
+        ("norm", "--space", "lphi", "--input", str(sig), "--phi", "quasi:0.5"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error: ") and "Traceback" not in err, argv
+
+
 def test_verify_subset_and_determinism(tmp_path, capsys):
     cfg = {
         "seed": 31,

@@ -1,6 +1,11 @@
+import ast
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
+import tflocal
 from tflocal import (
     DomainError,
     LatticeSpec,
@@ -12,7 +17,7 @@ from tflocal import (
     norm2,
     translate,
 )
-from tflocal.lattice import delta_signal, signal_from_block, zero_signal
+from tflocal.lattice import block_slices, delta_signal, signal_from_block, zero_signal
 from tflocal.verify import Environment, _random_signal, trial_rng
 
 
@@ -140,3 +145,33 @@ def test_n2_shift_unitarity():
     assert abs(norm2(g) - norm2(f)) <= 1e-12 * norm2(f)
     h = modulate(f, (0.25, 0.5))
     assert np.allclose(np.abs(h.values), np.abs(f.values))
+
+
+def test_phases_have_one_owner():
+    # every exp(2 pi i ...) of the package is built in lattice.phase_matrix
+    # or lattice.modulate; a phase built anywhere else fails here
+    allowed = {("lattice.py", "phase_matrix"), ("lattice.py", "modulate")}
+    pattern = re.compile(r"2j\s*\*\s*np\.pi")
+    offenders = []
+    for path in sorted(pathlib.Path(tflocal.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        owners = [
+            (node.lineno, node.end_lineno, node.name)
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if not pattern.search(line):
+                continue
+            names = {name for lo, hi, name in owners if lo <= lineno <= hi}
+            if not any((path.name, name) in allowed for name in names):
+                offenders.append(f"{path.name}:{lineno}: {line.strip()}")
+    assert not offenders, offenders
+
+
+def test_block_slices():
+    spec = LatticeSpec(2, 2)  # C = 6
+    assert block_slices(spec, (0, -4)) == (slice(4, 9), slice(0, 5))
+    assert block_slices(spec, (1, 0), radius=5) == (slice(2, 13), slice(1, 12))
+    with pytest.raises(RangeError):
+        block_slices(spec, (0, 5))

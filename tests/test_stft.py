@@ -20,8 +20,20 @@ from tflocal import (
     stft_symbol,
 )
 from tflocal.lattice import delta_signal, phase_matrix
-from tflocal.orlicz import field_lp_norm
-from tflocal.verify import Environment, _random_signal, trial_rng
+from tflocal.locop import apply_operator
+from tflocal.orlicz import coefficients_to_values, field_lp_norm
+from tflocal.stft import _stft_values
+from tflocal.verify import (
+    Environment,
+    _crandn,
+    _random_signal,
+    _trig_symbol,
+    trial_rng,
+)
+
+
+# one grid per dimension, small enough for the loop oracles
+SMALL_GRIDS = [(LatticeSpec(1, 2), TorusGrid(1, 13)), (LatticeSpec(2, 1, 3), TorusGrid(2, 7))]
 
 
 def direct_stft_oracle(f, g, torus):
@@ -44,6 +56,65 @@ def direct_stft_oracle(f, g, torus):
                     )
             out[tuple(c + R for c in m) + j] = acc
     return out
+
+
+def direct_adjoint_oracle(F, g):
+    """Loop evaluation of sum_m (1/M^n) sum_j F(m, w_j) e^{2 pi i w_j.k} g(k - m)."""
+    spec, torus = F.spec, F.torus
+    n, C = spec.n, spec.C
+    out = np.zeros(spec.shape, complex)
+    for k in itertools.product(range(-C, C + 1), repeat=n):
+        acc = 0.0
+        for m in F.m_points():
+            km = [a - b for a, b in zip(k, m)]
+            if not all(-C <= c <= C for c in km):
+                continue
+            gk = g.values[tuple(c + C for c in km)]
+            for j in np.ndindex(torus.shape):
+                phase = np.exp(2j * np.pi * sum(a * b for a, b in zip(j, k)) / torus.M)
+                acc += F.values[F.m_index(m) + j] * phase * gk
+        out[tuple(c + C for c in k)] = acc / torus.M**n
+    return out
+
+
+def direct_symbol_oracle(F, G, D):
+    """The omega x m loop over lattice overlaps: an independent stft_symbol path."""
+    spec, torus = F.spec, F.torus
+    n, M = spec.n, torus.M
+    Rf, Rg = F.m_radius, G.m_radius
+    Rm = Rf + Rg
+    Mn = M**n
+    EkB = phase_matrix(M, -D, D, -1, n).T / Mn  # eta -> k, with weight
+    ExiB = phase_matrix(M, -Rf, Rf, -1, n)  # lattice j -> xi
+    Fflat = F.values.reshape((2 * Rf + 1,) * n + (Mn,))
+    out = np.zeros(((2 * Rm + 1,) * n) + (Mn, Mn * (2 * D + 1) ** n), complex)
+    for wi, omega in enumerate(np.ndindex(torus.shape)):
+        Grot = np.conj(np.roll(G.values, omega, axis=tuple(range(n, 2 * n))))
+        Grot = Grot.reshape((2 * Rg + 1,) * n + (Mn,))
+        for m in itertools.product(range(-Rm, Rm + 1), repeat=n):
+            lo = [max(-Rf, mc - Rg) for mc in m]
+            hi = [min(Rf, mc + Rg) for mc in m]
+            if any(l > h for l, h in zip(lo, hi)):
+                continue
+            fsl = tuple(slice(l + Rf, h + Rf + 1) for l, h in zip(lo, hi))
+            gsl = tuple(
+                slice(l - mc + Rg, h - mc + Rg + 1) for l, h, mc in zip(lo, hi, m)
+            )
+            H = Fflat[fsl] * Grot[gsl]  # (overlap..., eta_flat)
+            T = H.reshape(-1, Mn) @ EkB  # (overlap, k_flat)
+            rows = np.ravel_multi_index(
+                np.meshgrid(
+                    *[np.arange(l + Rf, h + Rf + 1) for l, h in zip(lo, hi)],
+                    indexing="ij",
+                ),
+                (2 * Rf + 1,) * n,
+            ).reshape(-1)
+            out[tuple(c + Rm for c in m)][wi] = (ExiB[rows].T @ T).reshape(-1)
+    return out.reshape((2 * Rm + 1,) * n + (M,) * n + (M,) * n + (2 * D + 1,) * n)
+
+
+def _rel_err(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
 
 
 def test_stft_delta_cases(env):
@@ -100,6 +171,31 @@ def test_stft_matches_oracle_2d():
     got = stft(f, g, env2.torus).values
     want = direct_stft_oracle(f, g, env2.torus)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("lat,tor", SMALL_GRIDS)
+def test_stft_values_on_operator_output(lat, tor):
+    # an operator output reaches [-3K, 3K]^n, past the admissible block
+    envx = Environment(lat, tor)
+    rng = trial_rng(30, "stft-wide", 0)
+    f = _random_signal(envx, rng)
+    h = apply_operator(_trig_symbol(envx, rng), envx.window, envx.window2, f)
+    assert not h.admissible
+    got = _stft_values(h.values, envx.window.values, lat, tor, 2 * lat.K)
+    assert _rel_err(got, direct_stft_oracle(h, envx.window, tor)) <= 1e-12
+
+
+@pytest.mark.parametrize("lat,tor", SMALL_GRIDS)
+def test_adjoint_matches_direct_oracle(lat, tor):
+    # a random field, not the transform of any signal
+    rng = np.random.default_rng(31)
+    R = 2 * lat.K
+    shape = (2 * R + 1,) * lat.n + tor.shape
+    vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    F = PhaseSpaceField(lat, tor, R, vals, degree_bound=tor.M - 1 - lat.K)
+    g = _random_signal(Environment(lat, tor), trial_rng(31, "adjoint-oracle", 0))
+    got = stft_adjoint(F, g).values
+    assert _rel_err(got, direct_adjoint_oracle(F, g)) <= 1e-12
 
 
 def test_phase_matrix_is_cached_and_read_only():
@@ -252,8 +348,6 @@ def test_symbol_transform_coefficient_oracle():
 
 def test_symbol_transform_plancherel(env):
     rng = trial_rng(28, "symbol-plancherel", 0)
-    from tflocal.verify import _trig_symbol
-
     F = _trig_symbol(env, rng)
     G0 = env.G0
     T = stft_symbol(F, G0)
@@ -280,11 +374,28 @@ def test_symbol_transform_plancherel_2d():
     env2 = Environment(LatticeSpec(2, 1, 3), TorusGrid(2, 7))
     lat, tor = env2.lattice, env2.torus
     rng = trial_rng(29, "symbol-2d", 0)
-    from tflocal.verify import _trig_symbol
-
     F = _trig_symbol(env2, rng)
     G0 = env2.G0
     T = stft_symbol(F, G0)
     lhs = math.sqrt(tor.weight**2 * float((np.abs(T.values) ** 2).sum()))
     rhs = field_lp_norm(F, 2.0) * field_lp_norm(G0, 2.0)
     assert abs(lhs - rhs) <= 1e-10 * rhs
+
+
+@pytest.mark.parametrize(
+    "lat,tor", [(LatticeSpec(1, 8), TorusGrid(1, 49)), (LatticeSpec(2, 1, 3), TorusGrid(2, 7))]
+)
+def test_symbol_transform_matches_direct_oracle(lat, tor):
+    envx = Environment(lat, tor)
+    rng = trial_rng(32, "symbol-oracle", 0)
+    F = _trig_symbol(envx, rng)
+    # the symbol window is even in the torus variable; a random window is not,
+    # so it also tells the torus shift G(u, eta - omega) from G(u, omega - eta)
+    d = max(1, lat.K // 2)
+    coefs = _crandn(rng, (2 * lat.K + 1,) * lat.n + (2 * d + 1,) * lat.n)
+    odd = PhaseSpaceField(
+        lat, tor, lat.K, coefficients_to_values(coefs, tor, d), degree_bound=d
+    )
+    for G in (envx.G0, odd):
+        T = stft_symbol(F, G)
+        assert _rel_err(T.values, direct_symbol_oracle(F, G, T.freq_radius)) <= 1e-12
