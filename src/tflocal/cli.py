@@ -2,8 +2,9 @@
 
 Subcommands: gen | stft | norm | locop | spectrum | verify.  All numeric
 output uses 17 significant decimal digits so golden files compare exactly.
-Exit codes: 0 success, 1 verification violations, 2 usage or config errors,
-3 numeric failures (quadrature insufficiency, conditioning, SVD).
+Exit codes: 0 success, 1 verification violations, 2 usage or config errors
+and requests too large for memory, 3 numeric failures (quadrature
+insufficiency, conditioning, SVD).
 """
 
 from __future__ import annotations
@@ -440,6 +441,10 @@ def dispatch(argv) -> int:
         return args.fn(args)
     except (UsageError, DomainError, RangeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # never exit 1: that code means the verification found violations
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except (PrecisionError, ConditioningError, UnboundedError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -2,7 +2,8 @@
 
 The CLI maps these onto exit codes: usage/input problems exit with 2,
 numeric failures (insufficient quadrature, ill conditioning, SVD trouble)
-exit with 3.
+exit with 3.  A MemoryError (a request too large for the machine) also
+exits with 2, never with 1, which means "verification violations".
 """
 
 

@@ -29,8 +29,14 @@ from .lattice import (
     norm2,
     phase_matrix,
 )
-from .orlicz import field_lp_norm, mixed_norm, mixed_norm_swapped, orlicz_norm
-from .stft import stft, stft_symbol
+from .orlicz import (
+    _check_exponent,
+    field_lp_norm,
+    mixed_norm,
+    mixed_norm_swapped,
+    orlicz_norm,
+)
+from .stft import _symbol_freq_radius, _symbol_slabs, stft
 from .young import YoungFunction
 
 __all__ = [
@@ -152,19 +158,27 @@ def symbol_modulation_norm(
     """M^p norm of a symbol via the second-level transform.
 
     The measure is counting on both lattice-type axes and quadrature on both
-    torus-type axes.
+    torus-type axes.  The norm streams: it reduces each lattice shift's
+    (omega, xi, k) slab of the transform as `stft._symbol_slabs` yields it
+    (|.|, power, running sum; a running max for p = inf), so it holds one
+    slab, never the whole transform, and runs at n = 2.  The exponent and the
+    transform's input checks run before the first slab.
     """
-    T = stft_symbol(sigma, G0)
-    w = T.torus.weight**2
-    a = np.abs(T.values)
-    del T  # the complex transform is twice the size of `a`
+    p = _check_exponent(p)
+    slabs = _symbol_slabs(sigma, G0, _symbol_freq_radius(sigma, G0, None))
+    a = None
+    acc = 0.0
+    for slab in slabs:
+        a = np.abs(slab, out=a)
+        if np.isinf(p):
+            acc = max(acc, float(a.max()))
+            continue
+        if p != 1:
+            np.power(a, p, out=a)
+        acc += float(a.sum())
     if np.isinf(p):
-        return float(a.max(initial=0.0))
-    if p < 1:
-        raise DomainError("p must be >= 1")
-    if p != 1:
-        np.power(a, p, out=a)
-    return float((w * a.sum()) ** (1.0 / p))
+        return acc
+    return float((sigma.torus.weight**2 * acc) ** (1.0 / p))
 
 
 @dataclass(frozen=True)

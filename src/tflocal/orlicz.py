@@ -120,13 +120,19 @@ def mixed_norm_swapped(
     return luxemburg(inner, 1.0, phi1)
 
 
+def _check_exponent(p: float) -> float:
+    """An L^p exponent: p >= 1 or p = +inf (this rejects nan and -inf)."""
+    if not p >= 1:
+        raise DomainError(f"exponent p must be >= 1 or inf, got {p!r}")
+    return float(p)
+
+
 def field_lp_norm(F: PhaseSpaceField, p: float) -> float:
     """Quadrature L^p norm over the product measure; p = inf takes the grid max."""
+    p = _check_exponent(p)
     a = np.abs(F.values)
     if np.isinf(p):
         return float(a.max(initial=0.0))
-    if p < 1:
-        raise DomainError("p must be >= 1")
     return float((F.torus.weight * (a**p).sum()) ** (1.0 / p))
 
 

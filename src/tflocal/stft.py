@@ -23,13 +23,19 @@ the operation refuses to run otherwise rather than approximate silently.
 A second-level transform analyzes phase-space fields themselves against a
 phase-space window, producing the four-index array indexed by (lattice
 shift, torus shift, lattice frequency, torus frequency).  It has the same
-block form in the lattice variable, one (2R+1)^n block per lattice shift
-m, where R is the window's lattice radius; the torus shift is one gather
-on the shared grid.
+block form in the lattice variable, one block per lattice shift m, where
+the window's lattice radius R bounds u; the torus shift is one gather on
+the shared grid.  Each block is trimmed per axis to the u in [-R, R] whose
+j = m + u lies in the field's lattice range, so no work goes to zero
+padding.  One private generator, `_symbol_slabs`, yields the (omega, xi, k)
+slab of each m in a fixed order: `stft_symbol` stacks the slabs into the
+full array, while the symbol norm reduces each slab as it arrives and so
+never holds more than one slab (1/(2(R_f+R)+1)^n of the transform).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,6 +138,11 @@ def invert(F: PhaseSpaceField, g: Signal, h: Signal) -> Signal:
     return Signal(rec.spec, rec.values / denom)
 
 
+def _require_finite(values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise DomainError("transform contains non-finite values")
+
+
 @dataclass
 class SymbolTransform:
     """Second-level transform indexed by (m, omega, xi, k).
@@ -157,8 +168,72 @@ class SymbolTransform:
         )
         if self.values.shape != want:
             raise DomainError(f"transform shape {self.values.shape}, expected {want}")
-        if not np.all(np.isfinite(self.values.view(np.float64))):
-            raise DomainError("transform contains non-finite values")
+        # one lattice shift's slab at a time: no temporary of the transform's size
+        for slab in self.values.reshape((2 * self.m_radius + 1) ** n, -1):
+            _require_finite(slab)
+
+
+def _symbol_freq_radius(
+    F: PhaseSpaceField, G: PhaseSpaceField, freq_radius: int | None
+) -> int:
+    """Check the inputs of the second-level transform; return its radius D in k."""
+    if F.torus != G.torus or F.spec != G.spec:
+        raise DomainError("field and window must share lattice and torus grids")
+    if G.m_radius > F.spec.K:
+        raise DomainError("window must be admissible in the lattice direction")
+    D = F.degree_bound + G.degree_bound if freq_radius is None else int(freq_radius)
+    if D < F.degree_bound:
+        raise DomainError("freq_radius must cover the analyzed field's degree")
+    M = F.torus.M
+    if F.degree_bound + G.degree_bound + D > M - 1:
+        raise PrecisionError(
+            "eta integral not exactly integrable: degree sum "
+            f"{F.degree_bound + G.degree_bound + D} exceeds M-1 = {M - 1}"
+        )
+    return D
+
+
+def _symbol_slabs(F: PhaseSpaceField, G: PhaseSpaceField, D: int):
+    """Yield the (omega, xi, k) slab of each lattice shift m, in C order of [-Rm, Rm]^n.
+
+    Each slab has shape (M^n, M^n, (2D+1)^n) and is written into one buffer
+    that the next slab overwrites, so a caller that reduces slabs as they
+    arrive holds one at a time.  The inputs must have passed
+    `_symbol_freq_radius`.
+    """
+    n, M = F.spec.n, F.torus.M
+    Rf, Rg = F.m_radius, G.m_radius
+    Mn, Dk = M**n, (2 * D + 1) ** n
+    # rot[w, eta] = flat grid index of eta - w, so G(u, eta - w) is one gather
+    c = np.indices(F.torus.shape).reshape(n, Mn)
+    rot = np.ravel_multi_index(tuple((c[:, None] - c[:, :, None]) % M), F.torus.shape)
+    Gc = np.conj(G.values.reshape(-1, Mn))
+    Grot = Gc[np.arange(Gc.shape[0])[:, None], rot[:, None]]  # (w, u, eta)
+    Grot = Grot.reshape((Mn,) + (2 * Rg + 1,) * n + (Mn,))
+    Fv = F.values.reshape((2 * Rf + 1,) * n + (Mn,))
+    Ek = phase_matrix(M, -D, D, -1, n).T * F.torus.weight  # eta -> k, with weight
+    Pj = phase_matrix(M, -Rf, Rf, -1, n).T.reshape((Mn,) + (2 * Rf + 1,) * n)  # (xi, j)
+    H = np.empty(Grot.size, dtype=np.complex128)
+    T = np.empty(Mn * Gc.shape[0] * Dk, dtype=np.complex128)
+    slab = np.empty((Mn, Mn, Dk), dtype=np.complex128)
+    shifts = range(-Rf - Rg, Rf + Rg + 1)
+    for m in itertools.product(shifts, repeat=n):
+        # per axis u runs over [max(-Rg, -Rf - m), min(Rg, Rf - m)]: the part
+        # of the window block that overlaps F's lattice range j = m + u
+        lo = [max(-Rg, -Rf - a) for a in m]
+        hi = [min(Rg, Rf - a) for a in m]
+        usl = (slice(None),) + tuple(slice(l + Rg, h + Rg + 1) for l, h in zip(lo, hi))
+        jsl = tuple(slice(a + l + Rf, a + h + Rf + 1) for a, l, h in zip(m, lo, hi))
+        block = Fv[jsl]  # (u, eta)
+        U = block.size // Mn
+        Hm = H[: Mn * U * Mn].reshape((Mn,) + block.shape)
+        np.multiply(block, Grot[usl], out=Hm)  # F(m + u, eta) conj(G(u, eta - w))
+        Tm = T[: Mn * U * Dk].reshape(Mn * U, Dk)
+        np.matmul(Hm.reshape(-1, Mn), Ek, out=Tm)
+        # u -> xi with the phases of j = m + u: (xi, u) @ (w, u, k) -> (w, xi, k)
+        np.matmul(Pj[(slice(None),) + jsl].reshape(Mn, U), Tm.reshape(Mn, U, Dk), out=slab)
+        _require_finite(slab)
+        yield slab
 
 
 def stft_symbol(
@@ -171,43 +246,19 @@ def stft_symbol(
               conj(G(j-m, eta-omega)) d eta,
     with the eta integral evaluated by exact grid quadrature.
 
-    Block form: j = m + u with u in [-R, R]^n, R = G.m_radius.  Per shift m,
+    Block form: j = m + u with u in [-R, R]^n, R = G.m_radius, trimmed per
+    axis to the u whose j lies in F's lattice range.  Per shift m,
     F(m + u, eta) times conj(G(u, eta - omega)) for every omega (one gather),
-    then one matmul from eta to k and one from u to xi.
+    then one matmul from eta to k and one from u to xi.  `_symbol_slabs`
+    yields these per-shift slabs; this function stacks them into the one
+    array of the transform's size, while `symbol_modulation_norm` reduces
+    them one at a time and never holds more than one slab.
     """
-    if F.torus != G.torus or F.spec != G.spec:
-        raise DomainError("field and window must share lattice and torus grids")
-    spec, torus = F.spec, F.torus
-    n, M = spec.n, torus.M
-    if G.m_radius > spec.K:
-        raise DomainError("window must be admissible in the lattice direction")
-    D = F.degree_bound + G.degree_bound if freq_radius is None else int(freq_radius)
-    if D < F.degree_bound:
-        raise DomainError("freq_radius must cover the analyzed field's degree")
-    if F.degree_bound + G.degree_bound + D > M - 1:
-        raise PrecisionError(
-            "eta integral not exactly integrable: degree sum "
-            f"{F.degree_bound + G.degree_bound + D} exceeds M-1 = {M - 1}"
-        )
-    Rf, Rg = F.m_radius, G.m_radius
-    Rm, Mn, U = Rf + Rg, M**n, (2 * Rg + 1) ** n
-    # rot[w, eta] = flat grid index of eta - w, so G(u, eta - w) is one gather
-    c = np.indices(torus.shape).reshape(n, Mn)
-    rot = np.ravel_multi_index(tuple((c[:, None] - c[:, :, None]) % M), torus.shape)
-    Gc = np.conj(G.values.reshape(U, Mn))
-    Grot = Gc[np.arange(U)[:, None], rot[:, None]]  # (w, u, eta)
-    # F zero-padded by 2 Rg: every shift m in [-Rm, Rm]^n sees a full block
-    Fpad = np.pad(F.values, [(2 * Rg, 2 * Rg)] * n + [(0, 0)] * n)
-    blocks = sliding_window_view(Fpad, (2 * Rg + 1,) * n, axis=tuple(range(n)))
-    Ek = phase_matrix(M, -D, D, -1, n).T * torus.weight  # eta -> k, with weight
-    Pu = phase_matrix(M, -Rg, Rg, -1, n).T  # (xi, u)
-    Pm = phase_matrix(M, -Rm, Rm, -1, n)  # (m, xi)
-    out = np.empty(((2 * Rm + 1) ** n, Mn, Mn, (2 * D + 1) ** n), dtype=np.complex128)
-    H = np.empty(Grot.shape, dtype=np.complex128)
-    T = np.empty((Mn, U, out.shape[-1]), dtype=np.complex128)  # (w, u, k)
-    for i, m in enumerate(np.ndindex(blocks.shape[:n])):
-        np.multiply(blocks[m].reshape(Mn, U).T, Grot, out=H)
-        np.matmul(H.reshape(-1, Mn), Ek, out=T.reshape(-1, T.shape[-1]))
-        np.matmul(Pm[i][:, None] * Pu, T, out=out[i])  # (w, xi, k)
+    D = _symbol_freq_radius(F, G, freq_radius)
+    spec, n, M = F.spec, F.spec.n, F.torus.M
+    Rm = F.m_radius + G.m_radius
+    out = np.empty(((2 * Rm + 1) ** n, M**n, M**n, (2 * D + 1) ** n), dtype=np.complex128)
+    for i, slab in enumerate(_symbol_slabs(F, G, D)):
+        out[i] = slab
     shaped = out.reshape((2 * Rm + 1,) * n + (M,) * (2 * n) + (2 * D + 1,) * n)
-    return SymbolTransform(spec, torus, Rm, D, shaped)
+    return SymbolTransform(spec, F.torus, Rm, D, shaped)

@@ -6,6 +6,7 @@ import sys
 
 import tflocal
 from tflocal import LatticeSpec, Signal, norm2
+from tflocal import cli
 from tflocal.cli import config_from_dict, dispatch
 from tflocal.serialization import dump_signal, load_field, load_signal
 from tflocal.verify import parse_report
@@ -212,17 +213,36 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
 
 
 def test_malformed_number_tokens(tmp_path, capsys):
-    sig = tmp_path / "f.json"
+    sig, sym = tmp_path / "f.json", tmp_path / "s.json"
     run(capsys, "gen", "--kind", "gaussian-signal", "--seed", "3", "--out", str(sig))
+    run(capsys, "gen", "--kind", "trig-symbol", "--seed", "4", "--out", str(sym))
     for argv in (
         ("spectrum", "--ps", "1,abc"),
         ("gen", "--kind", "window", "--window", "gaussian:abc"),
         ("norm", "--space", "lphi", "--input", str(sig), "--phi", "power:abc"),
         ("norm", "--space", "lphi", "--input", str(sig), "--phi", "quasi:0.5"),
+        # numbers that are not L^p exponents (p >= 1 or inf)
+        ("norm", "--space", "Mnan", "--input", str(sig)),
+        ("norm", "--space", "M-inf", "--input", str(sig)),
+        ("norm", "--space", "M0.5", "--input", str(sig)),
+        ("norm", "--space", "symbol-Mnan", "--input", str(sym)),
+        ("norm", "--space", "symbol-M-inf", "--input", str(sym)),
+        ("norm", "--space", "symbol-M0.5", "--input", str(sym)),
     ):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error: ") and "Traceback" not in err, argv
+
+
+def test_out_of_memory_exit_code(monkeypatch, capsys):
+    # exit 1 means "violations"; a request too large for memory is an error
+    def too_large(args):
+        raise MemoryError("Unable to allocate 8.70 GiB for an array")
+
+    monkeypatch.setattr(cli, "_cmd_verify", too_large)
+    code, _, err = run(capsys, "verify")
+    assert code == 2
+    assert err.startswith("error: out of memory: ") and "Traceback" not in err
 
 
 def test_verify_subset_and_determinism(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from tflocal import (
     DomainError,
     LatticeSpec,
     PhaseSpaceField,
+    PrecisionError,
     Signal,
     TorusGrid,
     WindowSpec,
@@ -25,7 +27,8 @@ from tflocal import (
 )
 from tflocal.lattice import delta_signal
 from tflocal.orlicz import field_lp_norm
-from tflocal.verify import _random_signal, trial_rng
+from tflocal.stft import stft_symbol
+from tflocal.verify import _random_signal, _trig_symbol, trial_rng
 
 
 def test_window_builders(env):
@@ -121,6 +124,59 @@ def test_symbol_norm_identity(env):
         degree_bound=0,
     )
     assert symbol_modulation_norm(Z, G0, 1.0) == 0.0
+
+
+def test_symbol_norm_rejects_bad_exponents(small_env):
+    sigma = _trig_symbol(small_env, trial_rng(38, "symbol-p", 0))
+    for p in (math.nan, -math.inf, 0.5, 0.0, -1.0):
+        with pytest.raises(DomainError, match="exponent"):
+            symbol_modulation_norm(sigma, small_env.G0, p)
+        with pytest.raises(DomainError, match="exponent"):
+            modulation_norm(small_env.window, small_env.window, p, small_env.torus)
+    # the exponent is checked before the transform's own input checks
+    M = sigma.torus.M
+    alias = PhaseSpaceField(sigma.spec, sigma.torus, 0, np.ones((1, M)), degree_bound=M - 1)
+    with pytest.raises(DomainError, match="exponent"):
+        symbol_modulation_norm(alias, small_env.G0, math.nan)
+
+
+def test_symbol_norm_raises_like_stft_symbol(small_env):
+    lat, tor = small_env.lattice, small_env.torus
+    R, M = 2 * lat.K, tor.M
+
+    def field(radius, deg=0, value=1.0, torus=tor):
+        vals = np.full((2 * radius + 1, torus.M), value, dtype=complex)
+        return PhaseSpaceField(lat, torus, radius, vals, degree_bound=deg)
+
+    F = field(R)
+    cases = [
+        (F, field(R), DomainError),  # window not admissible in the lattice direction
+        (F, field(lat.K, torus=TorusGrid(1, M + 2)), DomainError),  # grids differ
+        (field(R, deg=4), field(lat.K, deg=3), PrecisionError),  # eta integral aliases
+        (field(R, value=1e200), field(lat.K, value=1e200), DomainError),  # overflow
+    ]
+    for F_, G_, err in cases:
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(err):
+                stft_symbol(F_, G_)
+            with pytest.raises(err):
+                symbol_modulation_norm(F_, G_, 1.0)
+
+
+def test_symbol_norm_holds_one_slab(env):
+    # the whole transform at n=1, K=8, M=49 is 49 x 49 x 49 x 41 complex: 73.6 MiB
+    sigma = _trig_symbol(env, trial_rng(39, "symbol-memory", 0))
+    G0 = env.G0
+    Rm = sigma.m_radius + G0.m_radius
+    D = sigma.degree_bound + G0.degree_bound
+    full = 16 * (2 * Rm + 1) * env.torus.M**2 * (2 * D + 1)
+    tracemalloc.start()
+    try:
+        symbol_modulation_norm(sigma, G0, 1.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < full / 8, (peak, full)
 
 
 def test_symbol_norm_brute_force_small():

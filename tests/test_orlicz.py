@@ -159,6 +159,15 @@ def test_zero_fields(env):
     assert holder_pairing(Z, Z) == 0.0
 
 
+def test_field_lp_norm_exponents(env):
+    F = _trig_symbol(env, trial_rng(40, "lp-exponent", 0))
+    a = np.abs(F.values)
+    assert field_lp_norm(F, math.inf) == a.max()
+    for p in (math.nan, -math.inf, 0.5, 0.0, -2.0):
+        with pytest.raises(DomainError, match="exponent"):
+            field_lp_norm(F, p)
+
+
 def test_convolution_torus_mean(env):
     # unit mass at m = 0, constant in w: convolution takes torus means
     lat, tor = env.lattice, env.torus

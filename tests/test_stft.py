@@ -18,11 +18,12 @@ from tflocal import (
     stft,
     stft_adjoint,
     stft_symbol,
+    symbol_modulation_norm,
 )
 from tflocal.lattice import delta_signal, phase_matrix
 from tflocal.locop import apply_operator
 from tflocal.orlicz import coefficients_to_values, field_lp_norm
-from tflocal.stft import _stft_values
+from tflocal.stft import SymbolTransform, _stft_values
 from tflocal.verify import (
     Environment,
     _crandn,
@@ -368,6 +369,11 @@ def test_symbol_transform_validation(small_env):
     G = PhaseSpaceField(lat, tor, lat.K, np.ones((2 * lat.K + 1, tor.M), complex), degree_bound=0)
     with pytest.raises(PrecisionError):
         stft_symbol(F, G, freq_radius=tor.M)  # eta integral would alias
+    T = stft_symbol(_trig_symbol(small_env, trial_rng(33, "nan", 0)), small_env.G0)
+    bad = T.values.copy()
+    bad[(-1,) * bad.ndim] = np.nan  # in the last lattice shift's slab only
+    with pytest.raises(DomainError, match="non-finite"):
+        SymbolTransform(lat, tor, T.m_radius, T.freq_radius, bad)
 
 
 def test_symbol_transform_plancherel_2d():
@@ -382,10 +388,11 @@ def test_symbol_transform_plancherel_2d():
     assert abs(lhs - rhs) <= 1e-10 * rhs
 
 
-@pytest.mark.parametrize(
-    "lat,tor", [(LatticeSpec(1, 8), TorusGrid(1, 49)), (LatticeSpec(2, 1, 3), TorusGrid(2, 7))]
-)
-def test_symbol_transform_matches_direct_oracle(lat, tor):
+ORACLE_GRIDS = [(LatticeSpec(1, 8), TorusGrid(1, 49)), (LatticeSpec(2, 1, 3), TorusGrid(2, 7))]
+
+
+def _symbol_oracle_inputs(lat, tor):
+    """A random trigonometric symbol and two windows: the symbol window and an odd one."""
     envx = Environment(lat, tor)
     rng = trial_rng(32, "symbol-oracle", 0)
     F = _trig_symbol(envx, rng)
@@ -396,6 +403,25 @@ def test_symbol_transform_matches_direct_oracle(lat, tor):
     odd = PhaseSpaceField(
         lat, tor, lat.K, coefficients_to_values(coefs, tor, d), degree_bound=d
     )
-    for G in (envx.G0, odd):
+    return F, (envx.G0, odd)
+
+
+@pytest.mark.parametrize("lat,tor", ORACLE_GRIDS)
+def test_symbol_transform_matches_direct_oracle(lat, tor):
+    F, windows = _symbol_oracle_inputs(lat, tor)
+    for G in windows:
         T = stft_symbol(F, G)
         assert _rel_err(T.values, direct_symbol_oracle(F, G, T.freq_radius)) <= 1e-12
+
+
+@pytest.mark.parametrize("lat,tor", ORACLE_GRIDS)
+def test_symbol_norm_matches_direct_oracle(lat, tor):
+    # the streaming norm against the same norm taken over the oracle's array
+    F, windows = _symbol_oracle_inputs(lat, tor)
+    w = tor.weight**2
+    for G in windows:
+        a = np.abs(direct_symbol_oracle(F, G, F.degree_bound + G.degree_bound))
+        for p in (1.0, 1.5, 2.0, math.inf):
+            want = a.max() if p == math.inf else (w * (a**p).sum()) ** (1 / p)
+            got = symbol_modulation_norm(F, G, p)
+            assert abs(got - want) <= 1e-12 * want, p

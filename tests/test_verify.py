@@ -129,3 +129,10 @@ def test_trials_validation(env):
     assert (spec.trials, spec.tolerance) == (3, 1.0)
     with pytest.raises(UsageError, match="threads"):
         run_suite([spec], env, threads=0)
+
+
+def test_mphi_boundedness_n2_k2():
+    # the symbol norm streams, so the n=2 rung of the scale ladder runs
+    env2 = Environment(LatticeSpec(2, 2), TorusGrid(2, 13))
+    (res,) = run_suite([CheckSpec("mphi_boundedness", trials=1)], env2)
+    assert res.violations == 0
