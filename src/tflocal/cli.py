@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, fields
 
@@ -357,7 +358,8 @@ def _cmd_verify(args) -> int:
     else:
         ids = list(configured) or None  # None: the whole registry
     specs = [configured.get(s.id, s) for s in default_specs(ids, cfg.seed)]
-    results = run_suite(specs, env, threads=args.threads)
+    threads = (os.cpu_count() or 1) if args.threads == 0 else args.threads
+    results = run_suite(specs, env, threads=threads)
     _write(args.output if args.output is not None else cfg.output, report_lines(results))
     return 0 if all(r.violations == 0 for r in results) else 1
 
@@ -421,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
     p.add_argument("--checks", default=None, help="comma-separated check ids")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=0, help="0 = all cores")
+    p.add_argument("--threads", type=int, default=1, help="worker threads; 0 = all cores")
     p.set_defaults(fn=_cmd_verify)
     return top
 
@@ -434,10 +436,6 @@ def dispatch(argv) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code) if exc.code else 0
     try:
-        if getattr(args, "threads", None) == 0:
-            import os
-
-            args.threads = os.cpu_count() or 1
         return args.fn(args)
     except (UsageError, DomainError, RangeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -36,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import ConditioningError, UsageError
 from .lattice import (
     LatticeSpec,
     PhaseSpaceField,
@@ -216,7 +216,6 @@ def _indicator_symbol(env: Environment, rng) -> PhaseSpaceField:
     """Random lattice-box indicator times a fixed nonnegative trig bump."""
     K, n = env.lattice.K, env.lattice.n
     R = 2 * K
-    ind = np.ones((1,) * n)
     axes = []
     for _ in range(n):
         a, b = np.sort(rng.integers(-R, R + 1, size=2))
@@ -315,6 +314,8 @@ def _chk_inversion(env, ctx, rng, t):
         h = _random_signal(env, rng)
         if abs(inner(h, g)) >= 0.1 * norm2(h) * norm2(g):
             break
+    else:
+        raise ConditioningError("no synthesis window with |<h, g>| >= 0.1 |h| |g| in 200 draws")
     rec = invert(stft(f, g, env.torus), g, h)
     return [_eq_margin(norm2(Signal(f.spec, rec.values - f.values)), 0.0, norm2(f))], None
 
@@ -346,19 +347,13 @@ def _field_norm(style, F, phi1, phi2):
     return mixed_norm_swapped(F, phi1, phi2)
 
 
-def _axiom_phis(t):
-    cycle = [
-        (power(1.5), power(2)),
-        (power(2), power(3)),
-        (eq5(), power(2)),
-    ]
-    return cycle[t % 3]
+_AXIOM_PHIS = ((power(1.5), power(2)), (power(2), power(3)), (eq5(), power(2)))
 
 
 def _chk_homogeneity(env, ctx, rng, t):
     F = _trig_symbol(env, rng)
     c = complex(_crandn(rng, ()) * 3)
-    phi1, phi2 = _axiom_phis(t)
+    phi1, phi2 = _AXIOM_PHIS[t % 3]
     style = _NORM_STYLES[t % 3]
     a = _field_norm(style, PhaseSpaceField(F.spec, F.torus, F.m_radius, c * F.values, degree_bound=F.degree_bound), phi1, phi2)
     b = abs(c) * _field_norm(style, F, phi1, phi2)
@@ -368,7 +363,7 @@ def _chk_homogeneity(env, ctx, rng, t):
 def _chk_triangle(env, ctx, rng, t):
     F = _trig_symbol(env, rng)
     G = _trig_symbol(env, rng)
-    phi1, phi2 = _axiom_phis(t)
+    phi1, phi2 = _AXIOM_PHIS[t % 3]
     style = _NORM_STYLES[t % 3]
     H = PhaseSpaceField(
         F.spec, F.torus, F.m_radius, F.values + G.values, degree_bound=F.degree_bound
@@ -384,7 +379,7 @@ def _chk_monotonicity(env, ctx, rng, t):
     F = PhaseSpaceField(
         G.spec, G.torus, G.m_radius, G.values * u, degree_bound=env.torus.M - 1
     )
-    phi1, phi2 = _axiom_phis(t)
+    phi1, phi2 = _AXIOM_PHIS[t % 3]
     style = _NORM_STYLES[t % 3]
     lhs = _field_norm(style, F, phi1, phi2)
     rhs = _field_norm(style, G, phi1, phi2)

@@ -10,10 +10,13 @@ evaluable kinds are supported:
   axioms while keeping the small-argument behaviour, which is the regime all
   embedding arguments live in.
 * ``quasi``: Phi0(t) = base(t^p) with 0 < p <= 1 (order-p quasi-Young).
-  Quasi-Young functions need not be convex; flags are probed, not assumed.
 * ``table``: piecewise-linear interpolation of sampled values, linearly
   extended past the last node.  Used mainly for tabulated conjugates, where
   convexity of the data makes the interpolant a pointwise majorant.
+
+Each function is validated once, by its builder.  ``power`` and ``eq5`` are
+valid by construction; ``quasi_young`` and ``table`` run one probe pass
+(Phi(0) = 0, Phi nondecreasing) that also sets ``finite``.
 
 ``complementary`` computes the conjugate Psi(y) = sup_{x>=0} (x y - Phi(x))
 numerically; ``delta2_probe`` estimates a doubling constant on an interval.
@@ -23,7 +26,7 @@ Both are heuristic certificates over finite grids, not proofs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -46,7 +49,8 @@ __all__ = [
 EQ5_BREAK = math.exp(-1.5)  # convexity of -t^2 log t fails beyond this point
 EQ5_TAIL = math.exp(-3.0) / 2.0  # constant making the quadratic tail C^1
 
-_PROBE = np.geomspace(1e-9, 1e6, 61)
+# probe grid of the one validation pass: 0, then a log grid over 15 decades
+_PROBE = np.concatenate(([0.0], np.geomspace(1e-9, 1e6, 61)))
 
 
 def _eval_power(p: float, t: np.ndarray) -> np.ndarray:
@@ -65,15 +69,33 @@ def _eval_eq5(t: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class YoungFunction:
-    """Evaluable Young (or quasi-Young) descriptor with probed flags."""
+    """Evaluable Young (or quasi-Young) function, validated once when built.
+
+    Make one with ``power``, ``eq5``, ``quasi_young`` or ``table``; the
+    builders check the axioms and set ``finite``, and nothing is probed again
+    afterwards.  A table's nodes ``xs`` and ``ys`` are read-only float64
+    arrays: writing into them raises ValueError.  ``==`` and ``hash`` cover
+    every field but ``finite``, and compare table nodes by their values.
+    """
 
     kind: str
     p: Optional[float] = None
     base: Optional["YoungFunction"] = None
-    xs: Optional[tuple] = None
-    ys: Optional[tuple] = None
+    xs: Optional[np.ndarray] = None
+    ys: Optional[np.ndarray] = None
     finite: bool = field(default=True, compare=False)
-    strictly_convex: bool = field(default=False, compare=False)
+
+    def _key(self) -> tuple:
+        nodes = None if self.xs is None else (self.xs.tobytes(), self.ys.tobytes())
+        return (self.kind, self.p, self.base, nodes)
+
+    def __eq__(self, other):
+        if not isinstance(other, YoungFunction):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=np.float64)
@@ -91,55 +113,37 @@ class YoungFunction:
             with np.errstate(over="ignore"):
                 return self.base._eval(t**self.p)
         if self.kind == "table":
-            xs = np.asarray(self.xs)
-            ys = np.asarray(self.ys)
+            xs, ys = self.xs, self.ys
             out = np.interp(t, xs, ys)
-            if len(xs) >= 2:
-                slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
-                with np.errstate(over="ignore", invalid="ignore"):
-                    ext = ys[-1] + slope * (t - xs[-1])
-                out = np.where(t > xs[-1], ext, out)
-            return out
+            slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+            with np.errstate(over="ignore", invalid="ignore"):
+                ext = ys[-1] + slope * (t - xs[-1])
+            return np.where(t > xs[-1], ext, out)
         raise DomainError(f"unknown Young-function kind {self.kind!r}")
 
 
-def _probe_flags(phi: YoungFunction) -> dict:
+def _probed(phi: YoungFunction) -> YoungFunction:
+    """The one validation pass: Phi(0) = 0, Phi nondecreasing, and `finite`."""
     with np.errstate(all="ignore"):
         vals = phi._eval(_PROBE)
-    finite = bool(np.all(np.isfinite(vals)))
-    # strict convexity via midpoint gaps on the probe grid
-    x, y = _PROBE[:-1], _PROBE[1:]
-    with np.errstate(all="ignore"):
-        mid = phi._eval((x + y) / 2.0)
-        lo, hi = phi._eval(x), phi._eval(y)
-    ok = np.isfinite(mid) & np.isfinite(lo) & np.isfinite(hi)
-    strict = bool(np.all(mid[ok] < (lo[ok] + hi[ok]) / 2.0 - 1e-15 * (1 + hi[ok])))
-    return {"finite": finite, "strictly_convex": strict and finite}
-
-
-def _validate(phi: YoungFunction) -> YoungFunction:
-    if abs(phi._eval(np.asarray(0.0))) > 0:
+    if vals[0] != 0.0:
         raise DomainError("Young function must vanish at 0")
-    with np.errstate(all="ignore"):
-        vals = phi._eval(_PROBE)
-    good = np.isfinite(vals)
-    if np.any(np.diff(vals[good]) < -1e-12 * (1 + np.abs(vals[good][:-1]))):
+    good = vals[np.isfinite(vals)]
+    if np.any(np.diff(good) < -1e-12 * (1 + np.abs(good[:-1]))):
         raise DomainError("Young function must be nondecreasing")
-    return phi
+    return replace(phi, finite=good.size == vals.size)
 
 
 def power(p: float) -> YoungFunction:
     """Phi(t) = t^p, p >= 1 (use quasi_young for p < 1)."""
     if not p >= 1:
         raise DomainError("power kind needs p >= 1; wrap smaller orders with quasi_young")
-    return _validate(
-        YoungFunction("power", p=float(p), strictly_convex=p > 1)
-    )
+    return YoungFunction("power", p=float(p))
 
 
 def eq5() -> YoungFunction:
     """The log-perturbed square with its C^1 convex quadratic tail."""
-    return YoungFunction("eq5", strictly_convex=True)
+    return YoungFunction("eq5")
 
 
 def quasi_young(base: YoungFunction, p: float) -> YoungFunction:
@@ -148,40 +152,22 @@ def quasi_young(base: YoungFunction, p: float) -> YoungFunction:
         raise DomainError("quasi-Young order must lie in (0, 1]")
     if p == 1:
         return base
-    cand = YoungFunction("quasi", p=float(p), base=base)
-    flags = _probe_flags(cand)
-    return _validate(
-        YoungFunction(
-            "quasi",
-            p=float(p),
-            base=base,
-            finite=flags["finite"],
-            strictly_convex=flags["strictly_convex"],
-        )
-    )
+    return _probed(YoungFunction("quasi", p=float(p), base=base))
 
 
 def table(xs, ys) -> YoungFunction:
     """Piecewise-linear Young function through (xs, ys); xs[0] must be 0."""
-    xs = tuple(float(x) for x in xs)
-    ys = tuple(float(y) for y in ys)
-    if len(xs) != len(ys) or len(xs) < 2:
-        raise DomainError("table needs matching xs/ys with at least two nodes")
+    xs = np.array(xs, dtype=np.float64)
+    ys = np.array(ys, dtype=np.float64)
+    if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
+        raise DomainError("table needs matching one-dimensional xs/ys with at least two nodes")
     if xs[0] != 0.0 or ys[0] != 0.0:
         raise DomainError("table must start at (0, 0)")
-    if any(b <= a for a, b in zip(xs, xs[1:])):
+    if not np.all(np.diff(xs) > 0):
         raise DomainError("table abscissae must be strictly increasing")
-    cand = YoungFunction("table", xs=xs, ys=ys)
-    flags = _probe_flags(cand)
-    return _validate(
-        YoungFunction(
-            "table",
-            xs=xs,
-            ys=ys,
-            finite=flags["finite"],
-            strictly_convex=flags["strictly_convex"],
-        )
-    )
+    xs.flags.writeable = False
+    ys.flags.writeable = False
+    return _probed(YoungFunction("table", xs=xs, ys=ys))
 
 
 _BRACKET_CAP = 2.0**60
@@ -236,7 +222,7 @@ def conjugate_table(
     """
     ys_grid = np.geomspace(y_lo, y_hi, nodes)
     vals = complementary(phi, ys_grid)
-    return table((0.0,) + tuple(ys_grid), (0.0,) + tuple(vals))
+    return table(np.concatenate(([0.0], ys_grid)), np.concatenate(([0.0], vals)))
 
 
 def delta2_probe(phi: YoungFunction, r: float, samples: int = 256) -> float:

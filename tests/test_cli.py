@@ -245,6 +245,19 @@ def test_out_of_memory_exit_code(monkeypatch, capsys):
     assert err.startswith("error: out of memory: ") and "Traceback" not in err
 
 
+def test_verify_threads_default(monkeypatch, tmp_path, capsys):
+    # the trials hold the GIL, so serial is the default; 0 asks for all cores
+    assert cli._build_parser().parse_args(["verify"]).threads == 1
+    seen = []
+    monkeypatch.setattr(cli, "run_suite", lambda specs, env, threads: seen.append(threads) or [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 7)
+    rpt = str(tmp_path / "r.jsonl")
+    for extra in ((), ("--threads", "0"), ("--threads", "3")):
+        code, _, _ = run(capsys, "verify", "--checks", "plancherel", "--output", rpt, *extra)
+        assert code == 0
+    assert seen == [1, 7, 3]
+
+
 def test_verify_subset_and_determinism(tmp_path, capsys):
     cfg = {
         "seed": 31,

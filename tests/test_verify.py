@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tflocal import (
+    ConditioningError,
     LatticeSpec,
     TorusGrid,
     UsageError,
@@ -10,6 +11,8 @@ from tflocal import (
     report_lines,
     run_suite,
 )
+from tflocal import verify
+from tflocal.cli import dispatch
 from tflocal.verify import (
     REGISTRY,
     SPEC_INVARIANTS,
@@ -90,11 +93,22 @@ def test_plancherel_suite_run(env):
 
 
 def test_determinism_across_threads(env):
-    ids = ["plancherel", "holder_lattice_power", "s1_positive_trace"]
+    # holder_lattice_conjugate has the workers share env.psi's read-only table
+    ids = ["plancherel", "holder_lattice_power", "holder_lattice_conjugate", "s1_positive_trace"]
     specs = [CheckSpec(id=i, trials=8, seed=99) for i in ids]
     a = report_lines(run_suite(specs, env, threads=1))
     b = report_lines(run_suite(specs, env, threads=4))
     assert a == b
+
+
+def test_inversion_without_synthesis_window(env, monkeypatch, tmp_path, capsys):
+    # the window search must not fall through its draw cap and use the last draw
+    monkeypatch.setattr(verify, "inner", lambda h, g: 0.0)
+    with pytest.raises(ConditioningError, match="synthesis window"):
+        run_suite([CheckSpec(id="inversion_roundtrip", trials=1)], env)
+    out = str(tmp_path / "r.jsonl")
+    assert dispatch(["verify", "--checks", "inversion_roundtrip", "--output", out]) == 3
+    assert "synthesis window" in capsys.readouterr().err
 
 
 def test_trial_rng_splitting():

@@ -11,6 +11,7 @@ from tflocal import (
     conjugate_table,
     delta2_probe,
     eq5,
+    luxemburg,
     power,
     quasi_young,
 )
@@ -141,10 +142,15 @@ def test_quasi_young():
 
 
 def test_flags():
-    assert power(2).strictly_convex
-    assert not power(1).strictly_convex
-    assert eq5().strictly_convex
     assert quasi_young(power(2), 0.5).finite  # t -> t, convex but not strictly
+
+
+def test_quasi_overflow_is_not_finite():
+    # (t^0.5)^400 = t^200 overflows on the probe grid
+    q = quasi_young(power(400), 0.5)
+    assert q.finite is False
+    with pytest.raises(DomainError, match="finite"):
+        luxemburg(np.ones(3), 1.0, q)
 
 
 def test_table_kind():
@@ -154,8 +160,37 @@ def test_table_kind():
     assert phi(1.0) == 1.0
     assert phi(3.0) == 10.0  # linear between (2,4) and (4,16)
     assert phi(5.0) == 22.0  # linear extension with the last slope
-    with pytest.raises(DomainError):
-        table((0.5, 1.0), (0.0, 1.0))
+    for xs, ys in (
+        ((0.0, 1.0, 2.0), (0.0, 1.0)),  # mismatched lengths
+        ((0.0,), (0.0,)),  # fewer than two nodes
+        ((0.5, 1.0), (0.0, 1.0)),  # first node not (0, 0)
+        ((0.0, 1.0), (0.5, 1.0)),
+        ((0.0, 1.0, 1.0), (0.0, 1.0, 2.0)),  # repeated abscissa
+        ((0.0, 2.0, 1.0), (0.0, 1.0, 2.0)),  # decreasing abscissae
+        (((0.0, 1.0), (2.0, 3.0)), ((0.0, 1.0), (2.0, 3.0))),  # 2-D
+    ):
+        with pytest.raises(DomainError):
+            table(xs, ys)
+    # equality and hashing compare the node values
+    assert table(xs=(0, 1), ys=(0, 2)) == table((0.0, 1.0), (0.0, 2.0))
+    assert hash(table((0, 1), (0, 2))) == hash(table((0.0, 1.0), (0.0, 2.0)))
+    assert table((0, 1), (0, 2)) != table((0, 1), (0, 3))
+    assert len({power(2), power(2), eq5(), phi}) == 3
+
+
+def test_table_nodes_read_only_and_exact():
+    psi = conjugate_table(eq5())
+    for nodes in (psi.xs, psi.ys):
+        assert nodes.dtype == np.float64
+        with pytest.raises(ValueError):
+            nodes[1] = 0.0
+    # an independent interpolation over plain lists, extended by the last slope
+    xs, ys = list(psi.xs), list(psi.ys)
+    mids = [(a + b) / 2 for a, b in zip(xs, xs[1:])]
+    t = np.array(xs + mids + [1.5 * xs[-1], 1e3 * xs[-1]])
+    slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+    want = np.where(t > xs[-1], ys[-1] + slope * (t - xs[-1]), np.interp(t, xs, ys))
+    assert np.array_equal(psi(t), want)
 
 
 def test_conjugate_table_majorizes():
