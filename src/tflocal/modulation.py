@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -36,7 +37,7 @@ from .orlicz import (
     mixed_norm_swapped,
     orlicz_norm,
 )
-from .stft import _symbol_freq_radius, _symbol_slabs, stft
+from .stft import _require_finite, _symbol_freq_radius, _symbol_slabs, stft
 from .young import YoungFunction
 
 __all__ = [
@@ -76,11 +77,7 @@ def window_signal(spec: WindowSpec, lattice: LatticeSpec) -> Signal:
             raise DomainError("gaussian window width must be positive")
         v = np.zeros(lattice.shape, dtype=np.complex128)
         prof = np.exp(-math.pi * (np.arange(-lattice.K, lattice.K + 1) ** 2) / width)
-        block = prof
-        for _ in range(lattice.n - 1):
-            block = np.multiply.outer(block, prof)
-        sl = lattice.admissible_slices()
-        v[sl] = block.reshape((2 * lattice.K + 1,) * lattice.n)
+        v[lattice.admissible_slices()] = reduce(np.multiply.outer, [prof] * lattice.n)
         g = Signal(lattice, v)
     if spec.normalization == "l2":
         g = Signal(lattice, g.values / norm2(g))
@@ -99,13 +96,8 @@ def symbol_window(lattice: LatticeSpec, torus: TorusGrid) -> PhaseSpaceField:
     prof = np.exp(
         -math.pi * (np.arange(-lattice.K, lattice.K + 1) ** 2) / max(lattice.K / 2.0, 0.5)
     )
-    lat = prof
-    for _ in range(lattice.n - 1):
-        lat = np.multiply.outer(lat, prof)
-    fej = _fejer_values(torus.M, degree)
-    tor = fej
-    for _ in range(torus.n - 1):
-        tor = np.multiply.outer(tor, fej)
+    lat = reduce(np.multiply.outer, [prof] * lattice.n)
+    tor = reduce(np.multiply.outer, [_fejer_values(torus.M, degree)] * torus.n)
     vals = np.multiply.outer(lat, tor).astype(np.complex128)
     scale = math.sqrt(torus.weight * float((np.abs(vals) ** 2).sum()))
     field = PhaseSpaceField(
@@ -162,13 +154,15 @@ def symbol_modulation_norm(
     (omega, xi, k) slab of the transform as `stft._symbol_slabs` yields it
     (|.|, power, running sum; a running max for p = inf), so it holds one
     slab, never the whole transform, and runs at n = 2.  The exponent and the
-    transform's input checks run before the first slab.
+    transform's input checks run before the first slab, and each slab is
+    checked for finiteness before it is reduced.
     """
     p = _check_exponent(p)
-    slabs = _symbol_slabs(sigma, G0, _symbol_freq_radius(sigma, G0, None))
+    slabs = _symbol_slabs(sigma, G0, _symbol_freq_radius(sigma, G0))
     a = None
     acc = 0.0
     for slab in slabs:
+        _require_finite(slab)
         a = np.abs(slab, out=a)
         if np.isinf(p):
             acc = max(acc, float(a.max()))

@@ -2,10 +2,15 @@
 
 The Luxemburg norm is inf{b > 0 : w sum_i Phi(|v_i|/b) <= 1} for a uniform
 weight w per point (1 for counting, 1/M^n for torus quadrature).  The
-modular b -> G(b) is continuous and nonincreasing, so bisection brackets the
-norm to a relative width of 1e-12; the returned value b satisfies
-G(b(1+eps)) <= 1 <= G(b(1-eps)) with eps = 1e-12.  A bracket that cannot be
-certified within the pass limits raises PrecisionError.
+modular b -> G(b) is continuous and nonincreasing, and G(0+) = infinity
+because Young functions are unbounded, so the bracket starts at lo = 0: a
+doubling loop finds an upper end hi with G(hi) <= 1, moving lo up to each
+probe it rejects, and one bisection narrows [lo, hi] to a relative width of
+1e-12.  The returned value b satisfies G(b(1+eps)) <= 1 <= G(b(1-eps)) with
+eps = 1e-12.  One solver, `_lux_batched`, computes every Luxemburg norm here
+and checks its inputs (a finite Phi, a positive finite weight, finite
+values); a bracket that cannot be certified within its pass caps raises
+PrecisionError.
 
 Mixed norms take an inner Luxemburg norm along the lattice axes per torus
 node and an outer one across the torus (or the other way round for the
@@ -38,10 +43,22 @@ _REL_TOL = 1e-12
 
 
 def _lux_batched(v: np.ndarray, weight: float, phi: YoungFunction) -> np.ndarray:
-    """Luxemburg norm of each row of v (shape (batch, N), nonnegative)."""
-    batch = v.shape[0]
-    out = np.zeros(batch)
-    peak = v.max(axis=1)
+    """Luxemburg norm of each row of v (shape (batch, N), nonnegative).
+
+    Invariant per row: G(hi) <= 1 < G(lo), with G(0) read as +infinity.  The
+    doubling loop (at most 200 passes) sets lo to each rejected probe before
+    it doubles hi; the bisection (at most 280 passes) halves [lo, hi] until
+    hi - lo <= 0.5e-12 hi and returns hi.  An exhausted cap raises
+    PrecisionError; a non-finite Phi, weight or input raises DomainError.
+    """
+    if not phi.finite:
+        raise DomainError("Luxemburg norms require a finite Young function")
+    if not (weight > 0 and np.isfinite(weight)):
+        raise DomainError("measure weight must be positive and finite")
+    if not np.all(np.isfinite(v)):
+        raise DomainError("Luxemburg input must be finite")
+    out = np.zeros(v.shape[0])
+    peak = v.max(axis=1, initial=0.0)
     act = peak > 0
     if not np.any(act):
         return out
@@ -51,24 +68,17 @@ def _lux_batched(v: np.ndarray, weight: float, phi: YoungFunction) -> np.ndarray
         def modular(b):
             return weight * phi._eval(va / b[:, None]).sum(axis=1)
 
+        lo = np.zeros(va.shape[0])
         hi = weight * va.sum(axis=1) + peak[act]
         for _ in range(200):
             grow = modular(hi) > 1.0
             if not np.any(grow):
                 break
+            lo = np.where(grow, hi, lo)
             hi = np.where(grow, hi * 2.0, hi)
         else:
             raise PrecisionError("Luxemburg upper bracket not found in 200 doublings")
-        lo = hi.copy()
-        for _ in range(200):
-            shrink = modular(lo) < 1.0
-            if not np.any(shrink):
-                break
-            lo = np.where(shrink, lo / 2.0, lo)
-        else:
-            raise PrecisionError("Luxemburg lower bracket not found in 200 halvings")
-        # invariant: G(hi) <= 1 <= G(lo); stop once the bracket is 1e-12 wide
-        for _ in range(80):
+        for _ in range(280):
             if np.all(hi - lo <= 0.5 * _REL_TOL * hi):
                 break
             mid = 0.5 * (lo + hi)
@@ -76,20 +86,14 @@ def _lux_batched(v: np.ndarray, weight: float, phi: YoungFunction) -> np.ndarray
             hi = np.where(ok, mid, hi)
             lo = np.where(ok, lo, mid)
         else:
-            raise PrecisionError("Luxemburg bisection did not narrow in 80 passes")
+            raise PrecisionError("Luxemburg bisection did not narrow in 280 passes")
     out[act] = hi
     return out
 
 
 def luxemburg(values, weight: float, phi: YoungFunction) -> float:
     """Luxemburg norm of a (flattened) array with the same weight on every point."""
-    if not phi.finite:
-        raise DomainError("luxemburg requires a finite Young function")
-    if not (weight > 0 and np.isfinite(weight)):
-        raise DomainError("measure weight must be positive and finite")
     v = np.abs(np.asarray(values, dtype=np.complex128)).reshape(1, -1)
-    if not np.all(np.isfinite(v)):
-        raise DomainError("luxemburg input must be finite")
     return float(_lux_batched(v, weight, phi)[0])
 
 

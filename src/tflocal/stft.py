@@ -173,22 +173,17 @@ class SymbolTransform:
             _require_finite(slab)
 
 
-def _symbol_freq_radius(
-    F: PhaseSpaceField, G: PhaseSpaceField, freq_radius: int | None
-) -> int:
-    """Check the inputs of the second-level transform; return its radius D in k."""
+def _symbol_freq_radius(F: PhaseSpaceField, G: PhaseSpaceField) -> int:
+    """Check the second-level transform's inputs; return its k radius D = deg F + deg G."""
     if F.torus != G.torus or F.spec != G.spec:
         raise DomainError("field and window must share lattice and torus grids")
     if G.m_radius > F.spec.K:
         raise DomainError("window must be admissible in the lattice direction")
-    D = F.degree_bound + G.degree_bound if freq_radius is None else int(freq_radius)
-    if D < F.degree_bound:
-        raise DomainError("freq_radius must cover the analyzed field's degree")
+    D = F.degree_bound + G.degree_bound
     M = F.torus.M
-    if F.degree_bound + G.degree_bound + D > M - 1:
+    if 2 * D > M - 1:
         raise PrecisionError(
-            "eta integral not exactly integrable: degree sum "
-            f"{F.degree_bound + G.degree_bound + D} exceeds M-1 = {M - 1}"
+            f"eta integral not exactly integrable: degree sum {2 * D} exceeds M-1 = {M - 1}"
         )
     return D
 
@@ -199,7 +194,8 @@ def _symbol_slabs(F: PhaseSpaceField, G: PhaseSpaceField, D: int):
     Each slab has shape (M^n, M^n, (2D+1)^n) and is written into one buffer
     that the next slab overwrites, so a caller that reduces slabs as they
     arrive holds one at a time.  The inputs must have passed
-    `_symbol_freq_radius`.
+    `_symbol_freq_radius`; the slabs are not checked for finiteness, which
+    each consumer does once per slab.
     """
     n, M = F.spec.n, F.torus.M
     Rf, Rg = F.m_radius, G.m_radius
@@ -232,19 +228,17 @@ def _symbol_slabs(F: PhaseSpaceField, G: PhaseSpaceField, D: int):
         np.matmul(Hm.reshape(-1, Mn), Ek, out=Tm)
         # u -> xi with the phases of j = m + u: (xi, u) @ (w, u, k) -> (w, xi, k)
         np.matmul(Pj[(slice(None),) + jsl].reshape(Mn, U), Tm.reshape(Mn, U, Dk), out=slab)
-        _require_finite(slab)
         yield slab
 
 
-def stft_symbol(
-    F: PhaseSpaceField, G: PhaseSpaceField, freq_radius: int | None = None
-) -> SymbolTransform:
+def stft_symbol(F: PhaseSpaceField, G: PhaseSpaceField) -> SymbolTransform:
     """Analyze a phase-space field against a phase-space window.
 
     values(m, omega, xi, k) =
         sum_j int e^{-2 pi i j.xi} e^{-2 pi i eta.k} F(j, eta)
               conj(G(j-m, eta-omega)) d eta,
-    with the eta integral evaluated by exact grid quadrature.
+    with the eta integral evaluated by exact grid quadrature and k over
+    [-D, D]^n, D = deg F + deg G.
 
     Block form: j = m + u with u in [-R, R]^n, R = G.m_radius, trimmed per
     axis to the u whose j lies in F's lattice range.  Per shift m,
@@ -254,7 +248,7 @@ def stft_symbol(
     array of the transform's size, while `symbol_modulation_norm` reduces
     them one at a time and never holds more than one slab.
     """
-    D = _symbol_freq_radius(F, G, freq_radius)
+    D = _symbol_freq_radius(F, G)
     spec, n, M = F.spec, F.spec.n, F.torus.M
     Rm = F.m_radius + G.m_radius
     out = np.empty(((2 * Rm + 1) ** n, M**n, M**n, (2 * D + 1) ** n), dtype=np.complex128)

@@ -31,7 +31,7 @@ import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Optional
 
 import numpy as np
@@ -206,10 +206,7 @@ def _fixed_bump(env: Environment) -> np.ndarray:
     K, M, n = env.lattice.K, env.torus.M, env.lattice.n
     d = phase_matrix(M, -(K // 2), K // 2, 1).sum(axis=0)
     bump = (np.abs(d) ** 2).real  # degree 2*(K//2) <= K
-    out = bump
-    for _ in range(n - 1):
-        out = np.multiply.outer(out, bump)
-    return out
+    return reduce(np.multiply.outer, [bump] * n)
 
 
 def _indicator_symbol(env: Environment, rng) -> PhaseSpaceField:
@@ -222,9 +219,7 @@ def _indicator_symbol(env: Environment, rng) -> PhaseSpaceField:
         line = np.zeros(2 * R + 1)
         line[a + R : b + R + 1] = 1.0
         axes.append(line)
-    ind = axes[0]
-    for line in axes[1:]:
-        ind = np.multiply.outer(ind, line)
+    ind = reduce(np.multiply.outer, axes)
     vals = np.multiply.outer(ind, _fixed_bump(env)).astype(np.complex128)
     vals = vals.reshape((2 * R + 1,) * n + env.torus.shape)
     return PhaseSpaceField(

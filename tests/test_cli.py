@@ -234,6 +234,20 @@ def test_malformed_number_tokens(tmp_path, capsys):
         assert err.startswith("error: ") and "Traceback" not in err, argv
 
 
+def test_mixed_norm_rejects_infinite_young_function(tmp_path, capsys):
+    # quasi:0.5:power:400 is t^200, which is not finite on the probe grid;
+    # the inner solve of L (phi) and of Lstar (psi) refuses it as lphi does
+    sym = tmp_path / "s.json"
+    run(capsys, "gen", "--kind", "trig-symbol", "--seed", "4", "--out", str(sym))
+    steep = "quasi:0.5:power:400"
+    for space, phi, psi in (("L", steep, "power:2"), ("Lstar", "power:2", steep)):
+        code, _, err = run(
+            capsys, "norm", "--space", space, "--input", str(sym), "--phi", phi, "--psi", psi
+        )
+        assert code == 2, space
+        assert "finite Young function" in err and "Traceback" not in err, space
+
+
 def test_out_of_memory_exit_code(monkeypatch, capsys):
     # exit 1 means "violations"; a request too large for memory is an error
     def too_large(args):

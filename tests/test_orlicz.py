@@ -17,13 +17,14 @@ from tflocal import (
     orlicz_norm,
     power,
 )
+from tflocal import orlicz
 from tflocal.orlicz import field_lp_norm
 from tflocal.verify import (
     _rank_one_symbol,
     _trig_symbol,
     trial_rng,
 )
-from tflocal.young import conjugate_table
+from tflocal.young import YoungFunction, conjugate_table, quasi_young
 
 
 def lux_oracle(vals, weight, phi, iters=200):
@@ -53,6 +54,7 @@ def lux_oracle(vals, weight, phi, iters=200):
 
 def test_luxemburg_zero_and_pythagoras():
     assert luxemburg(np.zeros(5), 1.0, power(2)) == 0.0
+    assert luxemburg(np.zeros(0), 1.0, power(2)) == 0.0  # empty sum
     got = luxemburg(np.array([3.0, 4.0]), 1.0, power(2))
     assert abs(got - 5.0) <= 1e-9 * 5.0
 
@@ -66,15 +68,63 @@ def test_luxemburg_eq5_atom():
     assert abs(got - oracle) <= 1e-9 * oracle
 
 
-def test_luxemburg_bracket_property():
-    rng = trial_rng(5, "lux-bracket", 0)
-    for phi in (power(1.5), power(3), eq5()):
-        v = np.abs(rng.standard_normal(40)) + 0.01
-        b = luxemburg(v, 1.0, phi)
-        eps = 1e-12
-        up = float(phi(v / (b * (1 + eps))).sum())
-        dn = float(phi(v / (b * (1 - eps))).sum())
+def _assert_bracket(v, weight, phi, norms):
+    """G(b(1+eps)) <= 1 <= G(b(1-eps)) on every row, eps = 1e-12 (b = 0 only for 0 rows)."""
+    eps = 1e-12
+    for row, b in zip(v, norms):
+        if b == 0.0:
+            assert not row.any()
+            continue
+        up = weight * float(phi(row / (b * (1 + eps))).sum())
+        dn = weight * float(phi(row / (b * (1 - eps))).sum())
         assert up <= 1.0 <= dn
+
+
+def test_luxemburg_bracket_property(env, monkeypatch):
+    rng = trial_rng(5, "lux-bracket", 0)
+    psi = conjugate_table(eq5())
+    quasi = quasi_young(eq5(), 0.75)
+    assert quasi.finite
+    for phi in (power(1.5), power(3), eq5(), psi, quasi):
+        v = np.abs(rng.standard_normal(40)) + 0.01
+        _assert_bracket(v[None], 1.0, phi, [luxemburg(v, 1.0, phi)])
+    # every row of every batched solve: the inner rows of both mixed norms
+    # (one norm per torus node, resp. per lattice point) and the outer solve
+    solves = []
+    solver = orlicz._lux_batched
+
+    def spy(v, weight, phi):
+        norms = solver(v, weight, phi)
+        solves.append((v, weight, phi, norms))
+        return norms
+
+    monkeypatch.setattr(orlicz, "_lux_batched", spy)
+    F = _trig_symbol(env, rng)
+    for phi1, phi2 in ((eq5(), psi), (psi, quasi), (quasi, power(2))):
+        mixed_norm(F, phi1, phi2)
+        mixed_norm_swapped(F, phi1, phi2)
+    assert len(solves) == 12
+    for v, weight, phi, norms in solves:
+        _assert_bracket(v, weight, phi, norms)
+
+
+def test_luxemburg_evaluation_budget(monkeypatch):
+    # one doubling probe, then bisection from 0 to a 1e-12 bracket takes 44-46
+    # modular evaluations on these inputs; any wasted pass shows up here
+    calls = []
+    evaluate = YoungFunction._eval
+
+    def counting(self, t):
+        calls.append(self.kind)
+        return evaluate(self, t)
+
+    v = np.abs(trial_rng(15, "lux-budget", 0).standard_normal(33))
+    phis = (eq5(), conjugate_table(eq5()), power(2))
+    monkeypatch.setattr(YoungFunction, "_eval", counting)
+    for phi in phis:
+        calls.clear()
+        luxemburg(v, 1.0, phi)
+        assert 0 < len(calls) <= 46, (phi.kind, len(calls))
 
 
 def test_power_case_reduction(env):
@@ -108,9 +158,24 @@ def test_luxemburg_rejects_bad_input():
     for weight in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(DomainError):
             luxemburg(np.array([1.0]), weight, power(2))
-    # the norm is 6e-300, far below the 200 halvings of the initial bracket
+    # the norm is 6e-300: bisection from [0, 3] needs about 1,000 passes to
+    # reach a 1e-12 bracket, far beyond its cap of 280
     with pytest.raises(PrecisionError):
         luxemburg(np.array([1.0, 2.0, 3.0]), 1e-300, power(1))
+
+
+def test_mixed_norms_reject_infinite_inner_function(small_env):
+    # t^200 overflows on the probe grid, so it is not finite; the inner solve
+    # of either mixed norm must refuse it as luxemburg does
+    F = _trig_symbol(small_env, trial_rng(1, "x", 0))
+    steep = quasi_young(power(400), 0.5)
+    assert not steep.finite
+    with pytest.raises(DomainError, match="finite Young function"):
+        mixed_norm(F, steep, power(2))
+    with pytest.raises(DomainError, match="finite Young function"):
+        mixed_norm_swapped(F, power(2), steep)
+    with pytest.raises(DomainError, match="finite Young function"):
+        orlicz_norm(F, steep)
 
 
 def test_mixed_norm_power_oracle(env):

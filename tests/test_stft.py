@@ -360,15 +360,18 @@ def test_symbol_transform_plancherel(env):
 def test_symbol_transform_validation(small_env):
     lat, tor = small_env.lattice, small_env.torus
     R = 2 * lat.K
-    F = PhaseSpaceField(lat, tor, R, np.ones((2 * R + 1, tor.M), complex), degree_bound=0)
-    wide = PhaseSpaceField(
-        lat, tor, R, np.ones((2 * R + 1, tor.M), complex), degree_bound=0
-    )
+
+    def field(radius, deg=0):
+        vals = np.ones((2 * radius + 1, tor.M), complex)
+        return PhaseSpaceField(lat, tor, radius, vals, degree_bound=deg)
+
     with pytest.raises(DomainError):
-        stft_symbol(F, wide)  # window not admissible in the lattice direction
-    G = PhaseSpaceField(lat, tor, lat.K, np.ones((2 * lat.K + 1, tor.M), complex), degree_bound=0)
+        stft_symbol(field(R), field(R))  # window not admissible in the lattice direction
+    # the k radius is D = deg F + deg G, and the eta integral of degree 2D
+    # must stay within M - 1 = 12
+    assert stft_symbol(field(R, deg=3), field(lat.K, deg=3)).freq_radius == 6
     with pytest.raises(PrecisionError):
-        stft_symbol(F, G, freq_radius=tor.M)  # eta integral would alias
+        stft_symbol(field(R, deg=4), field(lat.K, deg=3))  # eta integral would alias
     T = stft_symbol(_trig_symbol(small_env, trial_rng(33, "nan", 0)), small_env.G0)
     bad = T.values.copy()
     bad[(-1,) * bad.ndim] = np.nan  # in the last lattice shift's slab only
