@@ -154,22 +154,26 @@ def symbol_modulation_norm(
     (omega, xi, k) slab of the transform as `stft._symbol_slabs` yields it
     (|.|, power, running sum; a running max for p = inf), so it holds one
     slab, never the whole transform, and runs at n = 2.  The exponent and the
-    transform's input checks run before the first slab, and each slab is
-    checked for finiteness before it is reduced.
+    transform's input checks run before the first slab.  A non-finite entry
+    makes its slab's sum or max non-finite, so a slab is scanned entry by
+    entry only then: a non-finite entry raises DomainError, while finite
+    entries whose |.|^p overflows give inf.
     """
     p = _check_exponent(p)
     slabs = _symbol_slabs(sigma, G0, _symbol_freq_radius(sigma, G0))
     a = None
     acc = 0.0
     for slab in slabs:
-        _require_finite(slab)
         a = np.abs(slab, out=a)
         if np.isinf(p):
-            acc = max(acc, float(a.max()))
-            continue
-        if p != 1:
-            np.power(a, p, out=a)
-        acc += float(a.sum())
+            part = float(a.max())
+        else:
+            if p != 1:
+                np.power(a, p, out=a)
+            part = float(a.sum())
+        if not np.isfinite(part):
+            _require_finite(slab)
+        acc = max(acc, part) if np.isinf(p) else acc + part
     if np.isinf(p):
         return acc
     return float((sigma.torus.weight**2 * acc) ** (1.0 / p))

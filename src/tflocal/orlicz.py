@@ -5,12 +5,17 @@ weight w per point (1 for counting, 1/M^n for torus quadrature).  The
 modular b -> G(b) is continuous and nonincreasing, and G(0+) = infinity
 because Young functions are unbounded, so the bracket starts at lo = 0: a
 doubling loop finds an upper end hi with G(hi) <= 1, moving lo up to each
-probe it rejects, and one bisection narrows [lo, hi] to a relative width of
-1e-12.  The returned value b satisfies G(b(1+eps)) <= 1 <= G(b(1-eps)) with
-eps = 1e-12.  One solver, `_lux_batched`, computes every Luxemburg norm here
-and checks its inputs (a finite Phi, a positive finite weight, finite
-values); a bracket that cannot be certified within its pass caps raises
-PrecisionError.
+probe it rejects, and a narrowing loop shrinks [lo, hi] to a relative width
+of 1e-12.  Its probes are Illinois regula-falsi steps on log G against
+log b (exact in one step for power functions, superlinear otherwise; see
+Dowell and Jarratt, BIT 11, 1971), clamped a quarter of the tolerance
+inside the bracket and replaced by the midpoint where log G is not finite.
+The ends only ever move to evaluated probes, so the returned value b
+satisfies G(b(1+eps)) <= 1 <= G(b(1-eps)) with eps = 1e-12.  A row stops
+being probed once its bracket closes, so batch-mates do not change it.  One
+solver, `_lux_batched`, computes every Luxemburg norm here and checks its
+inputs (a finite Phi, a positive finite weight, finite values); a bracket
+that cannot be certified within its pass caps raises PrecisionError.
 
 Mixed norms take an inner Luxemburg norm along the lattice axes per torus
 node and an outer one across the torus (or the other way round for the
@@ -45,10 +50,20 @@ _REL_TOL = 1e-12
 def _lux_batched(v: np.ndarray, weight: float, phi: YoungFunction) -> np.ndarray:
     """Luxemburg norm of each row of v (shape (batch, N), nonnegative).
 
-    Invariant per row: G(hi) <= 1 < G(lo), with G(0) read as +infinity.  The
-    doubling loop (at most 200 passes) sets lo to each rejected probe before
-    it doubles hi; the bisection (at most 280 passes) halves [lo, hi] until
-    hi - lo <= 0.5e-12 hi and returns hi.  An exhausted cap raises
+    Invariant per row: G(hi) <= 1 < G(lo), with G(0) read as +infinity, and
+    lo and hi only move to probes at which G was evaluated.  The doubling
+    loop (at most 200 passes) sets lo to each rejected probe before it
+    doubles hi.  The narrowing loop (at most 280 passes) then probes each
+    live row once per pass:
+    - at the regula-falsi root of log G against log b through the two ends,
+      or at hi G(hi) while lo = 0 (one step is exact for every power(p));
+    - with the stored log G of an end kept twice in a row halved (Illinois);
+    - at the arithmetic midpoint instead when an end's log G or the guess is
+      not finite (G(hi) = 0 where Phi vanishes near 0);
+    - clamped into [lo + d, hi - d], d = 0.25e-12 hi, so that a converged
+      guess closes the bracket within a probe or two.
+    A row stops being probed once hi - lo <= 0.5e-12 hi and returns hi, so
+    its result does not depend on the other rows.  An exhausted cap raises
     PrecisionError; a non-finite Phi, weight or input raises DomainError.
     """
     if not phi.finite:
@@ -59,36 +74,56 @@ def _lux_batched(v: np.ndarray, weight: float, phi: YoungFunction) -> np.ndarray
         raise DomainError("Luxemburg input must be finite")
     out = np.zeros(v.shape[0])
     peak = v.max(axis=1, initial=0.0)
-    act = peak > 0
-    if not np.any(act):
+    rows = np.flatnonzero(peak > 0)
+    if rows.size == 0:
         return out
-    va = v[act]
+    va = v[rows]
     with np.errstate(all="ignore"):
 
-        def modular(b):
-            return weight * phi._eval(va / b[:, None]).sum(axis=1)
+        def modular(x, b):
+            return weight * phi._eval(x / b[:, None]).sum(axis=1)
 
-        lo = np.zeros(va.shape[0])
-        hi = weight * va.sum(axis=1) + peak[act]
+        lo = np.zeros(rows.size)
+        ylo = np.full(rows.size, np.inf)  # log G(lo)
+        hi = weight * va.sum(axis=1) + peak[rows]
+        yhi = np.empty(rows.size)  # log G(hi)
+        grow = np.arange(rows.size)
         for _ in range(200):
-            grow = modular(hi) > 1.0
-            if not np.any(grow):
+            yhi[grow] = np.log(modular(va[grow], hi[grow]))
+            grow = grow[yhi[grow] > 0.0]
+            if grow.size == 0:
                 break
-            lo = np.where(grow, hi, lo)
-            hi = np.where(grow, hi * 2.0, hi)
+            lo[grow], ylo[grow] = hi[grow], yhi[grow]
+            hi[grow] *= 2.0
         else:
             raise PrecisionError("Luxemburg upper bracket not found in 200 doublings")
+        side = np.zeros(rows.size)  # +1: hi moved last, -1: lo moved last
         for _ in range(280):
-            if np.all(hi - lo <= 0.5 * _REL_TOL * hi):
-                break
-            mid = 0.5 * (lo + hi)
-            ok = modular(mid) <= 1.0
-            hi = np.where(ok, mid, hi)
+            done = hi - lo <= 0.5 * _REL_TOL * hi
+            if np.any(done):
+                out[rows[done]] = hi[done]
+                if np.all(done):
+                    return out
+                live = ~done
+                rows, va, lo, ylo, hi, yhi, side = (
+                    a[live] for a in (rows, va, lo, ylo, hi, yhi, side)
+                )
+            slope = np.where(lo > 0, np.log(hi / lo) / (ylo - yhi), 1.0)
+            mid = hi * np.exp(yhi * slope)
+            guess = np.isfinite(mid) & np.isfinite(yhi) & (np.isfinite(ylo) | (lo == 0))
+            mid = np.where(guess, mid, 0.5 * (lo + hi))
+            d = 0.25 * _REL_TOL * hi
+            mid = np.clip(mid, lo + d, hi - d)
+            y = np.log(modular(va, mid))
+            ok = y <= 0.0
+            step = np.where(ok, 1.0, -1.0)
+            halve = np.where(step == side, 0.5, 1.0)
+            side = step
+            ylo = np.where(ok, halve * ylo, y)
+            yhi = np.where(ok, y, halve * yhi)
             lo = np.where(ok, lo, mid)
-        else:
-            raise PrecisionError("Luxemburg bisection did not narrow in 280 passes")
-    out[act] = hi
-    return out
+            hi = np.where(ok, mid, hi)
+    raise PrecisionError("Luxemburg bracket did not narrow in 280 passes")
 
 
 def luxemburg(values, weight: float, phi: YoungFunction) -> float:

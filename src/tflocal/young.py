@@ -214,11 +214,14 @@ def conjugate_table(
 ) -> YoungFunction:
     """Tabulate the numeric conjugate on a log grid.
 
-    Linear interpolation of a convex function overestimates between nodes,
-    so the result is a pointwise majorant of the true conjugate (up to the
-    ternary-search tolerance at the nodes).  That direction keeps Young's
-    inequality x y <= Phi(x) + Psi(y) valid for the table, which is what the
-    constant-2 Hoelder checks rely on.
+    Each node value is x* y - Phi(x*) at the ternary-search point x*, a
+    *lower* bound on Psi(y) (short of it by the search error).  Linear
+    interpolation of a convex function overestimates between nodes, so the
+    table majorizes the true conjugate between nodes only up to that error,
+    and not at the nodes themselves.  Young's inequality x y <= Phi(x) +
+    Psi(y), which the constant-2 Hoelder checks rely on, therefore holds for
+    the table only up to the same error; a certified upper bound is not
+    computed here.
     """
     ys_grid = np.geomspace(y_lo, y_hi, nodes)
     vals = complementary(phi, ys_grid)

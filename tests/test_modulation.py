@@ -163,6 +163,20 @@ def test_symbol_norm_raises_like_stft_symbol(small_env):
                 symbol_modulation_norm(F_, G_, 1.0)
 
 
+def test_symbol_norm_overflow_of_finite_entries_is_inf(small_env):
+    # every transform entry is finite (about 6.5e149), but |.|^3 overflows:
+    # the norm is inf, and only a non-finite entry raises DomainError
+    lat, tor = small_env.lattice, small_env.torus
+    R = 2 * lat.K
+    vals = np.full((2 * R + 1, tor.M), 1e150, dtype=complex)
+    sigma = PhaseSpaceField(lat, tor, R, vals, degree_bound=0)
+    assert np.isfinite(stft_symbol(sigma, small_env.G0).values).all()
+    with np.errstate(over="ignore"):
+        assert symbol_modulation_norm(sigma, small_env.G0, 3.0) == math.inf
+    assert np.isfinite(symbol_modulation_norm(sigma, small_env.G0, 2.0))
+    assert np.isfinite(symbol_modulation_norm(sigma, small_env.G0, math.inf))
+
+
 def test_symbol_norm_holds_one_slab(env):
     # the whole transform at n=1, K=8, M=49 is 49 x 49 x 49 x 41 complex: 73.6 MiB
     sigma = _trig_symbol(env, trial_rng(39, "symbol-memory", 0))

@@ -24,7 +24,7 @@ from tflocal.verify import (
     _trig_symbol,
     trial_rng,
 )
-from tflocal.young import YoungFunction, conjugate_table, quasi_young
+from tflocal.young import YoungFunction, conjugate_table, quasi_young, table
 
 
 def lux_oracle(vals, weight, phi, iters=200):
@@ -88,6 +88,14 @@ def test_luxemburg_bracket_property(env, monkeypatch):
     for phi in (power(1.5), power(3), eq5(), psi, quasi):
         v = np.abs(rng.standard_normal(40)) + 0.01
         _assert_bracket(v[None], 1.0, phi, [luxemburg(v, 1.0, phi)])
+    # Phi vanishes on [0, 1], so G(hi) = 0 at the first upper end: log G is
+    # not finite there and the step falls back to the midpoint; the norm is
+    # 0.375, where 3 Phi(0.5 / b) = 1
+    flat = table([0, 1, 2, 3], [0, 0, 1, 3])
+    v = np.array([0.5, 0.5, 0.5])
+    b = luxemburg(v, 1.0, flat)
+    assert abs(b - 0.375) <= 1e-12 * 0.375
+    _assert_bracket(v[None], 1.0, flat, [b])
     # every row of every batched solve: the inner rows of both mixed norms
     # (one norm per torus node, resp. per lattice point) and the outer solve
     solves = []
@@ -109,8 +117,9 @@ def test_luxemburg_bracket_property(env, monkeypatch):
 
 
 def test_luxemburg_evaluation_budget(monkeypatch):
-    # one doubling probe, then bisection from 0 to a 1e-12 bracket takes 44-46
-    # modular evaluations on these inputs; any wasted pass shows up here
+    # one doubling probe, then the clamped Illinois step: 3-5 modular
+    # evaluations for power(p), where log G is linear in log b, and 8-12 for
+    # the others; bisection to the same 1e-12 bracket took 44-46
     calls = []
     evaluate = YoungFunction._eval
 
@@ -124,7 +133,59 @@ def test_luxemburg_evaluation_budget(monkeypatch):
     for phi in phis:
         calls.clear()
         luxemburg(v, 1.0, phi)
-        assert 0 < len(calls) <= 46, (phi.kind, len(calls))
+        assert 0 < len(calls) <= (5 if phi.kind == "power" else 12), (phi.kind, len(calls))
+
+
+def _solver_kinds():
+    return (
+        power(1),
+        power(1.5),
+        power(2),
+        power(3),
+        eq5(),
+        conjugate_table(eq5()),
+        quasi_young(eq5(), 0.75),
+    )
+
+
+def test_luxemburg_matches_oracle_batched():
+    # the bisection oracle is the slow path the interpolation step replaced
+    rng = trial_rng(16, "lux-batched-oracle", 0)
+    v = np.abs(rng.standard_normal((6, 25))) * rng.uniform(0.01, 50.0, (6, 1))
+    v[2, :20] = 0.0  # a sparse row
+    for phi in _solver_kinds():
+        for weight in (1.0, 1.0 / v.shape[1]):
+            norms = orlicz._lux_batched(v, weight, phi)
+            for row, b in zip(v, norms):
+                want = lux_oracle(row, weight, phi)
+                assert abs(b - want) <= 1e-11 * want, (phi.kind, phi.p, weight)
+
+
+def test_luxemburg_rows_are_independent(monkeypatch):
+    # a row's result is the same bits whatever rows share its batch, and a
+    # batched solve evaluates each row exactly as often as its single solve:
+    # converged rows are no longer probed
+    sizes = []
+    evaluate = YoungFunction._eval
+
+    def counting(self, t):
+        sizes.append(t.size)
+        return evaluate(self, t)
+
+    rng = trial_rng(17, "lux-rows", 0)
+    v = np.abs(rng.standard_normal((8, 30))) * rng.uniform(0.01, 50.0, (8, 1))
+    v[3] = 0.0
+    v[5, 1:] = 0.0
+    monkeypatch.setattr(YoungFunction, "_eval", counting)
+    for phi in _solver_kinds():
+        sizes.clear()
+        batched = orlicz._lux_batched(v, 0.5, phi)
+        work = sum(sizes)
+        sizes.clear()
+        for row, b in zip(v, batched):
+            assert orlicz._lux_batched(row[None], 0.5, phi)[0] == b, (phi.kind, phi.p)
+        assert work == sum(sizes), (phi.kind, phi.p)
+        assert np.array_equal(orlicz._lux_batched(v[::-1].copy(), 0.5, phi), batched[::-1])
 
 
 def test_power_case_reduction(env):
@@ -158,10 +219,20 @@ def test_luxemburg_rejects_bad_input():
     for weight in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(DomainError):
             luxemburg(np.array([1.0]), weight, power(2))
-    # the norm is 6e-300: bisection from [0, 3] needs about 1,000 passes to
-    # reach a 1e-12 bracket, far beyond its cap of 280
-    with pytest.raises(PrecisionError):
-        luxemburg(np.array([1.0, 2.0, 3.0]), 1e-300, power(1))
+
+
+def test_luxemburg_tiny_norm_and_pass_cap(monkeypatch):
+    # the norm is 6e-300, a factor 5e299 below the first upper end 3: the
+    # clamped step certifies it where bisection would need about 1,000 passes
+    v = np.array([1.0, 2.0, 3.0])
+    b = luxemburg(v, 1e-300, power(1))
+    assert abs(b - 6e-300) <= 1e-12 * 6e-300
+    _assert_bracket(v[None], 1e-300, power(1), [b])
+    # with no tolerance no bracket can close, so the cap must raise
+    monkeypatch.setattr(orlicz, "_REL_TOL", 0.0)
+    for phi in (power(2), eq5()):
+        with pytest.raises(PrecisionError, match="280 passes"):
+            luxemburg(v, 1.0, phi)
 
 
 def test_mixed_norms_reject_infinite_inner_function(small_env):
