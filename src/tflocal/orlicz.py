@@ -10,6 +10,9 @@ of 1e-12.  Its probes are Illinois regula-falsi steps on log G against
 log b (exact in one step for power functions, superlinear otherwise; see
 Dowell and Jarratt, BIT 11, 1971), clamped a quarter of the tolerance
 inside the bracket and replaced by the midpoint where log G is not finite.
+While lo = 0 there is no second end to interpolate with: the first probe is
+hi G(hi), and later ones take the lesser of hi G(hi) and hi/2, so a concave
+Phi, for which hi G(hi) lies above the root, still halves hi every pass.
 The ends only ever move to evaluated probes, so the returned value b
 satisfies G(b(1+eps)) <= 1 <= G(b(1-eps)) with eps = 1e-12.  A row stops
 being probed once its bracket closes, so batch-mates do not change it.  One
@@ -55,11 +58,19 @@ def _lux_batched(v: np.ndarray, weight: float, phi: YoungFunction) -> np.ndarray
     loop (at most 200 passes) sets lo to each rejected probe before it
     doubles hi.  The narrowing loop (at most 280 passes) then probes each
     live row once per pass:
-    - at the regula-falsi root of log G against log b through the two ends,
-      or at hi G(hi) while lo = 0 (one step is exact for every power(p));
+    - at the regula-falsi root of log G against log b through the two ends
+      once lo > 0; log G is linear in log b for power(p), so one such step
+      is exact;
     - with the stored log G of an end kept twice in a row halved (Illinois);
-    - at the arithmetic midpoint instead when an end's log G or the guess is
-      not finite (G(hi) = 0 where Phi vanishes near 0);
+    - at hi G(hi) for the first probe while lo = 0.  b G(b) does not
+      increase with b when Phi(t)/t does not decrease (convex Phi), so this
+      probe is then at or below the root and moves lo (it is the root for
+      power(1)); for a concave Phi it lies above the root and moves hi;
+    - at the lesser of hi G(hi) and hi/2 for every later probe while lo = 0,
+      so reaching lo > 0 takes no more passes than bisection from 0 does,
+      while a probe the clamp below pulled up can still drop by 4e12 a pass;
+    - at the arithmetic midpoint instead when an end's log G or the guess
+      is not finite (G(hi) = 0 where Phi vanishes near 0);
     - clamped into [lo + d, hi - d], d = 0.25e-12 hi, so that a converged
       guess closes the bracket within a probe or two.
     A row stops being probed once hi - lo <= 0.5e-12 hi and returns hi, so
@@ -110,6 +121,9 @@ def _lux_batched(v: np.ndarray, weight: float, phi: YoungFunction) -> np.ndarray
                 )
             slope = np.where(lo > 0, np.log(hi / lo) / (ylo - yhi), 1.0)
             mid = hi * np.exp(yhi * slope)
+            # while lo = 0, a concave Phi puts hi G(hi) above the root, so
+            # after the first probe take at most the midpoint
+            mid = np.where((lo > 0) | (side == 0), mid, np.minimum(mid, 0.5 * hi))
             guess = np.isfinite(mid) & np.isfinite(yhi) & (np.isfinite(ylo) | (lo == 0))
             mid = np.where(guess, mid, 0.5 * (lo + hi))
             d = 0.25 * _REL_TOL * hi
