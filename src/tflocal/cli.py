@@ -43,9 +43,11 @@ from .serialization import (
     dump_signal,
     dump_summary,
     fmt17,
+    integer,
     load_field,
     load_kernel_json,
     load_signal,
+    number,
 )
 from .stft import stft
 from .verify import (
@@ -55,8 +57,6 @@ from .verify import (
     Environment,
     default_specs,
     generate_ensemble,
-    integer,
-    number,
     report_lines,
     run_suite,
 )
@@ -181,9 +181,10 @@ def _parse_young(token: str) -> YoungFunction:
             raise UsageError(f"quasi needs quasi:<p>:<base>, got {token!r}")
         return quasi_young(_parse_young(parts[2]), _number(parts[1], "quasi order"))
     try:
-        return young_from_dict(json.loads(token))
-    except json.JSONDecodeError as exc:
+        spec = json.loads(token)
+    except ValueError as exc:  # also an integer past Python's digit limit
         raise UsageError(f"cannot parse Young-function spec {token!r}") from exc
+    return young_from_dict(spec)
 
 
 def _read(path: str) -> str:
@@ -346,7 +347,7 @@ def _cmd_verify(args) -> int:
     if args.config is not None:
         try:
             obj = json.loads(_read(args.config))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer past Python's digit limit
             raise UsageError(f"config is not valid JSON: {exc}") from exc
     cfg = config_from_dict(obj, seed=args.seed)
     env = Environment(cfg.lattice, cfg.torus, cfg.window)

@@ -24,6 +24,7 @@ from .lattice import (
     PhaseSpaceField,
     Signal,
     TorusGrid,
+    _check_finite,
     block_slices,
     phase_matrix,
 )
@@ -59,8 +60,7 @@ class OperatorKernel:
         size = self.spec.side ** self.spec.n
         if self.matrix.shape != (size, size):
             raise DomainError(f"kernel must be {size}x{size}")
-        if not np.all(np.isfinite(self.matrix.view(np.float64))):
-            raise DomainError("kernel contains non-finite entries")
+        _check_finite(self.matrix, "kernel")
 
     def matvec(self, f: Signal) -> Signal:
         out = self.matrix @ f.values.ravel()

@@ -26,6 +26,7 @@ from .lattice import (
     PhaseSpaceField,
     Signal,
     TorusGrid,
+    _check_finite,
     delta_signal,
     norm2,
     phase_matrix,
@@ -37,7 +38,7 @@ from .orlicz import (
     mixed_norm_swapped,
     orlicz_norm,
 )
-from .stft import _require_finite, _symbol_freq_radius, _symbol_slabs, stft
+from .stft import _symbol_freq_radius, _symbol_slabs, stft
 from .young import YoungFunction
 
 __all__ = [
@@ -172,7 +173,7 @@ def symbol_modulation_norm(
                 np.power(a, p, out=a)
             part = float(a.sum())
         if not np.isfinite(part):
-            _require_finite(slab)
+            _check_finite(slab, "transform")
         acc = max(acc, part) if np.isinf(p) else acc + part
     if np.isinf(p):
         return acc

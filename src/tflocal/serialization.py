@@ -1,15 +1,22 @@
 """File formats: signals, phase-space fields, kernels, spectral summaries.
 
-Writers emit every floating-point number in decimal with 17 significant
-digits, which round-trips IEEE-754 doubles exactly and keeps files
-byte-reproducible.  Readers accept ordinary JSON.  Array order is the fixed
-lexicographic (slowest axis first) layout of the lattice module.
+Signal, field and kernel files are JSON objects: the lattice integers n, K
+and C, the format's own header, then the array as a flat list of [re, im]
+pairs in the lexicographic (slowest axis first) order of the lattice module.
+Writers emit every float with 17 significant digits, which round-trips
+IEEE-754 doubles (except the sign of -0.0: JSON reads "-0" as the integer 0)
+and keeps files byte-reproducible.  Header integers must be integral, a
+malformed file raises UsageError, and a field file without C (written
+before C was stored) loads with C = 3K.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
+import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -19,6 +26,8 @@ from .locop import OperatorKernel, SpectralSummary
 
 __all__ = [
     "fmt17",
+    "integer",
+    "number",
     "dump_signal",
     "load_signal",
     "dump_field",
@@ -35,107 +44,113 @@ def fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _pairs(values: np.ndarray) -> str:
-    flat = np.ascontiguousarray(values).ravel()
-    inner = ",".join(f"[{fmt17(v.real)},{fmt17(v.imag)}]" for v in flat)
-    return f"[{inner}]"
+def integer(value, what: str) -> int:
+    """`value` as an int: an int or an integral float, never a bool."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise UsageError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
-def _parse_pairs(raw, count: int) -> np.ndarray:
-    if not isinstance(raw, list) or len(raw) != count:
-        raise UsageError(f"expected {count} complex pairs")
-    arr = np.empty(count, dtype=np.complex128)
-    for i, item in enumerate(raw):
-        if not isinstance(item, list) or len(item) != 2:
-            raise UsageError("complex values must be [re, im] pairs")
-        arr[i] = complex(float(item[0]), float(item[1]))
-    return arr
+def number(value, what: str) -> float:
+    """`value` as a finite float: an int or a float, never a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise UsageError(f"{what} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # nan, inf, or an int too large for a float
+        raise UsageError(f"{what} must be finite, got {value!r}")
+    return float(value)
+
+
+def _dump(spec: LatticeSpec, key: str, values: np.ndarray, **header) -> str:
+    """One array file: the n/K/C header, `header` in order, then `key`: pairs."""
+    flat = np.ascontiguousarray(values, dtype=np.complex128).view(np.float64).ravel()
+    pairs = ",".join(["[%.17g,%.17g]"] * (flat.size // 2)) % tuple(flat.tolist())
+    head = "".join(f'"{k}": {v}, ' for k, v in header.items())
+    return f'{{"n": {spec.n}, "K": {spec.K}, "C": {spec.C}, {head}"{key}": [{pairs}]}}\n'
+
+
+@contextmanager
+def _reading(what: str):
+    """Report any malformation met while reading a `what` file as a UsageError."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"malformed {what} file: {exc}") from exc
+
+
+def _header(text: str, C_optional: bool = False) -> tuple[dict, LatticeSpec]:
+    """The parsed file and its n/K/C lattice; with C_optional a missing C is 3K."""
+    obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise TypeError("expected a JSON object")
+    n, K = integer(obj["n"], "n"), integer(obj["K"], "K")
+    C = None if C_optional and "C" not in obj else integer(obj["C"], "C")
+    return obj, LatticeSpec(n, K, C)
+
+
+def _array(raw, shape: tuple) -> np.ndarray:
+    """A flat list of [re, im] pairs as a complex array of `shape`."""
+    count = math.prod(shape)
+    arr = np.array(raw, dtype=np.float64)
+    if arr.shape != (count, 2):
+        raise UsageError(f"expected {count} [re, im] pairs")
+    return arr.view(np.complex128).reshape(shape)
 
 
 def dump_signal(f: Signal) -> str:
-    s = f.spec
-    return (
-        "{"
-        + f'"n": {s.n}, "K": {s.K}, "C": {s.C}, "values": {_pairs(f.values)}'
-        + "}\n"
-    )
+    return _dump(f.spec, "values", f.values)
 
 
 def load_signal(text: str) -> Signal:
-    try:
-        obj = json.loads(text)
-        spec = LatticeSpec(int(obj["n"]), int(obj["K"]), int(obj["C"]))
-        vals = _parse_pairs(obj["values"], spec.side**spec.n)
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise UsageError(f"malformed signal file: {exc}") from exc
-    return Signal(spec, vals.reshape(spec.shape))
+    with _reading("signal"):
+        obj, spec = _header(text)
+        vals = _array(obj["values"], spec.shape)
+    return Signal(spec, vals)
 
 
 def dump_field(F: PhaseSpaceField) -> str:
-    s = F.spec
-    return (
-        "{"
-        + f'"n": {s.n}, "K": {s.K}, "m_radius": {F.m_radius}, "M": {F.torus.M}, '
-        + f'"degree_bound": {F.degree_bound}, "values": {_pairs(F.values)}'
-        + "}\n"
-    )
+    header = dict(m_radius=F.m_radius, M=F.torus.M, degree_bound=F.degree_bound)
+    return _dump(F.spec, "values", F.values, **header)
 
 
-def load_field(text: str, C: int | None = None) -> PhaseSpaceField:
-    """Load a field; the computation radius defaults to 3K (not stored)."""
-    try:
-        obj = json.loads(text)
-        n, K = int(obj["n"]), int(obj["K"])
-        spec = LatticeSpec(n, K, C)
-        torus = TorusGrid(n, int(obj["M"]))
-        r = int(obj["m_radius"])
-        deg = int(obj["degree_bound"])
-        count = (2 * r + 1) ** n * torus.M**n
-        vals = _parse_pairs(obj["values"], count)
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise UsageError(f"malformed field file: {exc}") from exc
-    shape = (2 * r + 1,) * n + torus.shape
-    return PhaseSpaceField(spec, torus, r, vals.reshape(shape), degree_bound=deg)
+def load_field(text: str) -> PhaseSpaceField:
+    with _reading("field"):
+        obj, spec = _header(text, C_optional=True)
+        torus = TorusGrid(spec.n, integer(obj["M"], "M"))
+        r = integer(obj["m_radius"], "m_radius")
+        deg = integer(obj["degree_bound"], "degree_bound")
+        vals = _array(obj["values"], (2 * r + 1,) * spec.n + torus.shape)
+    return PhaseSpaceField(spec, torus, r, vals, degree_bound=deg)
 
 
 def dump_kernel_json(K: OperatorKernel) -> str:
-    s = K.spec
     prov = json.dumps(K.provenance, sort_keys=True)
-    return (
-        "{"
-        + f'"n": {s.n}, "K": {s.K}, "C": {s.C}, "M": {K.torus.M}, '
-        + f'"provenance": {prov}, "matrix": {_pairs(K.matrix)}'
-        + "}\n"
-    )
+    return _dump(K.spec, "matrix", K.matrix, M=K.torus.M, provenance=prov)
 
 
 def load_kernel_json(text: str) -> OperatorKernel:
-    try:
-        obj = json.loads(text)
-        spec = LatticeSpec(int(obj["n"]), int(obj["K"]), int(obj["C"]))
-        torus = TorusGrid(spec.n, int(obj["M"]))
+    with _reading("kernel"):
+        obj, spec = _header(text)
+        torus = TorusGrid(spec.n, integer(obj["M"], "M"))
         size = spec.side**spec.n
-        vals = _parse_pairs(obj["matrix"], size * size)
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise UsageError(f"malformed kernel file: {exc}") from exc
-    return OperatorKernel(
-        spec, torus, vals.reshape(size, size), dict(obj.get("provenance", {}))
-    )
+        vals = _array(obj["matrix"], (size, size))
+        prov = obj.get("provenance", {})
+        if not isinstance(prov, dict):
+            raise TypeError(f"provenance must be an object, got {prov!r}")
+    return OperatorKernel(spec, torus, vals, prov)
 
 
 def dump_kernel_raw(K: OperatorKernel) -> tuple[bytes, str]:
     """Raw export: little-endian float64 interleaved re/im plus a JSON sidecar."""
     size = K.spec.side ** K.spec.n
-    flat = np.ascontiguousarray(K.matrix).ravel()
-    inter = np.empty(2 * flat.size, dtype="<f8")
-    inter[0::2] = flat.real
-    inter[1::2] = flat.imag
     sidecar = json.dumps({"size": size, "order": "row-major"}, sort_keys=True) + "\n"
-    return inter.tobytes(), sidecar
+    return K.matrix.astype("<c16").tobytes(), sidecar
 
 
 def dump_summary(summary: SpectralSummary) -> str:
-    sv = ",".join(fmt17(v) for v in summary.singular_values)
+    sv = summary.singular_values.tolist()
+    sv = ",".join(["%.17g"] * len(sv)) % tuple(sv)
     ps = sorted(summary.schatten)
     sch = ",".join(
         f'"{("inf" if math.isinf(p) else fmt17(p))}": {fmt17(summary.schatten[p])}'

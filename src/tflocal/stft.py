@@ -47,6 +47,7 @@ from .lattice import (
     PhaseSpaceField,
     Signal,
     TorusGrid,
+    _check_finite,
     block_slices,
     inner,
     norm2,
@@ -138,11 +139,6 @@ def invert(F: PhaseSpaceField, g: Signal, h: Signal) -> Signal:
     return Signal(rec.spec, rec.values / denom)
 
 
-def _require_finite(values: np.ndarray) -> None:
-    if not np.isfinite(values).all():
-        raise DomainError("transform contains non-finite values")
-
-
 @dataclass
 class SymbolTransform:
     """Second-level transform indexed by (m, omega, xi, k).
@@ -170,7 +166,7 @@ class SymbolTransform:
             raise DomainError(f"transform shape {self.values.shape}, expected {want}")
         # one lattice shift's slab at a time: no temporary of the transform's size
         for slab in self.values.reshape((2 * self.m_radius + 1) ** n, -1):
-            _require_finite(slab)
+            _check_finite(slab, "transform")
 
 
 def _symbol_freq_radius(F: PhaseSpaceField, G: PhaseSpaceField) -> int:

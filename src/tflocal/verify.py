@@ -27,7 +27,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -76,7 +75,7 @@ from .orlicz import (
     mixed_norm_swapped,
     orlicz_norm,
 )
-from .serialization import fmt17
+from .serialization import fmt17, integer, number
 from .stft import _stft_values, stft, invert
 from .young import YoungFunction, conjugate_table, eq5, power
 
@@ -100,24 +99,6 @@ __all__ = [
 DEFAULT_SEED = 20240801
 _TINY = 1e-300
 _NEG_CAP = -1e300
-
-
-def integer(value, what: str) -> int:
-    """`value` as an int: an int or an integral float, never a bool."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise UsageError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
-def number(value, what: str) -> float:
-    """`value` as a finite float: an int or a float, never a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise UsageError(f"{what} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise UsageError(f"{what} must be finite, got {value!r}")
-    return float(value)
 
 
 # ---------------------------------------------------------------------------

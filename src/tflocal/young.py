@@ -11,8 +11,8 @@ evaluable kinds are supported:
   embedding arguments live in.
 * ``quasi``: Phi0(t) = base(t^p) with 0 < p <= 1 (order-p quasi-Young).
 * ``table``: piecewise-linear interpolation of sampled values, linearly
-  extended past the last node.  Used mainly for tabulated conjugates, where
-  convexity of the data makes the interpolant a pointwise majorant.
+  extended past the last node.  Used mainly for tabulated conjugates, whose
+  node values are lower bounds (see ``conjugate_table``).
 
 Each function is validated once, by its builder.  ``power`` and ``eq5`` are
 valid by construction; ``quasi_young`` and ``table`` run one probe pass
@@ -32,6 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, UnboundedError
+from .serialization import number
 
 __all__ = [
     "YoungFunction",
@@ -264,13 +265,14 @@ def young_to_dict(phi: YoungFunction) -> dict:
 
 
 def young_from_dict(spec: dict) -> YoungFunction:
+    """Inverse of young_to_dict; a malformed spec raises DomainError or UsageError."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise DomainError("Young-function spec must be an object with a 'kind'")
     kind = spec["kind"]
-    if kind == "power":
-        return power(float(spec["p"]))
     if kind == "eq5":
         return eq5()
-    if kind == "quasi":
-        return quasi_young(young_from_dict(spec["base"]), float(spec["p"]))
-    raise DomainError(f"unknown Young-function kind {kind!r}")
+    needs = ("p",) if kind == "power" else ("p", "base")
+    if kind not in ("power", "quasi") or any(k not in spec for k in needs):
+        raise DomainError(f"Young-function spec {spec!r} is not power(p), eq5 or quasi(p, base)")
+    p = number(spec["p"], f"{kind} exponent p")
+    return power(p) if kind == "power" else quasi_young(young_from_dict(spec["base"]), p)

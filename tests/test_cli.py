@@ -212,15 +212,36 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
     assert "numeric failure" in err
 
 
+def test_locop_apply_with_stored_radius(tmp_path, capsys):
+    # the field file stores C, so a symbol and a signal made with --C 8 match
+    sym, sig, out = tmp_path / "s.json", tmp_path / "f.json", tmp_path / "Lf.json"
+    grid = ("--K", "2", "--C", "8")
+    run(capsys, "gen", "--kind", "trig-symbol", *grid, "--out", str(sym))
+    run(capsys, "gen", "--kind", "gaussian-signal", *grid, "--out", str(sig))
+    code, _, err = run(
+        capsys, "locop", "--symbol", str(sym), "--apply", str(sig), "--out", str(out)
+    )
+    assert code == 0, err
+    assert load_signal(out.read_text()).spec == LatticeSpec(1, 2, 8)
+
+
 def test_malformed_number_tokens(tmp_path, capsys):
     sig, sym = tmp_path / "f.json", tmp_path / "s.json"
     run(capsys, "gen", "--kind", "gaussian-signal", "--seed", "3", "--out", str(sig))
     run(capsys, "gen", "--kind", "trig-symbol", "--seed", "4", "--out", str(sym))
+    lphi = ("norm", "--space", "lphi", "--input", str(sig), "--phi")
     for argv in (
         ("spectrum", "--ps", "1,abc"),
         ("gen", "--kind", "window", "--window", "gaussian:abc"),
         ("norm", "--space", "lphi", "--input", str(sig), "--phi", "power:abc"),
         ("norm", "--space", "lphi", "--input", str(sig), "--phi", "quasi:0.5"),
+        # malformed inline Young-function specs
+        (*lphi, '{"kind":"power"}'),
+        (*lphi, '{"kind":"power","p":"abc"}'),
+        (*lphi, '{"kind":"power","p":true}'),
+        (*lphi, '{"kind":"power","p":1%s}' % ("0" * 400)),  # too large for a float
+        (*lphi, '{"kind":"power","p":1%s}' % ("0" * 5000)),  # past the int-digit limit
+        (*lphi, '{"kind":"quasi","p":0.5}'),
         # numbers that are not L^p exponents (p >= 1 or inf)
         ("norm", "--space", "Mnan", "--input", str(sig)),
         ("norm", "--space", "M-inf", "--input", str(sig)),
@@ -319,9 +340,10 @@ def test_verify_checks_flag(tmp_path, capsys):
 
 def test_verify_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{nope")
-    code, _, _ = run(capsys, "verify", "--config", str(bad))
-    assert code == 2
+    for text in ("{nope", '{"seed": 1%s}' % ("0" * 5000)):
+        bad.write_text(text)
+        code, _, err = run(capsys, "verify", "--config", str(bad))
+        assert code == 2 and "Traceback" not in err
     check = {"id": "identity_operator"}
     for cfg in [
         {"mystery": 1},
@@ -340,6 +362,7 @@ def test_verify_bad_config(tmp_path, capsys):
         {"checks": [{**check, "trials": "abc"}]},
         {"checks": [{**check, "tolerance": "x"}]},
         {"checks": [{**check, "tolerance": -1}]},
+        {"checks": [{**check, "tolerance": 10**400}]},
         {"checks": {"id": "identity_operator"}},
         {"output": 1},
     ]:
