@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, fields
 
@@ -359,8 +358,7 @@ def _cmd_verify(args) -> int:
     else:
         ids = list(configured) or None  # None: the whole registry
     specs = [configured.get(s.id, s) for s in default_specs(ids, cfg.seed)]
-    threads = (os.cpu_count() or 1) if args.threads == 0 else args.threads
-    results = run_suite(specs, env, threads=threads)
+    results = run_suite(specs, env)
     _write(args.output if args.output is not None else cfg.output, report_lines(results))
     return 0 if all(r.violations == 0 for r in results) else 1
 
@@ -424,7 +422,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
     p.add_argument("--checks", default=None, help="comma-separated check ids")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1, help="worker threads; 0 = all cores")
     p.set_defaults(fn=_cmd_verify)
     return top
 

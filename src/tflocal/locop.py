@@ -220,6 +220,9 @@ def adjoint_kernel(sigma: PhaseSpaceField, g1: Signal, g2: Signal) -> OperatorKe
 
 def spectrum(K: OperatorKernel, ps=(1.0, 2.0, math.inf)) -> SpectralSummary:
     """Dense SVD summary with trace and entrywise Hilbert-Schmidt cross-check."""
+    # imported here: orlicz imports young, whose serialization import needs this module
+    from .orlicz import _check_exponent
+
     try:
         s = np.linalg.svd(K.matrix, compute_uv=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -230,14 +233,11 @@ def spectrum(K: OperatorKernel, ps=(1.0, 2.0, math.inf)) -> SpectralSummary:
     if hs > 0 and abs(hs - hs_sv) > 1e-10 * hs:
         raise PrecisionError("Hilbert-Schmidt cross-check failed; SVD unreliable")
     sch = {}
-    for p in ps:
-        p = float(p)
+    for p in map(_check_exponent, ps):
         if np.isinf(p):
             sch[p] = float(s[0]) if s.size else 0.0
-        elif p >= 1:
-            sch[p] = float((s**p).sum() ** (1.0 / p))
         else:
-            raise DomainError("Schatten exponents must satisfy p >= 1")
+            sch[p] = float((s**p).sum() ** (1.0 / p))
     return SpectralSummary(s, tr, hs, sch)
 
 

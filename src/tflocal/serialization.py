@@ -4,10 +4,10 @@ Signal, field and kernel files are JSON objects: the lattice integers n, K
 and C, the format's own header, then the array as a flat list of [re, im]
 pairs in the lexicographic (slowest axis first) order of the lattice module.
 Writers emit every float with 17 significant digits, which round-trips
-IEEE-754 doubles (except the sign of -0.0: JSON reads "-0" as the integer 0)
-and keeps files byte-reproducible.  Header integers must be integral, a
-malformed file raises UsageError, and a field file without C (written
-before C was stored) loads with C = 3K.
+IEEE-754 doubles (a negative zero is written "-0.0", since JSON reads "-0"
+as the integer 0) and keeps files byte-reproducible.  Header integers must
+be integral, a malformed file raises UsageError, and a field file without C
+(written before C was stored) loads with C = 3K.
 """
 
 from __future__ import annotations
@@ -66,6 +66,8 @@ def _dump(spec: LatticeSpec, key: str, values: np.ndarray, **header) -> str:
     """One array file: the n/K/C header, `header` in order, then `key`: pairs."""
     flat = np.ascontiguousarray(values, dtype=np.complex128).view(np.float64).ravel()
     pairs = ",".join(["[%.17g,%.17g]"] * (flat.size // 2)) % tuple(flat.tolist())
+    if (np.signbit(flat) & (flat == 0)).any():  # "%.17g" writes -0.0 as "-0", read back as +0
+        pairs = pairs.replace("[-0,", "[-0.0,").replace(",-0]", ",-0.0]")
     head = "".join(f'"{k}": {v}, ' for k, v in header.items())
     return f'{{"n": {spec.n}, "K": {spec.K}, "C": {spec.C}, {head}"{key}": [{pairs}]}}\n'
 

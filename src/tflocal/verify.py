@@ -11,9 +11,8 @@ tolerances are scale free.  Equality checks report minus the relative
 deviation, hence their margins are never positive.
 
 Per-trial randomness comes from a counter-based Philox stream keyed by
-(master seed, check id) with the trial index as the counter, so results are
-identical across runs and across worker-thread counts; trials may execute
-in parallel but are merged in trial order.
+(master seed, check id) with the trial index as the counter, and trials run
+one after another in trial order, so results are identical across runs.
 
 Serialized reports are JSON Lines with the fixed field set
 {"id","trials","violations","worst_margin","seed","elapsed","tier"}.  The
@@ -28,7 +27,6 @@ import hashlib
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Callable, Optional
@@ -376,11 +374,13 @@ def _chk_power_reduction(env, ctx, rng, t):
         v = np.abs(_crandn(rng, ((2 * K + 1) ** n,)))
         weight = 1.0
     margins = []
-    for p in _LUX_PS:
-        phi = power(p)
+    # eq5 and its conjugate psi have no closed form, but the modular bracket
+    # still certifies b; (t // 2) % 2 gives each input kind both of them
+    for phi in [*map(power, _LUX_PS), (env.phi, env.psi)[(t // 2) % 2]]:
         b = luxemburg(v, weight, phi)
-        direct = float((weight * v**p).sum() ** (1.0 / p))
-        margins.append(_eq_margin(b, direct, scale=max(direct, _TINY)))
+        if phi.kind == "power":
+            direct = float((weight * v**phi.p).sum() ** (1.0 / phi.p))
+            margins.append(_eq_margin(b, direct, scale=max(direct, _TINY)))
         if b > 0:
             eps = 1e-12
             up = (weight * phi._eval(v / (b * (1 + eps)))).sum()
@@ -902,36 +902,33 @@ def default_specs(ids=None, seed: int = DEFAULT_SEED):
 
 
 def run_suite(specs, env: Environment, threads: int = 1):
-    """Run the requested checks; deterministic for fixed seeds and any thread count."""
-    threads = integer(threads, "threads")
-    if threads < 1:
-        raise UsageError(f"threads must be >= 1, got {threads}")
+    """Run the requested checks, one trial after another in trial order.
+
+    The trials are small numpy calls that hold the GIL, so a worker pool gave
+    the same report only more slowly.  `threads` stays because the benchmark's
+    verify workload passes `threads=1`; any other value raises UsageError.
+    """
+    if integer(threads, "threads") != 1:
+        raise UsageError(f"threads must be 1 (trials run serially), got {threads}")
     results = []
     for spec in specs:
         cd = REGISTRY[spec.id]
         t0 = time.perf_counter()
         ctx = cd.precompute(env, spec) if cd.precompute else None
-
-        def one(t, _spec=spec, _cd=cd, _ctx=ctx):
-            rng = trial_rng(_spec.seed, _spec.id, t)
-            margins, payload = _cd.trial_fn(env, _ctx, rng, t)
-            return min(margins), payload
-
-        if threads > 1 and spec.trials > 1:
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                outs = list(ex.map(one, range(spec.trials)))
-        else:
-            outs = [one(t) for t in range(spec.trials)]
-        margins = [m for m, _ in outs]
-        payloads = [p for _, p in outs if p is not None]
-        violations = sum(1 for m in margins if m < -spec.tolerance)
+        worst, payloads = [], []
+        for t in range(spec.trials):
+            margins, payload = cd.trial_fn(env, ctx, trial_rng(spec.seed, spec.id, t), t)
+            worst.append(min(margins))
+            if payload is not None:
+                payloads.append(payload)
+        violations = sum(1 for m in worst if m < -spec.tolerance)
         tier = cd.finalize(env, ctx, payloads) if cd.finalize else cd.tier
         results.append(
             CheckResult(
                 id=spec.id,
                 trials=spec.trials,
                 violations=violations,
-                worst_margin=float(min(margins)),
+                worst_margin=float(min(worst)),
                 seed=spec.seed,
                 elapsed=time.perf_counter() - t0,
                 tier=tier,

@@ -25,12 +25,12 @@ def aenv():
     return Environment(LatticeSpec(1, 8), TorusGrid(1, 49))
 
 
-def run_checks(aenv, *items, threads=1):
+def run_checks(aenv, *items):
     """items: (id, trials or None, tolerance or None)."""
     specs = [
         CheckSpec(id=i, trials=t, tolerance=tol, seed=SEED) for i, t, tol in items
     ]
-    return run_suite(specs, aenv, threads=threads)
+    return run_suite(specs, aenv)
 
 
 def assert_clean(results):
@@ -165,9 +165,7 @@ def test_criterion_14_determinism(aenv):
         ("s1_positive_trace", 5, None),
         ("window_robustness", 10, None),
     ]
-    a = report_lines(run_checks(aenv, *items, threads=1))
-    b = report_lines(run_checks(aenv, *items, threads=1))
-    c = report_lines(run_checks(aenv, *items, threads=4))
+    a = report_lines(run_checks(aenv, *items))
+    b = report_lines(run_checks(aenv, *items))
     assert a == b, "same config must give byte-identical reports"
-    assert a == c, "reports must not depend on the thread count"
-    announce(14, "byte-identical reports across runs and thread counts")
+    announce(14, "byte-identical reports across runs")

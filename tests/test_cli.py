@@ -249,6 +249,7 @@ def test_malformed_number_tokens(tmp_path, capsys):
         ("norm", "--space", "symbol-Mnan", "--input", str(sym)),
         ("norm", "--space", "symbol-M-inf", "--input", str(sym)),
         ("norm", "--space", "symbol-M0.5", "--input", str(sym)),
+        ("spectrum", "--symbol", str(sym), "--ps", "1,-inf"),
     ):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
@@ -280,19 +281,6 @@ def test_out_of_memory_exit_code(monkeypatch, capsys):
     assert err.startswith("error: out of memory: ") and "Traceback" not in err
 
 
-def test_verify_threads_default(monkeypatch, tmp_path, capsys):
-    # the trials hold the GIL, so serial is the default; 0 asks for all cores
-    assert cli._build_parser().parse_args(["verify"]).threads == 1
-    seen = []
-    monkeypatch.setattr(cli, "run_suite", lambda specs, env, threads: seen.append(threads) or [])
-    monkeypatch.setattr(os, "cpu_count", lambda: 7)
-    rpt = str(tmp_path / "r.jsonl")
-    for extra in ((), ("--threads", "0"), ("--threads", "3")):
-        code, _, _ = run(capsys, "verify", "--checks", "plancherel", "--output", rpt, *extra)
-        assert code == 0
-    assert seen == [1, 7, 3]
-
-
 def test_verify_subset_and_determinism(tmp_path, capsys):
     cfg = {
         "seed": 31,
@@ -305,14 +293,9 @@ def test_verify_subset_and_determinism(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     r1, r2 = tmp_path / "r1.jsonl", tmp_path / "r2.jsonl"
-    code, _, _ = run(
-        capsys, "verify", "--config", str(cfg_path), "--output", str(r1), "--threads", "1"
-    )
-    assert code == 0
-    code, _, _ = run(
-        capsys, "verify", "--config", str(cfg_path), "--output", str(r2), "--threads", "3"
-    )
-    assert code == 0
+    for rpt in (r1, r2):
+        code, _, _ = run(capsys, "verify", "--config", str(cfg_path), "--output", str(rpt))
+        assert code == 0
     assert r1.read_bytes() == r2.read_bytes()
     results = parse_report(r1.read_text())
     assert {r.id for r in results} == {"plancherel", "identity_operator"}
@@ -330,8 +313,6 @@ def test_verify_checks_flag(tmp_path, capsys):
         "12",
         "--output",
         str(rpt),
-        "--threads",
-        "1",
     )
     assert code == 0
     (rec,) = parse_report(rpt.read_text())
@@ -367,13 +348,14 @@ def test_verify_bad_config(tmp_path, capsys):
         {"output": 1},
     ]:
         bad.write_text(json.dumps(cfg))
-        code, out, err = run(capsys, "verify", "--config", str(bad), "--threads", "1")
+        code, out, err = run(capsys, "verify", "--config", str(bad))
         assert code == 2, cfg
         assert err.startswith("error: ") and "Traceback" not in err, cfg
-    code, _, err = run(capsys, "verify", "--checks", "identity_operator", "--threads", "-4")
-    assert code == 2 and err.startswith("error: ")
+    # trials run serially; the option that picked a worker count is gone
+    code, _, err = run(capsys, "verify", "--threads", "2")
+    assert code == 2 and "--threads" in err and "Traceback" not in err
     for checks in (",", "", " , "):
-        code, _, err = run(capsys, "verify", "--checks", checks, "--threads", "1")
+        code, _, err = run(capsys, "verify", "--checks", checks)
         assert code == 2 and err.startswith("error: "), checks
 
 

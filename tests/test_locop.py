@@ -187,8 +187,9 @@ def test_spectrum_invariants(env):
     assert s.schatten[math.inf] == pytest.approx(sv[0], rel=1e-14)
     vals = [s.schatten[p] for p in (1.0, 1.5, 2.0, 3.0, math.inf)]
     assert all(a >= b * (1 - 1e-12) for a, b in zip(vals, vals[1:]))
-    with pytest.raises(DomainError):
-        spectrum(K, ps=(0.5,))
+    for bad in (0.5, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            spectrum(K, ps=(1.0, bad))
 
 
 def test_trace_identity(env):

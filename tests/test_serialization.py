@@ -148,16 +148,22 @@ def test_kernel_rejects_non_object_provenance():
 # pins the number format, so a codec rewrite is checked against fixed bytes
 GOLDEN_SIGNAL = (
     '{"n": 1, "K": 0, "C": 1, "values": [[0.10000000000000001,0.33333333333333331],'
-    "[-0,4.9406564584124654e-324],[1.0000000000000001e+300,2.2204460492503131e-16]]}\n"
+    "[-0.0,4.9406564584124654e-324],[1.0000000000000001e+300,2.2204460492503131e-16]]}\n"
 )
 
 
 def test_golden_bytes():
-    vals = np.array([0.1, 1 / 3, -0.0, 5e-324, 1e300, 2**-52]).view(np.complex128)
+    flat = np.array([0.1, 1 / 3, -0.0, 5e-324, 1e300, 2**-52])
+    vals = flat.view(np.complex128)
     spec = LatticeSpec(1, 0, 1)
     assert dump_signal(Signal(spec, vals)) == GOLDEN_SIGNAL
-    # JSON reads "-0" as the integer 0, so the sign of -0.0 is not compared
-    assert np.array_equal(load_signal(GOLDEN_SIGNAL).values, vals)
+    back = load_signal(GOLDEN_SIGNAL).values
+    assert np.array_equal(back, vals)
+    assert np.array_equal(np.signbit(back.view(np.float64)), np.signbit(flat))
+    # the same with -0.0 as an imaginary part
+    rev = flat[::-1].copy()
+    back = load_signal(dump_signal(Signal(spec, rev.view(np.complex128)))).values
+    assert np.array_equal(np.signbit(back.view(np.float64)), np.signbit(rev))
 
     K = OperatorKernel(spec, TorusGrid(1, 1), np.array([vals, vals[::-1], -vals]))
     payload, _ = dump_kernel_raw(K)
