@@ -23,6 +23,9 @@ from .errors import (
     RangeError,
     UnboundedError,
     UsageError,
+    fmt17,
+    integer,
+    number,
 )
 from .lattice import LatticeSpec, Signal, TorusGrid
 from .locop import apply_operator, kernel, spectrum
@@ -41,12 +44,9 @@ from .serialization import (
     dump_kernel_raw,
     dump_signal,
     dump_summary,
-    fmt17,
-    integer,
     load_field,
     load_kernel_json,
     load_signal,
-    number,
 )
 from .stft import stft
 from .verify import (

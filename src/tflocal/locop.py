@@ -28,6 +28,7 @@ from .lattice import (
     block_slices,
     phase_matrix,
 )
+from .orlicz import _check_exponent
 from .stft import _stft_values, stft, stft_adjoint
 
 __all__ = [
@@ -220,9 +221,6 @@ def adjoint_kernel(sigma: PhaseSpaceField, g1: Signal, g2: Signal) -> OperatorKe
 
 def spectrum(K: OperatorKernel, ps=(1.0, 2.0, math.inf)) -> SpectralSummary:
     """Dense SVD summary with trace and entrywise Hilbert-Schmidt cross-check."""
-    # imported here: orlicz imports young, whose serialization import needs this module
-    from .orlicz import _check_exponent
-
     try:
         s = np.linalg.svd(K.matrix, compute_uv=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure

@@ -23,7 +23,9 @@ that cannot be certified within its pass caps raises PrecisionError.
 Mixed norms take an inner Luxemburg norm along the lattice axes per torus
 node and an outer one across the torus (or the other way round for the
 swapped variant, where the inner torus norm uses the second Young function
-and the outer lattice norm the first).  Phase-space convolution works in
+and the outer lattice norm the first).  One routine, `_mixed_norms`, takes a
+stack of fields and solves each of its two stages once per Young function;
+a single field is its one-field case.  Phase-space convolution works in
 torus-coefficient space, which is exact for the trigonometric polynomials
 these fields represent.
 """
@@ -157,20 +159,52 @@ def orlicz_norm(F: PhaseSpaceField, phi: YoungFunction) -> float:
     return luxemburg(F.values, F.torus.weight, phi)
 
 
+def _lux_stack(blocks, weight: float, phis) -> np.ndarray:
+    """Luxemburg norms along the last axis of B equally shaped blocks, block b under phis[b].
+
+    The result has shape (B,) + the block shape without its last axis.
+    Blocks that share a Young function go into one `_lux_batched` solve.  The
+    solver's rows are independent, so each norm has the bits of its row
+    solved alone.
+    """
+    shape = blocks[0].shape
+    if len(blocks) == 1:  # nothing to group or copy
+        norms = _lux_batched(blocks[0].reshape(-1, shape[-1]), weight, phis[0])
+        return norms.reshape((1,) + shape[:-1])
+    groups = {}
+    for b, phi in enumerate(phis):
+        groups.setdefault(phi, []).append(b)
+    out = np.empty((len(blocks),) + shape[:-1])
+    for phi, idx in groups.items():
+        rows = np.stack([blocks[b] for b in idx]).reshape(-1, shape[-1])
+        out[idx] = _lux_batched(rows, weight, phi).reshape((len(idx),) + shape[:-1])
+    return out
+
+
+def _mixed_norms(fields, weight: float, phi1s, phi2s, swapped: bool = False) -> np.ndarray:
+    """Mixed norms of B arrays |F| of one shape (L, T), field b under phi1s[b] and phi2s[b].
+
+    L counts lattice points (weight 1) and T torus nodes (`weight` each).  The
+    inner solve runs over the B*T lattice rows together (B*L torus rows when
+    swapped), the outer one over the B fields.
+    """
+    if swapped:
+        return _lux_stack(_lux_stack(fields, weight, phi2s), 1.0, phi1s)
+    inner = _lux_stack([a.T for a in fields], 1.0, phi1s)
+    return _lux_stack(inner, weight, phi2s)
+
+
 def mixed_norm(F: PhaseSpaceField, phi1: YoungFunction, phi2: YoungFunction) -> float:
     """Inner Luxemburg over the lattice per node (phi1), outer over the torus (phi2)."""
-    v = _field_abs(F)
-    inner = _lux_batched(v.T.copy(), 1.0, phi1)  # one norm per torus node
-    return luxemburg(inner, F.torus.weight, phi2)
+    return float(_mixed_norms([_field_abs(F)], F.torus.weight, [phi1], [phi2])[0])
 
 
 def mixed_norm_swapped(
     F: PhaseSpaceField, phi1: YoungFunction, phi2: YoungFunction
 ) -> float:
     """Inner Luxemburg over the torus per lattice point (phi2), outer over the lattice (phi1)."""
-    v = _field_abs(F)  # rows = lattice points, reduced over torus samples
-    inner = _lux_batched(v, F.torus.weight, phi2)
-    return luxemburg(inner, 1.0, phi1)
+    v = [_field_abs(F)]
+    return float(_mixed_norms(v, F.torus.weight, [phi1], [phi2], swapped=True)[0])
 
 
 def _check_exponent(p: float) -> float:

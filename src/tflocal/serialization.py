@@ -14,20 +14,15 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
-import sys
 from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import UsageError, fmt17, integer
 from .lattice import LatticeSpec, PhaseSpaceField, Signal, TorusGrid
 from .locop import OperatorKernel, SpectralSummary
 
 __all__ = [
-    "fmt17",
-    "integer",
-    "number",
     "dump_signal",
     "load_signal",
     "dump_field",
@@ -37,29 +32,6 @@ __all__ = [
     "dump_kernel_raw",
     "dump_summary",
 ]
-
-
-def fmt17(x: float) -> str:
-    """Decimal with 17 significant digits (exact double round trip)."""
-    return format(float(x), ".17g")
-
-
-def integer(value, what: str) -> int:
-    """`value` as an int: an int or an integral float, never a bool."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise UsageError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
-def number(value, what: str) -> float:
-    """`value` as a finite float: an int or a float, never a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise UsageError(f"{what} must be a number, got {value!r}")
-    if not abs(value) <= sys.float_info.max:  # nan, inf, or an int too large for a float
-        raise UsageError(f"{what} must be finite, got {value!r}")
-    return float(value)
 
 
 def _dump(spec: LatticeSpec, key: str, values: np.ndarray, **header) -> str:

@@ -31,8 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, UnboundedError
-from .serialization import number
+from .errors import DomainError, UnboundedError, number
 
 __all__ = [
     "YoungFunction",

@@ -252,6 +252,34 @@ def test_mixed_norms_reject_infinite_inner_function(small_env):
         orlicz_norm(F, steep)
 
 
+def test_stacked_mixed_norms_match_single_fields(env):
+    # a field's mixed norm has the same bits alone or in a stack, in either
+    # stack order, next to fields under other Young functions; the one-field
+    # case has the bits of the two plain solves it replaced
+    rng = trial_rng(8, "mixed-stack", 0)
+    fields = [_trig_symbol(env, rng) for _ in range(3)]
+    v = [np.abs(F.values).reshape(F.values.shape[0], -1) for F in fields]
+    w = env.torus.weight
+
+    def plain(a, phi1, phi2, swapped):
+        if swapped:
+            return luxemburg(orlicz._lux_batched(a, w, phi2), 1.0, phi1)
+        return luxemburg(orlicz._lux_batched(a.T.copy(), 1.0, phi1), w, phi2)
+
+    kinds = _solver_kinds()
+    for i, phi in enumerate(kinds):
+        other = kinds[(i + 1) % len(kinds)]
+        for order in (slice(None), slice(None, None, -1)):
+            stack, Fs = v[order], fields[order]
+            phi1s, phi2s = [phi, other, phi][order], [other, phi, phi][order]
+            for swapped, single in ((False, mixed_norm), (True, mixed_norm_swapped)):
+                got = orlicz._mixed_norms(stack, w, phi1s, phi2s, swapped=swapped)
+                want = [single(F, a, b) for F, a, b in zip(Fs, phi1s, phi2s)]
+                assert got.tolist() == want, (phi.kind, phi.p, swapped)
+                ref = [plain(a, b, c, swapped) for a, b, c in zip(stack, phi1s, phi2s)]
+                assert want == ref, (phi.kind, phi.p, swapped)
+
+
 def test_mixed_norm_power_oracle(env):
     rng = trial_rng(8, "mixed-oracle", 0)
     F = _trig_symbol(env, rng)

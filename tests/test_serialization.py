@@ -1,17 +1,22 @@
 import json
+import os
+import pkgutil
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import tflocal
 from tflocal import LatticeSpec, OperatorKernel, Signal, TorusGrid, UsageError, kernel
+from tflocal.errors import fmt17
 from tflocal.serialization import (
     dump_field,
     dump_kernel_json,
     dump_kernel_raw,
     dump_signal,
     dump_summary,
-    fmt17,
     load_field,
     load_kernel_json,
     load_signal,
@@ -23,6 +28,20 @@ from tflocal.verify import _random_signal, _trig_symbol, trial_rng
 def test_fmt17_round_trips():
     for x in (0.1, 1 / 3, 1e-300, 5.0, -0.0, 123456789.123456789, 2**-52):
         assert float(fmt17(x)) == float(x)
+
+
+def test_every_module_imports_first():
+    # the shared validators sit in errors.py, below every other module, so no
+    # import order can meet a partially initialized module
+    names = [m.name for m in pkgutil.iter_modules(tflocal.__path__)]
+    assert {"errors", "locop", "orlicz", "serialization", "young", "verify"} <= set(names)
+    root = os.path.dirname(os.path.dirname(tflocal.__file__))
+    env = dict(os.environ, PYTHONPATH=root)
+    for name in ["tflocal", *(f"tflocal.{m}" for m in names)]:
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import {name}"], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, (name, proc.stderr)
 
 
 def test_signal_round_trip(env):

@@ -11,7 +11,7 @@ from tflocal import (
     report_lines,
     run_suite,
 )
-from tflocal import verify
+from tflocal import orlicz, verify
 from tflocal.cli import dispatch
 from tflocal.verify import (
     REGISTRY,
@@ -117,6 +117,56 @@ def test_power_reduction_catches_off_power_luxemburg_error(env, monkeypatch):
     monkeypatch.setattr(verify, "luxemburg", skewed)
     (res,) = run_suite([spec], env)
     assert res.violations > 0
+
+
+# the six checks that solve a chunk's Luxemburg norms together, and the
+# report that solving every trial's norms on their own gives at 40 trials
+# each (a full chunk and a partial one)
+_STACKED = (
+    "holder_lattice_power",
+    "holder_lattice_conjugate",
+    "holder_mixed_power",
+    "holder_mixed_conjugate",
+    "convolution_mixed_power",
+    "convolution_mixed_orlicz",
+)
+GOLDEN_STACKED = """\
+{"id": "holder_lattice_power", "trials": 40, "violations": 0, "worst_margin": 0.12378482217805055, "seed": 20240801, "elapsed": 0, "tier": "holder-constant-1"}
+{"id": "holder_lattice_conjugate", "trials": 40, "violations": 0, "worst_margin": 0.19128746694602891, "seed": 20240801, "elapsed": 0, "tier": "holder-constant-2"}
+{"id": "holder_mixed_power", "trials": 40, "violations": 0, "worst_margin": 0.19455233489385157, "seed": 20240801, "elapsed": 0, "tier": "holder-constant-1"}
+{"id": "holder_mixed_conjugate", "trials": 40, "violations": 0, "worst_margin": 0.27560239657005081, "seed": 20240801, "elapsed": 0, "tier": "holder-constant-2"}
+{"id": "convolution_mixed_power", "trials": 40, "violations": 0, "worst_margin": 0.93866297404944521, "seed": 20240801, "elapsed": 0, "tier": null}
+{"id": "convolution_mixed_orlicz", "trials": 40, "violations": 0, "worst_margin": 0.93300479858194973, "seed": 20240801, "elapsed": 0, "tier": null}
+"""
+
+
+@pytest.mark.parametrize("chunk, held", [(1, None), (7, None), (None, None), (None, 10_000)])
+def test_stacked_checks_report_is_chunk_free(env, monkeypatch, chunk, held):
+    # held = 10,000 values splits every chunk into parts of two or three trials
+    if chunk is not None:
+        monkeypatch.setattr(verify, "_CHUNK", chunk)
+    if held is not None:
+        monkeypatch.setattr(verify, "_HELD_VALUES", held)
+    results = run_suite([CheckSpec(cid, trials=40) for cid in _STACKED], env)
+    assert report_lines(results) == GOLDEN_STACKED
+
+
+def test_stacked_checks_solve_once_per_young_function(env, monkeypatch):
+    # a chunk's rows share one solve per Young function: per trial these
+    # checks would make 100 and 50 solves
+    calls = []
+    solve = orlicz._lux_batched
+
+    def counted(v, weight, phi):
+        calls.append(phi)
+        return solve(v, weight, phi)
+
+    monkeypatch.setattr(orlicz, "_lux_batched", counted)
+    for cid, most in (("holder_mixed_conjugate", 4), ("holder_lattice_conjugate", 2)):
+        calls.clear()
+        (res,) = run_suite([CheckSpec(cid, trials=25)], env)
+        assert res.violations == 0
+        assert 0 < len(calls) <= most, (cid, len(calls))
 
 
 def test_trial_rng_splitting():
