@@ -53,7 +53,7 @@ from .orlicz import (
     mixed_norm_swapped,
     orlicz_norm,
 )
-from . import serialization  # the file formats load with the package
+from . import serialization  # perfbench's tracer finds every layer module in sys.modules
 from .stft import SymbolTransform, invert, stft, stft_adjoint, stft_symbol
 from .verify import (
     CheckResult,

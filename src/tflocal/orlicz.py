@@ -168,9 +168,6 @@ def _lux_stack(blocks, weight: float, phis) -> np.ndarray:
     solved alone.
     """
     shape = blocks[0].shape
-    if len(blocks) == 1:  # nothing to group or copy
-        norms = _lux_batched(blocks[0].reshape(-1, shape[-1]), weight, phis[0])
-        return norms.reshape((1,) + shape[:-1])
     groups = {}
     for b, phi in enumerate(phis):
         groups.setdefault(phi, []).append(b)

@@ -11,11 +11,12 @@ tolerances are scale free.  Equality checks report minus the relative
 deviation, hence their margins are never positive.
 
 Per-trial randomness comes from a counter-based Philox stream keyed by
-(master seed, check id) with the trial index as the counter.  Trials are
-evaluated in consecutive chunks, in trial order; a check may solve a whole
-chunk's Luxemburg norms together, but each trial still draws from its own
-stream, and the solver's rows are independent, so every margin and report
-byte is the same whatever the chunk size, and identical across runs.
+(master seed, check id) with the trial index as the counter.  A check gets
+all its trials at once, in trial order; the Hoelder and mixed convolution
+checks solve the Luxemburg norms of many trials together, but each trial
+still draws from its own stream, and the solver's rows are independent, so
+every margin and report byte is the same as trial by trial, and identical
+across runs.
 
 Serialized reports are JSON Lines with the fixed field set
 {"id","trials","violations","worst_margin","seed","elapsed","tier"}.  The
@@ -27,6 +28,7 @@ CheckResult objects (timing is informational only).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import time
@@ -266,20 +268,20 @@ def _le_margin(lhs: float, rhs: float, scale: Optional[float] = None) -> float:
 # ---------------------------------------------------------------------------
 # check implementations
 #
-# A trial function takes a chunk of (t, rng) pairs and returns one
-# (submargins, optional payload) per trial, in trial order.  Most checks are
-# written for one trial and wrapped by `_trialwise`; the Hoelder and mixed
-# convolution checks draw every trial of the chunk first and then solve all
-# their Luxemburg norms together.
+# A trial function takes an iterable of the check's (t, rng) pairs and
+# returns one (submargins, optional payload) per trial, in trial order.  Most
+# checks are written for one trial and wrapped by `_trialwise`; the Hoelder
+# and mixed convolution checks draw the trials of one `_in_parts` part first
+# and then solve all their Luxemburg norms together.
 
 
 def _trialwise(fn):
-    """The chunk form of a one-trial check fn(env, ctx, rng, t)."""
+    """The many-trial form of a one-trial check fn(env, ctx, rng, t)."""
 
-    def chunk_fn(env, ctx, chunk):
-        return [fn(env, ctx, rng, t) for t, rng in chunk]
+    def trials_fn(env, ctx, trials):
+        return [fn(env, ctx, rng, t) for t, rng in trials]
 
-    return chunk_fn
+    return trials_fn
 
 
 @_trialwise
@@ -429,11 +431,42 @@ def _le_trials(lhs, rhs):
     return [([_le_margin(float(a), float(b))], None) for a, b in zip(lhs, rhs)]
 
 
-def _holder_lattice(env, chunk, young, c=1.0):
+_HELD_VALUES = 1 << 16  # values a stacked check holds at once: 512 kB
+
+
+def _field_values(env, R: int) -> int:
+    """Values of a field of lattice radius R on the environment's torus."""
+    return (2 * R + 1) ** env.lattice.n * env.torus.M**env.torus.n
+
+
+def _in_parts(values_per_trial):
+    """Run a stacked check(env, trials, ...) on consecutive parts of its trials.
+
+    Each part holds at most _HELD_VALUES values (and at least one trial), so
+    a check's memory does not grow with its trial count or field size: at
+    n = 1, K = 8 a mixed-norm part is 13 to 20 trials, at n = 2, K = 2 one or
+    two, and a lattice part over a thousand.
+    """
+
+    def wrap(fn):
+        def parts(env, trials, *args, **kwargs):
+            per = max(1, _HELD_VALUES // values_per_trial(env))
+            trials, out = iter(trials), []
+            while part := list(itertools.islice(trials, per)):
+                out += fn(env, part, *args, **kwargs)
+            return out
+
+        return parts
+
+    return wrap
+
+
+@_in_parts(lambda env: 2 * (2 * env.lattice.K + 1) ** env.lattice.n)  # f and g
+def _holder_lattice(env, trials, young, c=1.0):
     """sum f g <= c |f|_phi |g|_psi on the lattice, young(t) = (phi, psi)."""
     size = (2 * env.lattice.K + 1) ** env.lattice.n
     lhs, rows, phis = [], [], []
-    for t, rng in chunk:
+    for t, rng in trials:
         f = np.abs(_crandn(rng, (size,)))
         g = np.abs(_crandn(rng, (size,)))
         lhs.append(float((f * g).sum()))
@@ -443,48 +476,19 @@ def _holder_lattice(env, chunk, young, c=1.0):
     return _le_trials(lhs, c * norm[0::2] * norm[1::2])
 
 
-def _chk_holder_lattice_power(env, ctx, chunk):
-    return _holder_lattice(env, chunk, lambda t: _conjugate_powers(_HOLDER_PS[t % len(_HOLDER_PS)]))
+def _chk_holder_lattice_power(env, ctx, trials):
+    return _holder_lattice(env, trials, lambda t: _conjugate_powers(_HOLDER_PS[t % len(_HOLDER_PS)]))
 
 
-def _chk_holder_lattice_conj(env, ctx, chunk):
-    return _holder_lattice(env, chunk, lambda t: (env.phi, env.psi), c=2.0)
-
-
-_HELD_VALUES = 1 << 17  # |F| values a stacked check holds at once: 1 MB
-
-
-def _field_values(env, R: int) -> int:
-    """Values of a field of lattice radius R on the environment's torus."""
-    return (2 * R + 1) ** env.lattice.n * env.torus.M**env.torus.n
-
-
-def _in_parts(values_per_trial):
-    """Run a stacked check(env, chunk, ...) on consecutive parts of its chunk.
-
-    Each part holds at most _HELD_VALUES field values (and at least one
-    trial), so a chunk's memory does not grow with the field size: at n = 1,
-    K = 8 a part is 27 to 40 trials, at n = 2, K = 2 two to four.
-    """
-
-    def wrap(fn):
-        def parts(env, chunk, *args, **kwargs):
-            per = max(1, _HELD_VALUES // values_per_trial(env))
-            out = []
-            for k in range(0, len(chunk), per):
-                out += fn(env, chunk[k : k + per], *args, **kwargs)
-            return out
-
-        return parts
-
-    return wrap
+def _chk_holder_lattice_conj(env, ctx, trials):
+    return _holder_lattice(env, trials, lambda t: (env.phi, env.psi), c=2.0)
 
 
 @_in_parts(lambda env: 2 * _field_values(env, 2 * env.lattice.K))
-def _holder_mixed(env, chunk, young, c=1.0):
+def _holder_mixed(env, trials, young, c=1.0):
     """<|F|, |G|> <= c |F|_(phi1, phi2) |G|_(psi1, psi2), young(t) = (phi1, phi2, psi1, psi2)."""
     lhs, fields, phi1s, phi2s = [], [], [], []
-    for t, rng in chunk:
+    for t, rng in trials:
         F = _trig_symbol(env, rng)
         G = _trig_symbol(env, rng)
         lhs.append(holder_pairing(F, G))
@@ -502,12 +506,12 @@ def _mixed_holder_powers(t):
     return phi1, phi2, psi1, psi2
 
 
-def _chk_holder_mixed_power(env, ctx, chunk):
-    return _holder_mixed(env, chunk, _mixed_holder_powers)
+def _chk_holder_mixed_power(env, ctx, trials):
+    return _holder_mixed(env, trials, _mixed_holder_powers)
 
 
-def _chk_holder_mixed_conj(env, ctx, chunk):
-    return _holder_mixed(env, chunk, lambda t: (env.phi, power(2), env.psi, power(2)), c=2.0)
+def _chk_holder_mixed_conj(env, ctx, trials):
+    return _holder_mixed(env, trials, lambda t: (env.phi, power(2), env.psi, power(2)), c=2.0)
 
 
 def _conv_pair(env, rng, t):
@@ -517,10 +521,10 @@ def _conv_pair(env, rng, t):
 
 
 @_in_parts(lambda env: sum(_field_values(env, r * env.lattice.K) for r in (2, 4)))  # G and F * G
-def _convolution_mixed(env, chunk, young):
+def _convolution_mixed(env, trials, young):
     """|F * G|_(phi1, phi2) <= |F|_1 |G|_(phi1, phi2), young(t) = (phi1, phi2)."""
     l1, Hs, Gs, phi1s, phi2s = [], [], [], [], []
-    for t, rng in chunk:
+    for t, rng in trials:
         F, G = _conv_pair(env, rng, t)
         l1.append(field_lp_norm(F, 1.0))
         Hs.append(_field_abs(convolve_phase_space(F, G)))
@@ -540,12 +544,12 @@ def _mixed_convolution_powers(t):
     return power(p1), power(p2)
 
 
-def _chk_convolution_mixed_power(env, ctx, chunk):
-    return _convolution_mixed(env, chunk, _mixed_convolution_powers)
+def _chk_convolution_mixed_power(env, ctx, trials):
+    return _convolution_mixed(env, trials, _mixed_convolution_powers)
 
 
-def _chk_convolution_mixed_orlicz(env, ctx, chunk):
-    return _convolution_mixed(env, chunk, lambda t: (env.phi, power(2)))
+def _chk_convolution_mixed_orlicz(env, ctx, trials):
+    return _convolution_mixed(env, trials, lambda t: (env.phi, power(2)))
 
 
 @_trialwise
@@ -908,7 +912,7 @@ class CheckDef:
     invariant: str  # the module invariant (stft / orlicz / modulation / locop) it checks
     trials: int
     tolerance: float
-    trial_fn: Callable  # (env, ctx, [(t, rng), ...]) -> [(margins, payload), ...]
+    trial_fn: Callable  # (env, ctx, iterable of (t, rng)) -> [(margins, payload), ...]
     tier: Optional[str] = None
     precompute: Optional[Callable] = None
     finalize: Optional[Callable] = None
@@ -1009,15 +1013,11 @@ def default_specs(ids=None, seed: int = DEFAULT_SEED):
 # runner
 
 
-_CHUNK = 32  # trials per trial_fn call: the most that a stacked check solves together
-
-
 def run_suite(specs, env: Environment, threads: int = 1):
-    """Run the requested checks, each in consecutive chunks of its trials.
+    """Run the requested checks, each handed a lazy stream of all its trials.
 
-    Every trial of a chunk gets its own `trial_rng` stream, and the chunk's
-    results come back in trial order, so the report does not depend on the
-    chunk size.  Trials run in one thread: they are small numpy calls that
+    Every trial gets its own `trial_rng` stream, made when the check asks for
+    it, and its results come back in trial order.  Trials run in one thread: they are small numpy calls that
     hold the GIL, so a worker pool gave the same report only more slowly.
     `threads` stays because the benchmark's verify workload passes
     `threads=1`; any other value raises UsageError.
@@ -1030,13 +1030,11 @@ def run_suite(specs, env: Environment, threads: int = 1):
         t0 = time.perf_counter()
         ctx = cd.precompute(env, spec) if cd.precompute else None
         worst, payloads = [], []
-        for start in range(0, spec.trials, _CHUNK):
-            ts = range(start, min(start + _CHUNK, spec.trials))
-            chunk = [(t, trial_rng(spec.seed, spec.id, t)) for t in ts]
-            for margins, payload in cd.trial_fn(env, ctx, chunk):
-                worst.append(min(margins))
-                if payload is not None:
-                    payloads.append(payload)
+        trials = ((t, trial_rng(spec.seed, spec.id, t)) for t in range(spec.trials))
+        for margins, payload in cd.trial_fn(env, ctx, trials):
+            worst.append(min(margins))
+            if payload is not None:
+                payloads.append(payload)
         violations = sum(1 for m in worst if m < -spec.tolerance)
         tier = cd.finalize(env, ctx, payloads) if cd.finalize else cd.tier
         results.append(

@@ -119,9 +119,8 @@ def test_power_reduction_catches_off_power_luxemburg_error(env, monkeypatch):
     assert res.violations > 0
 
 
-# the six checks that solve a chunk's Luxemburg norms together, and the
-# report that solving every trial's norms on their own gives at 40 trials
-# each (a full chunk and a partial one)
+# the six checks that solve many trials' Luxemburg norms together, and the
+# report that solving every trial's norms on their own gives at 40 trials each
 _STACKED = (
     "holder_lattice_power",
     "holder_lattice_conjugate",
@@ -140,11 +139,11 @@ GOLDEN_STACKED = """\
 """
 
 
-@pytest.mark.parametrize("chunk, held", [(1, None), (7, None), (None, None), (None, 10_000)])
-def test_stacked_checks_report_is_chunk_free(env, monkeypatch, chunk, held):
-    # held = 10,000 values splits every chunk into parts of two or three trials
-    if chunk is not None:
-        monkeypatch.setattr(verify, "_CHUNK", chunk)
+@pytest.mark.parametrize("held", [1, 100, 10_000, None])
+def test_stacked_checks_report_is_part_free(env, monkeypatch, held):
+    # held = 1 solves trial by trial; 100 splits the lattice checks into
+    # parts of two trials; 10,000 splits the mixed checks into parts of two
+    # or three; the default keeps 13 to 20 mixed trials per part
     if held is not None:
         monkeypatch.setattr(verify, "_HELD_VALUES", held)
     results = run_suite([CheckSpec(cid, trials=40) for cid in _STACKED], env)
@@ -152,8 +151,8 @@ def test_stacked_checks_report_is_chunk_free(env, monkeypatch, chunk, held):
 
 
 def test_stacked_checks_solve_once_per_young_function(env, monkeypatch):
-    # a chunk's rows share one solve per Young function: per trial these
-    # checks would make 100 and 50 solves
+    # 20 trials make one part, whose rows share one solve per Young
+    # function: per trial these checks would make 80 and 40 solves
     calls = []
     solve = orlicz._lux_batched
 
@@ -164,7 +163,7 @@ def test_stacked_checks_solve_once_per_young_function(env, monkeypatch):
     monkeypatch.setattr(orlicz, "_lux_batched", counted)
     for cid, most in (("holder_mixed_conjugate", 4), ("holder_lattice_conjugate", 2)):
         calls.clear()
-        (res,) = run_suite([CheckSpec(cid, trials=25)], env)
+        (res,) = run_suite([CheckSpec(cid, trials=20)], env)
         assert res.violations == 0
         assert 0 < len(calls) <= most, (cid, len(calls))
 
