@@ -2,21 +2,24 @@
 
 Every identity and inequality the toolkit claims is registered here as a
 named check.  A check is declared in one place only, its row in the
-registry: id, invariant, trial count, tolerance and trial function;
+registry: id, invariant, trial count, tolerance and run function;
 `SPEC_INVARIANTS`, `registered_ids` and every `CheckSpec` default are read
 from those rows.  A check draws a seeded ensemble, evaluates its predicate
 on every trial, and reports the worst margin, where margins are normalized
 by the right-hand side (or by the natural scale of an identity) so that
 tolerances are scale free.  Equality checks report minus the relative
-deviation, hence their margins are never positive.
+deviation, hence their margins are never positive; a deviation that is not
+a number gives the worst possible margin.
 
-Per-trial randomness comes from a counter-based Philox stream keyed by
-(master seed, check id) with the trial index as the counter.  A check gets
-all its trials at once, in trial order; the Hoelder and mixed convolution
-checks solve the Luxemburg norms of many trials together, but each trial
-still draws from its own stream, and the solver's rows are independent, so
-every margin and report byte is the same as trial by trial, and identical
-across runs.
+A run function takes the environment, the check's spec and a lazy stream of
+its (trial index, rng) pairs, and returns the worst margin of each trial, in
+trial order, with the check's tier: a fixed label, a summary of all trials,
+or None.  Per-trial randomness comes from a counter-based Philox stream
+keyed by (master seed, check id) with the trial index as the counter.  The
+Hoelder and mixed convolution checks solve the Luxemburg norms of many
+trials together, but each trial still draws from its own stream, and the
+solver's rows are independent, so every margin and report byte is the same
+as trial by trial, and identical across runs.
 
 Serialized reports are JSON Lines with the fixed field set
 {"id","trials","violations","worst_margin","seed","elapsed","tier"}.  The
@@ -254,7 +257,8 @@ def generate_ensemble(kind: str, seed: int, env: Environment):
 
 def _eq_margin(lhs: float, rhs: float, scale: Optional[float] = None) -> float:
     s = max(abs(rhs) if scale is None else scale, _TINY)
-    return max(-abs(lhs - rhs) / s, _NEG_CAP)
+    m = -abs(lhs - rhs) / s
+    return m if m >= _NEG_CAP else _NEG_CAP  # also when m is NaN
 
 
 def _le_margin(lhs: float, rhs: float, scale: Optional[float] = None) -> float:
@@ -268,33 +272,32 @@ def _le_margin(lhs: float, rhs: float, scale: Optional[float] = None) -> float:
 # ---------------------------------------------------------------------------
 # check implementations
 #
-# A trial function takes an iterable of the check's (t, rng) pairs and
-# returns one (submargins, optional payload) per trial, in trial order.  Most
-# checks are written for one trial and wrapped by `_trialwise`; the Hoelder
-# and mixed convolution checks draw the trials of one `_in_parts` part first
-# and then solve all their Luxemburg norms together.
+# Most checks are written for one trial, as fn(env, rng, t) -> margins, and
+# wrapped by `_trialwise`.  The Hoelder and mixed convolution checks draw the
+# trials of one `_in_parts` part and then solve their Luxemburg norms
+# together; the checks whose tier summarizes their trials own their loop.
 
 
 def _trialwise(fn):
-    """The many-trial form of a one-trial check fn(env, ctx, rng, t)."""
+    """The run form of a one-trial check fn(env, rng, t) -> margins, untiered."""
 
-    def trials_fn(env, ctx, trials):
-        return [fn(env, ctx, rng, t) for t, rng in trials]
+    def run(env, spec, trials):
+        return [min(fn(env, rng, t)) for t, rng in trials], None
 
-    return trials_fn
+    return run
 
 
 @_trialwise
-def _chk_plancherel(env, ctx, rng, t):
+def _chk_plancherel(env, rng, t):
     f = _random_signal(env, rng)
     g = _random_signal(env, rng)
     lhs = field_lp_norm(stft(f, g, env.torus), 2.0)
     rhs = norm2(f) * norm2(g)
-    return [_eq_margin(lhs, rhs)], None
+    return [_eq_margin(lhs, rhs)]
 
 
 @_trialwise
-def _chk_orthogonality(env, ctx, rng, t):
+def _chk_orthogonality(env, rng, t):
     f1, f2 = _random_signal(env, rng), _random_signal(env, rng)
     g1, g2 = _random_signal(env, rng), _random_signal(env, rng)
     V1 = stft(f1, g1, env.torus)
@@ -302,11 +305,11 @@ def _chk_orthogonality(env, ctx, rng, t):
     lhs = env.torus.weight * np.sum(V1.values * np.conj(V2.values))
     rhs = inner(f1, f2) * inner(g2, g1)
     scale = norm2(f1) * norm2(f2) * norm2(g1) * norm2(g2)
-    return [_eq_margin(abs(lhs - rhs), 0.0, scale=scale)], None
+    return [_eq_margin(abs(lhs - rhs), 0.0, scale=scale)]
 
 
 @_trialwise
-def _chk_inversion(env, ctx, rng, t):
+def _chk_inversion(env, rng, t):
     f = _random_signal(env, rng)
     g = _random_signal(env, rng)
     for _ in range(200):
@@ -316,24 +319,30 @@ def _chk_inversion(env, ctx, rng, t):
     else:
         raise ConditioningError("no synthesis window with |<h, g>| >= 0.1 |h| |g| in 200 draws")
     rec = invert(stft(f, g, env.torus), g, h)
-    return [_eq_margin(norm2(Signal(f.spec, rec.values - f.values)), 0.0, norm2(f))], None
+    return [_eq_margin(norm2(Signal(f.spec, rec.values - f.values)), 0.0, norm2(f))]
 
 
-@_trialwise
-def _chk_covariance(env, ctx, rng, t):
+def _tf_shift(env, rng):
+    """A half-block signal f, a lattice shift tau, a torus index jnu and M_nu T_tau f."""
     K, n = env.lattice.K, env.lattice.n
     f = _random_signal(env, rng, half=True)
     tau = tuple(int(x) for x in rng.integers(-(K - K // 2), K - K // 2 + 1, size=n))
     jnu = tuple(int(x) for x in rng.integers(0, env.torus.M, size=n))
     nu = tuple(j / env.torus.M for j in jnu)
+    return f, tau, jnu, modulate(translate(f, tau), nu)
+
+
+@_trialwise
+def _chk_covariance(env, rng, t):
+    n = env.lattice.n
+    f, tau, jnu, shifted = _tf_shift(env, rng)
     g = env.window
-    shifted = modulate(translate(f, tau), nu)
     A = np.abs(stft(shifted, g, env.torus).values)
     B = np.abs(stft(f, g, env.torus).values)
     B = shift_array(B, tau + (0,) * n)  # lattice shift with zero fill
     B = np.roll(B, jnu, axis=tuple(range(n, 2 * n)))  # torus shift is cyclic
     scale = max(float(A.max()), _TINY)
-    return [_eq_margin(float(np.abs(A - B).max()), 0.0, scale)], None
+    return [_eq_margin(float(np.abs(A - B).max()), 0.0, scale)]
 
 
 _NORM_STYLES = ("product", "mixed", "swapped")
@@ -351,18 +360,18 @@ _AXIOM_PHIS = ((power(1.5), power(2)), (power(2), power(3)), (eq5(), power(2)))
 
 
 @_trialwise
-def _chk_homogeneity(env, ctx, rng, t):
+def _chk_homogeneity(env, rng, t):
     F = _trig_symbol(env, rng)
     c = complex(_crandn(rng, ()) * 3)
     phi1, phi2 = _AXIOM_PHIS[t % 3]
     style = _NORM_STYLES[t % 3]
     a = _field_norm(style, PhaseSpaceField(F.spec, F.torus, F.m_radius, c * F.values, degree_bound=F.degree_bound), phi1, phi2)
     b = abs(c) * _field_norm(style, F, phi1, phi2)
-    return [_eq_margin(a, b, scale=max(b, _TINY))], None
+    return [_eq_margin(a, b, scale=max(b, _TINY))]
 
 
 @_trialwise
-def _chk_triangle(env, ctx, rng, t):
+def _chk_triangle(env, rng, t):
     F = _trig_symbol(env, rng)
     G = _trig_symbol(env, rng)
     phi1, phi2 = _AXIOM_PHIS[t % 3]
@@ -372,11 +381,11 @@ def _chk_triangle(env, ctx, rng, t):
     )
     lhs = _field_norm(style, H, phi1, phi2)
     rhs = _field_norm(style, F, phi1, phi2) + _field_norm(style, G, phi1, phi2)
-    return [_le_margin(lhs, rhs)], None
+    return [_le_margin(lhs, rhs)]
 
 
 @_trialwise
-def _chk_monotonicity(env, ctx, rng, t):
+def _chk_monotonicity(env, rng, t):
     G = _trig_symbol(env, rng)
     u = rng.uniform(0.0, 1.0, size=G.values.shape)
     F = PhaseSpaceField(
@@ -386,14 +395,14 @@ def _chk_monotonicity(env, ctx, rng, t):
     style = _NORM_STYLES[t % 3]
     lhs = _field_norm(style, F, phi1, phi2)
     rhs = _field_norm(style, G, phi1, phi2)
-    return [_le_margin(lhs, rhs, scale=max(rhs, _TINY))], None
+    return [_le_margin(lhs, rhs, scale=max(rhs, _TINY))]
 
 
 _LUX_PS = (1.0, 1.5, 2.0, 3.0)
 
 
 @_trialwise
-def _chk_power_reduction(env, ctx, rng, t):
+def _chk_power_reduction(env, rng, t):
     K, n = env.lattice.K, env.lattice.n
     use_field = t % 2 == 1
     if use_field:
@@ -416,7 +425,7 @@ def _chk_power_reduction(env, ctx, rng, t):
             up = (weight * phi._eval(v / (b * (1 + eps)))).sum()
             dn = (weight * phi._eval(v / (b * (1 - eps)))).sum()
             margins.append(0.0 if (up <= 1.0 <= dn) else -1.0)
-    return margins, None
+    return margins
 
 
 _HOLDER_PS = (4.0 / 3.0, 1.5, 2.0, 3.0)
@@ -427,8 +436,8 @@ def _conjugate_powers(p: float) -> tuple:
 
 
 def _le_trials(lhs, rhs):
-    """One `_le_margin` trial result per (lhs, rhs) pair, in trial order."""
-    return [([_le_margin(float(a), float(b))], None) for a, b in zip(lhs, rhs)]
+    """One `_le_margin` per (lhs, rhs) pair, in trial order."""
+    return [_le_margin(float(a), float(b)) for a, b in zip(lhs, rhs)]
 
 
 _HELD_VALUES = 1 << 16  # values a stacked check holds at once: 512 kB
@@ -476,12 +485,13 @@ def _holder_lattice(env, trials, young, c=1.0):
     return _le_trials(lhs, c * norm[0::2] * norm[1::2])
 
 
-def _chk_holder_lattice_power(env, ctx, trials):
-    return _holder_lattice(env, trials, lambda t: _conjugate_powers(_HOLDER_PS[t % len(_HOLDER_PS)]))
+def _chk_holder_lattice_power(env, spec, trials):
+    young = lambda t: _conjugate_powers(_HOLDER_PS[t % len(_HOLDER_PS)])
+    return _holder_lattice(env, trials, young), "holder-constant-1"
 
 
-def _chk_holder_lattice_conj(env, ctx, trials):
-    return _holder_lattice(env, trials, lambda t: (env.phi, env.psi), c=2.0)
+def _chk_holder_lattice_conj(env, spec, trials):
+    return _holder_lattice(env, trials, lambda t: (env.phi, env.psi), c=2.0), "holder-constant-2"
 
 
 @_in_parts(lambda env: 2 * _field_values(env, 2 * env.lattice.K))
@@ -506,12 +516,13 @@ def _mixed_holder_powers(t):
     return phi1, phi2, psi1, psi2
 
 
-def _chk_holder_mixed_power(env, ctx, trials):
-    return _holder_mixed(env, trials, _mixed_holder_powers)
+def _chk_holder_mixed_power(env, spec, trials):
+    return _holder_mixed(env, trials, _mixed_holder_powers), "holder-constant-1"
 
 
-def _chk_holder_mixed_conj(env, ctx, trials):
-    return _holder_mixed(env, trials, lambda t: (env.phi, power(2), env.psi, power(2)), c=2.0)
+def _chk_holder_mixed_conj(env, spec, trials):
+    young = lambda t: (env.phi, power(2), env.psi, power(2))
+    return _holder_mixed(env, trials, young, c=2.0), "holder-constant-2"
 
 
 def _conv_pair(env, rng, t):
@@ -544,29 +555,29 @@ def _mixed_convolution_powers(t):
     return power(p1), power(p2)
 
 
-def _chk_convolution_mixed_power(env, ctx, trials):
-    return _convolution_mixed(env, trials, _mixed_convolution_powers)
+def _chk_convolution_mixed_power(env, spec, trials):
+    return _convolution_mixed(env, trials, _mixed_convolution_powers), None
 
 
-def _chk_convolution_mixed_orlicz(env, ctx, trials):
-    return _convolution_mixed(env, trials, lambda t: (env.phi, power(2)))
+def _chk_convolution_mixed_orlicz(env, spec, trials):
+    return _convolution_mixed(env, trials, lambda t: (env.phi, power(2))), None
 
 
 @_trialwise
-def _chk_convolution_product(env, ctx, rng, t):
+def _chk_convolution_product(env, rng, t):
     F, G = _conv_pair(env, rng, t)
     H = convolve_phase_space(F, G)
     phi = env.phi if t % 2 else power(1.5)
     lhs = orlicz_norm(H, phi)
     rhs = field_lp_norm(F, 1.0) * orlicz_norm(G, phi)
-    return [_le_margin(lhs, rhs)], None
+    return [_le_margin(lhs, rhs)]
 
 
 _X0 = math.exp(-2.0)
 
 
 @_trialwise
-def _chk_embedding(env, ctx, rng, t):
+def _chk_embedding(env, rng, t):
     margins = []
     # source power(1.5) absorbs target power(2) on (0, 1] with constant 1
     r = embedding_condition((power(1.5),) * 2, (power(2),) * 2, 1.0)
@@ -577,41 +588,27 @@ def _chk_embedding(env, ctx, rng, t):
     # the reverse direction diverges like -log x and must be rejected
     r = embedding_condition((power(2),) * 2, (env.phi,) * 2, _X0)
     margins.append(0.0 if not r.holds else -1.0)
-    return margins, None
+    return margins
 
 
-@_trialwise
-def _chk_inclusion_flanks(env, ctx, rng, t):
+def _chk_inclusion_flanks(env, spec, trials):
+    # the flanks draw nothing, so every trial gives the same margin
     left = embedding_condition((power(1.5),) * 2, (env.phi,) * 2, _X0)
     right = embedding_condition((env.phi,) * 2, (power(2),) * 2, _X0)
-    margins = [0.0 if left.holds else -1.0, 0.0 if right.holds else -1.0]
-    payload = (left.C, right.C)
-    return margins, payload
-
-
-def _fin_inclusion(env, ctx, payloads):
-    if not payloads:
-        return None
-    lc, rc = payloads[0]
-    return f"C_left={fmt17(lc)};C_right={fmt17(rc)}"
+    margin = 0.0 if left.holds and right.holds else -1.0
+    return [margin for _ in trials], f"C_left={fmt17(left.C)};C_right={fmt17(right.C)}"
 
 
 @_trialwise
-def _chk_m2_identity(env, ctx, rng, t):
+def _chk_m2_identity(env, rng, t):
     f = _random_signal(env, rng)
     val = modulation_norm(f, env.window, 2.0, env.torus)
-    return [_eq_margin(val, norm2(f), scale=max(norm2(f), _TINY))], None
+    return [_eq_margin(val, norm2(f), scale=max(norm2(f), _TINY))]
 
 
 @_trialwise
-def _chk_shift_invariance(env, ctx, rng, t):
-    K, n = env.lattice.K, env.lattice.n
-    f = _random_signal(env, rng, half=True)
-    tau = tuple(int(x) for x in rng.integers(-(K - K // 2), K - K // 2 + 1, size=n))
-    jnu = tuple(int(x) for x in rng.integers(0, env.torus.M, size=n))
-    nu = tuple(j / env.torus.M for j in jnu)
-    shifted = modulate(translate(f, tau), nu)
-
+def _chk_shift_invariance(env, rng, t):
+    f, _, _, shifted = _tf_shift(env, rng)
     which = t % 5
     if which == 0:
         norm = lambda x: modulation_norm(x, env.window, 1.0, env.torus)
@@ -628,29 +625,26 @@ def _chk_shift_invariance(env, ctx, rng, t):
             x, env.window, env.phi, power(2), variant="MPhiPsi", torus=env.torus
         )
     a, b = norm(f), norm(shifted)
-    return [_eq_margin(b, a, scale=max(a, _TINY))], None
+    return [_eq_margin(b, a, scale=max(a, _TINY))]
+
+
+def _chk_window_robustness(env, spec, trials):
+    """M^Phi norms under two windows; the tier is the largest ratio either way."""
+    worst, rs = [], []
+    for _, rng in trials:
+        f = _random_signal(env, rng)
+        a = orlicz_modulation_norm(f, env.window, env.phi, variant="MPhi", torus=env.torus)
+        b = orlicz_modulation_norm(f, env.window2, env.phi, variant="MPhi", torus=env.torus)
+        r = a / b if b > 0 else math.inf
+        ok = np.isfinite(r) and r > 0
+        worst.append(0.0 if ok else _NEG_CAP)
+        rs += [r] if ok else []
+    R = max(max(rs), 1.0 / min(rs)) if rs else math.inf
+    return worst, f"R={fmt17(R)}"
 
 
 @_trialwise
-def _chk_window_robustness(env, ctx, rng, t):
-    f = _random_signal(env, rng)
-    a = orlicz_modulation_norm(f, env.window, env.phi, variant="MPhi", torus=env.torus)
-    b = orlicz_modulation_norm(f, env.window2, env.phi, variant="MPhi", torus=env.torus)
-    r = a / b if b > 0 else math.inf
-    ok = np.isfinite(r) and r > 0
-    return [0.0 if ok else _NEG_CAP], (r if ok else math.inf)
-
-
-def _fin_window_robustness(env, ctx, payloads):
-    rs = [r for r in payloads if np.isfinite(r)]
-    if not rs:
-        return "R=inf"
-    R = max(max(rs), 1.0 / min(rs))
-    return f"R={fmt17(R)}"
-
-
-@_trialwise
-def _chk_two_path(env, ctx, rng, t):
+def _chk_two_path(env, rng, t):
     sigma = _trig_symbol(env, rng)
     g1, g2 = env.window, env.window2
     f = _random_signal(env, rng)
@@ -663,11 +657,11 @@ def _chk_two_path(env, ctx, rng, t):
     wp = weak_pairing(sigma, g1, g2, f, h)
     ip = inner(out, h)
     m2 = _eq_margin(abs(wp - ip), 0.0, max(abs(ip), scale * norm2(h)))
-    return [m1, m2], None
+    return [m1, m2]
 
 
 @_trialwise
-def _chk_identity_operator(env, ctx, rng, t):
+def _chk_identity_operator(env, rng, t):
     sigma = _constant_symbol(env)
     g = env.window
     K = kernel(sigma, g, g).matrix
@@ -676,11 +670,11 @@ def _chk_identity_operator(env, ctx, rng, t):
     sel = idx[spec.admissible_slices()].ravel()
     block = K[np.ix_(sel, sel)]
     eye = np.eye(block.shape[0])
-    return [_eq_margin(float(np.abs(block - eye).max()), 0.0, 1.0)], None
+    return [_eq_margin(float(np.abs(block - eye).max()), 0.0, 1.0)]
 
 
 @_trialwise
-def _chk_adjoint_identity(env, ctx, rng, t):
+def _chk_adjoint_identity(env, rng, t):
     sigma = _trig_symbol(env, rng)
     g1 = _random_signal(env, rng)
     g2 = _random_signal(env, rng)
@@ -697,11 +691,11 @@ def _chk_adjoint_identity(env, ctx, rng, t):
     )
     H = kernel(real_sigma, g1, g1)
     m2 = _eq_margin(H.hermitian_defect(), 0.0, max(float(np.abs(H.matrix).max()), 1.0))
-    return [m1, m2], None
+    return [m1, m2]
 
 
 @_trialwise
-def _chk_trace_identity(env, ctx, rng, t):
+def _chk_trace_identity(env, rng, t):
     sigma = _trig_symbol(env, rng)
     if t % 2:
         g1, g2 = env.window, env.window2
@@ -721,29 +715,33 @@ def _chk_trace_identity(env, ctx, rng, t):
     hs_e = float(np.linalg.norm(K.matrix.ravel()))
     hs_s = float(np.sqrt((s**2).sum()))
     m2 = _eq_margin(hs_e, hs_s, scale=max(hs_e, _TINY))
-    return [m1, m2], None
+    return [m1, m2]
 
 
-@_trialwise
-def _chk_opnorm_plancherel(env, ctx, rng, t):
-    sigma = _trig_symbol(env, rng)
-    g1 = _random_signal(env, rng)
-    g2 = _random_signal(env, rng)
-    s = np.linalg.svd(kernel(sigma, g1, g2).matrix, compute_uv=False)
-    rhs = float(np.abs(sigma.values).max()) * norm2(g1) * norm2(g2)
-    return [_le_margin(float(s[0]), rhs)], None
+def _opnorm_margins(sigma, g1, g2):
+    """Margins of the operator norm s1 of K = kernel(sigma, g1, g2) under its bounds.
 
-
-@_trialwise
-def _chk_opnorm_schur(env, ctx, rng, t):
-    sigma = _trig_symbol(env, rng)
-    g1 = _random_signal(env, rng)
-    g2 = _random_signal(env, rng)
+    The bounds are Plancherel's, max|sigma| |g1| |g2|, and Schur's,
+    sqrt(max column sum * max row sum) of |K|, in that order.
+    """
     K = kernel(sigma, g1, g2).matrix
     s1 = float(np.linalg.svd(K, compute_uv=False)[0])
     a = np.abs(K)
-    rhs = math.sqrt(float(a.sum(axis=0).max()) * float(a.sum(axis=1).max()))
-    return [_le_margin(s1, rhs)], None
+    plancherel = float(np.abs(sigma.values).max()) * norm2(g1) * norm2(g2)
+    schur = math.sqrt(float(a.sum(axis=0).max()) * float(a.sum(axis=1).max()))
+    return _le_margin(s1, plancherel), _le_margin(s1, schur)
+
+
+@_trialwise
+def _chk_opnorm_plancherel(env, rng, t):
+    sigma, g1, g2 = _trig_symbol(env, rng), _random_signal(env, rng), _random_signal(env, rng)
+    return _opnorm_margins(sigma, g1, g2)[:1]
+
+
+@_trialwise
+def _chk_opnorm_schur(env, rng, t):
+    sigma, g1, g2 = _trig_symbol(env, rng), _random_signal(env, rng), _random_signal(env, rng)
+    return _opnorm_margins(sigma, g1, g2)[1:]
 
 
 def _nonneg_symbol(env, rng, t):
@@ -751,7 +749,7 @@ def _nonneg_symbol(env, rng, t):
 
 
 @_trialwise
-def _chk_s1_positive(env, ctx, rng, t):
+def _chk_s1_positive(env, rng, t):
     sigma = _nonneg_symbol(env, rng, t)
     g = env.window
     K = kernel(sigma, g, g).matrix
@@ -765,11 +763,11 @@ def _chk_s1_positive(env, ctx, rng, t):
     mass = env.torus.weight * float(np.abs(sigma.values).sum())
     m_bound = _le_margin(S1, mass * norm2(g) ** 2)
     m_exact = _eq_margin(trace, mass * norm2(g) ** 2, scale=max(trace, _TINY))
-    return [m_psd, m_eq, m_bound, m_exact], None
+    return [m_psd, m_eq, m_bound, m_exact]
 
 
 @_trialwise
-def _chk_s1_general(env, ctx, rng, t):
+def _chk_s1_general(env, rng, t):
     sigma = _trig_symbol(env, rng)
     g1 = _random_signal(env, rng)
     g2 = _random_signal(env, rng)
@@ -795,14 +793,14 @@ def _chk_s1_general(env, ctx, rng, t):
     s = np.linalg.svd(kernel(sigma, g1, g2).matrix, compute_uv=False)
     l1 = env.torus.weight * float(np.abs(sigma.values).sum())
     margins.append(_le_margin(float(s.sum()), 4.0 * l1 * gmax2))
-    return margins, None
+    return margins
 
 
 _SCH_PS = (1.0, 1.5, 2.0, 3.0, math.inf)
 
 
 @_trialwise
-def _chk_schatten_logconvexity(env, ctx, rng, t):
+def _chk_schatten_logconvexity(env, rng, t):
     sigma = _trig_symbol(env, rng)
     g1 = _random_signal(env, rng)
     g2 = _random_signal(env, rng)
@@ -816,51 +814,18 @@ def _chk_schatten_logconvexity(env, ctx, rng, t):
             lhs = float((s**p).sum() ** (1.0 / p))
             rhs = S1 ** (1.0 / p) * Sinf ** (1.0 - 1.0 / p)
         margins.append(_le_margin(lhs, rhs))
-    return margins, None
+    return margins
 
 
 @_trialwise
-def _chk_trace_sandwich(env, ctx, rng, t):
+def _chk_trace_sandwich(env, rng, t):
     sigma = _nonneg_symbol(env, rng, t)
     g = env.window
     st = sigma_tilde(sigma, g)
     lhs = env.torus.weight * float(np.abs(st.values).sum())
     s = np.linalg.svd(kernel(sigma, g, g).matrix, compute_uv=False)
     rhs = norm2(g) ** 2 * float(s.sum())
-    return [_le_margin(lhs, rhs)], None
-
-
-def _pre_mphi(env, spec):
-    rng = trial_rng(spec.seed, spec.id + ":setup", 0)
-    sigma = _trig_symbol(env, rng)
-    g1, g2 = env.window, env.window2
-    Kmat = kernel(sigma, g1, g2).matrix
-    s1v = float(np.linalg.svd(Kmat, compute_uv=False)[0])
-    a = np.abs(Kmat)
-    hard = [
-        _le_margin(s1v, float(np.abs(sigma.values).max()) * norm2(g1) * norm2(g2)),
-        _le_margin(
-            s1v, math.sqrt(float(a.sum(axis=0).max()) * float(a.sum(axis=1).max()))
-        ),
-    ]
-    g0 = env.window
-    norm_g1_psi = orlicz_modulation_norm(g1, g0, env.psi, variant="MPhi", torus=env.torus)
-    norm_g2_phi = orlicz_modulation_norm(g2, g0, env.phi, variant="MPhi", torus=env.torus)
-    sym_m1 = symbol_modulation_norm(sigma, env.G0, 1.0)
-    rhs_m1 = sym_m1 * norm_g1_psi * norm_g2_phi
-    rhs_l1 = field_lp_norm(sigma, 1.0) * norm_g1_psi * norm_g2_phi
-    g1_m1 = modulation_norm(g1, g0, 1.0, env.torus)
-    g2_m1 = modulation_norm(g2, g0, 1.0, env.torus)
-    g1_inf = float(np.abs(g1.values).max())
-    g2_inf = float(np.abs(g2.values).max())
-    rhs_schur = max(g1_m1 * g2_inf, g1_inf * g2_m1) * sym_m1
-    return {
-        "sigma": sigma,
-        "g1": g1,
-        "g2": g2,
-        "hard": hard,
-        "rhs": {"symbol_m1": rhs_m1, "l1": rhs_l1, "schur": rhs_schur},
-    }
+    return [_le_margin(lhs, rhs)]
 
 
 def _truncated_mphi(env, x: Signal) -> float:
@@ -881,25 +846,36 @@ def _truncated_mphi(env, x: Signal) -> float:
     return orlicz_norm(F, env.phi)
 
 
-@_trialwise
-def _chk_mphi(env, ctx, rng, t):
-    f = _random_signal(env, rng)
-    num = _truncated_mphi(env, apply_operator(ctx["sigma"], ctx["g1"], ctx["g2"], f))
-    den = _truncated_mphi(env, f)
-    r = num / den if den > 0 else math.inf
-    margins = [0.0 if np.isfinite(r) else _NEG_CAP]
-    if t == 0:
-        margins.extend(ctx["hard"])
-    return margins, r
+def _chk_mphi(env, spec, trials):
+    """M^Phi ratios |A f| / |f| of one operator A, drawn from the setup stream.
 
-
-def _fin_mphi(env, ctx, payloads):
-    rs = np.asarray([r for r in payloads if np.isfinite(r)], dtype=float)
-    if rs.size == 0:
-        return "kappa=inf;cov=inf"
-    kappa = float(rs.max()) / max(ctx["rhs"]["symbol_m1"], _TINY)
+    The tier is kappa, the largest ratio over the symbol-M^1 bound on |A|,
+    and cov, the ratios' coefficient of variation.  Trial 0 also carries the
+    hard operator-norm margins of A.
+    """
+    sigma = _trig_symbol(env, trial_rng(spec.seed, spec.id + ":setup", 0))
+    g1, g2 = env.window, env.window2
+    hard = _opnorm_margins(sigma, g1, g2)
+    bound = (
+        symbol_modulation_norm(sigma, env.G0, 1.0)
+        * orlicz_modulation_norm(g1, env.window, env.psi, variant="MPhi", torus=env.torus)
+        * orlicz_modulation_norm(g2, env.window, env.phi, variant="MPhi", torus=env.torus)
+    )
+    worst, rs = [], []
+    for t, rng in trials:
+        f = _random_signal(env, rng)
+        num = _truncated_mphi(env, apply_operator(sigma, g1, g2, f))
+        den = _truncated_mphi(env, f)
+        r = num / den if den > 0 else math.inf
+        ok = np.isfinite(r)
+        worst.append(min([0.0 if ok else _NEG_CAP, *(hard if t == 0 else ())]))
+        rs += [r] if ok else []
+    if not rs:
+        return worst, "kappa=inf;cov=inf"
+    rs = np.asarray(rs, dtype=float)
+    kappa = float(rs.max()) / max(bound, _TINY)
     cov = float(rs.std() / max(rs.mean(), _TINY))
-    return f"kappa={fmt17(kappa)};cov={fmt17(cov)}"
+    return worst, f"kappa={fmt17(kappa)};cov={fmt17(cov)}"
 
 
 # ---------------------------------------------------------------------------
@@ -912,13 +888,7 @@ class CheckDef:
     invariant: str  # the module invariant (stft / orlicz / modulation / locop) it checks
     trials: int
     tolerance: float
-    trial_fn: Callable  # (env, ctx, iterable of (t, rng)) -> [(margins, payload), ...]
-    tier: Optional[str] = None
-    precompute: Optional[Callable] = None
-    finalize: Optional[Callable] = None
-
-
-_H1, _H2 = "holder-constant-1", "holder-constant-2"  # Hoelder-check tiers
+    run: Callable  # (env, spec, lazy (t, rng) stream) -> (worst margin per trial, tier)
 
 # the registry: one row per check, the only place a check is declared
 _ROWS = (
@@ -930,18 +900,18 @@ _ROWS = (
     CheckDef("orlicz_triangle", "orlicz.norm_axioms", 100, 1e-9, _chk_triangle),
     CheckDef("orlicz_monotonicity", "orlicz.norm_axioms", 100, 1e-12, _chk_monotonicity),
     CheckDef("luxemburg_power_reduction", "orlicz.power_reduction", 100, 1e-9, _chk_power_reduction),
-    CheckDef("holder_lattice_power", "orlicz.holder_lattice", 500, 1e-9, _chk_holder_lattice_power, tier=_H1),
-    CheckDef("holder_lattice_conjugate", "orlicz.holder_lattice", 500, 1e-9, _chk_holder_lattice_conj, tier=_H2),
-    CheckDef("holder_mixed_power", "orlicz.holder_mixed", 500, 1e-9, _chk_holder_mixed_power, tier=_H1),
-    CheckDef("holder_mixed_conjugate", "orlicz.holder_mixed", 500, 1e-9, _chk_holder_mixed_conj, tier=_H2),
+    CheckDef("holder_lattice_power", "orlicz.holder_lattice", 500, 1e-9, _chk_holder_lattice_power),
+    CheckDef("holder_lattice_conjugate", "orlicz.holder_lattice", 500, 1e-9, _chk_holder_lattice_conj),
+    CheckDef("holder_mixed_power", "orlicz.holder_mixed", 500, 1e-9, _chk_holder_mixed_power),
+    CheckDef("holder_mixed_conjugate", "orlicz.holder_mixed", 500, 1e-9, _chk_holder_mixed_conj),
     CheckDef("convolution_mixed_power", "orlicz.convolution_young", 100, 1e-9, _chk_convolution_mixed_power),
     CheckDef("convolution_mixed_orlicz", "orlicz.convolution_young", 100, 1e-9, _chk_convolution_mixed_orlicz),
     CheckDef("convolution_product", "orlicz.convolution_young", 100, 1e-9, _chk_convolution_product),
     CheckDef("embedding_criteria", "modulation.embedding_criteria", 1, 1e-9, _chk_embedding),
-    CheckDef("inclusion_chain_flanks", "modulation.embedding_criteria", 1, 1e-9, _chk_inclusion_flanks, finalize=_fin_inclusion),
+    CheckDef("inclusion_chain_flanks", "modulation.embedding_criteria", 1, 1e-9, _chk_inclusion_flanks),
     CheckDef("m2_identity", "modulation.m2_identity", 100, 1e-10, _chk_m2_identity),
     CheckDef("tf_shift_invariance", "modulation.shift_invariance", 100, 1e-10, _chk_shift_invariance),
-    CheckDef("window_robustness", "modulation.window_robustness", 100, 1e-9, _chk_window_robustness, finalize=_fin_window_robustness),
+    CheckDef("window_robustness", "modulation.window_robustness", 100, 1e-9, _chk_window_robustness),
     CheckDef("locop_two_path", "locop.two_path_consistency", 50, 1e-12, _chk_two_path),
     CheckDef("identity_operator", "locop.identity_case", 1, 1e-10, _chk_identity_operator),
     CheckDef("adjoint_identity", "locop.adjoint_identity", 50, 1e-12, _chk_adjoint_identity),
@@ -952,7 +922,7 @@ _ROWS = (
     CheckDef("s1_general_split", "locop.general_trace_class", 50, 1e-9, _chk_s1_general),
     CheckDef("schatten_logconvexity", "locop.schatten_interpolation", 50, 1e-9, _chk_schatten_logconvexity),
     CheckDef("trace_sandwich", "locop.trace_sandwich", 50, 1e-9, _chk_trace_sandwich),
-    CheckDef("mphi_boundedness", "locop.mphi_harness", 100, 1e-9, _chk_mphi, precompute=_pre_mphi, finalize=_fin_mphi),
+    CheckDef("mphi_boundedness", "locop.mphi_harness", 100, 1e-9, _chk_mphi),
 )
 REGISTRY = {c.id: c for c in _ROWS}
 
@@ -1017,8 +987,9 @@ def run_suite(specs, env: Environment, threads: int = 1):
     """Run the requested checks, each handed a lazy stream of all its trials.
 
     Every trial gets its own `trial_rng` stream, made when the check asks for
-    it, and its results come back in trial order.  Trials run in one thread: they are small numpy calls that
-    hold the GIL, so a worker pool gave the same report only more slowly.
+    it, and its worst margin comes back in trial order.  Trials run in one
+    thread: they are small numpy calls that hold the GIL, so a worker pool
+    gave the same report only more slowly.
     `threads` stays because the benchmark's verify workload passes
     `threads=1`; any other value raises UsageError.
     """
@@ -1026,17 +997,10 @@ def run_suite(specs, env: Environment, threads: int = 1):
         raise UsageError(f"threads must be 1 (trials run serially), got {threads}")
     results = []
     for spec in specs:
-        cd = REGISTRY[spec.id]
         t0 = time.perf_counter()
-        ctx = cd.precompute(env, spec) if cd.precompute else None
-        worst, payloads = [], []
         trials = ((t, trial_rng(spec.seed, spec.id, t)) for t in range(spec.trials))
-        for margins, payload in cd.trial_fn(env, ctx, trials):
-            worst.append(min(margins))
-            if payload is not None:
-                payloads.append(payload)
+        worst, tier = REGISTRY[spec.id].run(env, spec, trials)
         violations = sum(1 for m in worst if m < -spec.tolerance)
-        tier = cd.finalize(env, ctx, payloads) if cd.finalize else cd.tier
         results.append(
             CheckResult(
                 id=spec.id,

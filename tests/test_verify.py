@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,47 @@ def test_stacked_checks_solve_once_per_young_function(env, monkeypatch):
         (res,) = run_suite([CheckSpec(cid, trials=20)], env)
         assert res.violations == 0
         assert 0 < len(calls) <= most, (cid, len(calls))
+
+
+# the three checks whose tier summarizes all their trials: the flank
+# embedding constants, the window-change ratio and the M^Phi ratio spread
+GOLDEN_SUMMARY = """\
+{"id": "inclusion_chain_flanks", "trials": 1, "violations": 0, "worst_margin": 0, "seed": 20240801, "elapsed": 0, "tier": "C_left=0.73575888234288456;C_right=0.5"}
+{"id": "window_robustness", "trials": 5, "violations": 0, "worst_margin": 0, "seed": 20240801, "elapsed": 0, "tier": "R=1.0026638675501449"}
+{"id": "mphi_boundedness", "trials": 3, "violations": 0, "worst_margin": 0, "seed": 20240801, "elapsed": 0, "tier": "kappa=0.0032236001488743517;cov=0.092701487362364221"}
+"""
+
+
+def test_summary_checks_report(env):
+    specs = [
+        CheckSpec("inclusion_chain_flanks"),
+        CheckSpec("window_robustness", trials=5),
+        CheckSpec("mphi_boundedness", trials=3),
+    ]
+    assert report_lines(run_suite(specs, env)) == GOLDEN_SUMMARY
+
+
+@pytest.mark.parametrize("cid", sorted(REGISTRY))
+def test_every_check_gives_one_margin_per_trial(small_env, cid):
+    # run_suite copies the trial count from the spec, so only this sees a
+    # check that drops or adds a trial
+    spec = CheckSpec(cid, trials=3)
+    stream = ((t, trial_rng(spec.seed, cid, t)) for t in range(spec.trials))
+    worst, tier = REGISTRY[cid].run(small_env, spec, stream)
+    assert len(worst) == 3
+    assert all(isinstance(m, float) and math.isfinite(m) for m in worst)
+    assert tier is None or isinstance(tier, str)
+
+
+def test_nan_equality_margin_is_a_violation(env, monkeypatch, tmp_path):
+    # a NaN deviation fails every trial and leaves the report readable
+    monkeypatch.setattr(verify, "modulation_norm", lambda *args: float("nan"))
+    (res,) = run_suite([CheckSpec("m2_identity", trials=3)], env)
+    assert (res.violations, res.worst_margin) == (3, -1e300)
+    text = report_lines([res])
+    assert report_lines(parse_report(text)) == text
+    out = str(tmp_path / "r.jsonl")
+    assert dispatch(["verify", "--checks", "m2_identity", "--output", out]) == 1
 
 
 def test_trial_rng_splitting():
