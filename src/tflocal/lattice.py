@@ -13,10 +13,12 @@ package produces.
 The phases exp(+-2 pi i d.j/M) of that quadrature come from one place,
 `phase_matrix`; every transform, kernel and coefficient map in the package
 uses it.  Its result is cached and read-only, so no caller can corrupt the
-phases another caller sees.  Likewise the box position of the block
-m + [-K, K]^n that a lattice shift m touches comes from one place,
-`block_slices`: the STFT analysis and synthesis and the kernel assembly all
-read or write their shifted blocks through it.
+phases another caller sees.  The maps between torus samples and torus
+Fourier coefficients, `field_coefficients` and `coefficients_to_values`,
+sit next to it.  Likewise the box position of the block m + [-K, K]^n that
+a lattice shift m touches comes from one place, `block_slices`: the STFT
+analysis and synthesis and the kernel assembly all read or write their
+shifted blocks through it.
 
 Array layout is lexicographic with the slowest axis first (NumPy C order),
 so serialized files are reproducible bit for bit.
@@ -30,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, RangeError
+from .errors import DomainError, PrecisionError, RangeError
 
 __all__ = [
     "LatticeSpec",
@@ -125,6 +127,24 @@ def phase_matrix(M: int, lo: int, hi: int, sign: int, n: int = 1) -> np.ndarray:
         out = np.kron(out, P)
     out.flags.writeable = False
     return out
+
+
+def field_coefficients(F: PhaseSpaceField) -> np.ndarray:
+    """Torus Fourier coefficients per lattice point, exact for deg <= (M-1)/2."""
+    M, n, deg = F.torus.M, F.n, F.degree_bound
+    if 2 * deg > M - 1:
+        raise PrecisionError("coefficient extraction would alias: need 2*degree <= M-1")
+    coef = F.values.reshape(-1, M**n) @ phase_matrix(M, -deg, deg, -1, n).T
+    coef *= F.torus.weight
+    return coef.reshape(F.lattice_shape + (2 * deg + 1,) * n)
+
+
+def coefficients_to_values(coef: np.ndarray, torus: TorusGrid, deg: int) -> np.ndarray:
+    """Samples on the torus grid of the coefficients over the last n = torus.n axes."""
+    n = torus.n
+    lead = coef.shape[: coef.ndim - n]
+    vals = coef.reshape(-1, (2 * deg + 1) ** n) @ phase_matrix(torus.M, -deg, deg, 1, n)
+    return vals.reshape(lead + torus.shape)
 
 
 def block_slices(spec: LatticeSpec, m, radius: int | None = None) -> tuple:

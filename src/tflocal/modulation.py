@@ -152,26 +152,27 @@ def symbol_modulation_norm(
 
     The measure is counting on both lattice-type axes and quadrature on both
     torus-type axes.  The norm streams: it reduces each lattice shift's
-    (omega, xi, k) slab of the transform as `stft._symbol_slabs` yields it
-    (|.|, power, running sum; a running max for p = inf), so it holds one
-    slab, never the whole transform, and runs at n = 2.  The exponent and the
-    transform's input checks run before the first slab.  A non-finite entry
-    makes its slab's sum or max non-finite, so a slab is scanned entry by
-    entry only then: a non-finite entry raises DomainError, while finite
-    entries whose |.|^p overflows give inf.
+    slab of the transform as `stft._symbol_slabs` yields it, so it holds one
+    slab, never the whole transform, and runs at n = 2.  A slab reduces by
+    |.|, power and sum (max for p = inf); for p = 2 it reduces to the real
+    part of its dot product with itself, which skips the |.| pass.  The
+    exponent and the transform's input checks run before the first slab.
+    A non-finite entry makes its slab's sum or max non-finite, so a slab is
+    scanned entry by entry only then: a non-finite entry raises DomainError,
+    while finite entries whose |.|^p overflows give inf.
     """
     p = _check_exponent(p)
     slabs = _symbol_slabs(sigma, G0, _symbol_freq_radius(sigma, G0))
     a = None
     acc = 0.0
     for slab in slabs:
-        a = np.abs(slab, out=a)
-        if np.isinf(p):
-            part = float(a.max())
+        if p == 2:
+            part = float(np.vdot(slab, slab).real)
         else:
-            if p != 1:
+            a = np.abs(slab, out=a)
+            if p != 1 and not np.isinf(p):
                 np.power(a, p, out=a)
-            part = float(a.sum())
+            part = float(a.max() if np.isinf(p) else a.sum())
         if not np.isfinite(part):
             _check_finite(slab, "transform")
         acc = max(acc, part) if np.isinf(p) else acc + part

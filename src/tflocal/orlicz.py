@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, PrecisionError, RangeError
-from .lattice import PhaseSpaceField, TorusGrid, phase_matrix
+from .lattice import PhaseSpaceField, coefficients_to_values, field_coefficients
 from .young import YoungFunction
 
 __all__ = [
@@ -218,24 +218,6 @@ def field_lp_norm(F: PhaseSpaceField, p: float) -> float:
     if np.isinf(p):
         return float(a.max(initial=0.0))
     return float((F.torus.weight * (a**p).sum()) ** (1.0 / p))
-
-
-def field_coefficients(F: PhaseSpaceField) -> np.ndarray:
-    """Torus Fourier coefficients per lattice point, exact for deg <= (M-1)/2."""
-    M, n, deg = F.torus.M, F.n, F.degree_bound
-    if 2 * deg > M - 1:
-        raise PrecisionError("coefficient extraction would alias: need 2*degree <= M-1")
-    coef = F.values.reshape(-1, M**n) @ phase_matrix(M, -deg, deg, -1, n).T
-    coef *= F.torus.weight
-    return coef.reshape(F.lattice_shape + (2 * deg + 1,) * n)
-
-
-def coefficients_to_values(coef: np.ndarray, torus: TorusGrid, deg: int) -> np.ndarray:
-    """Samples on the torus grid of the coefficients over the last n = torus.n axes."""
-    n = torus.n
-    lead = coef.shape[: coef.ndim - n]
-    vals = coef.reshape(-1, (2 * deg + 1) ** n) @ phase_matrix(torus.M, -deg, deg, 1, n)
-    return vals.reshape(lead + torus.shape)
 
 
 def _lattice_convolve(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:

@@ -22,15 +22,21 @@ the operation refuses to run otherwise rather than approximate silently.
 
 A second-level transform analyzes phase-space fields themselves against a
 phase-space window, producing the four-index array indexed by (lattice
-shift, torus shift, lattice frequency, torus frequency).  It has the same
-block form in the lattice variable, one block per lattice shift m, where
-the window's lattice radius R bounds u; the torus shift is one gather on
-the shared grid.  Each block is trimmed per axis to the u in [-R, R] whose
-j = m + u lies in the field's lattice range, so no work goes to zero
-padding.  One private generator, `_symbol_slabs`, yields the (omega, xi, k)
-slab of each m in a fixed order: `stft_symbol` stacks the slabs into the
-full array, while the symbol norm reduces each slab as it arrives and so
-never holds more than one slab (1/(2(R_f+R)+1)^n of the transform).
+shift, torus shift, lattice frequency, torus frequency).  It runs on the
+torus Fourier coefficients cF, cG (`lattice.field_coefficients`): at
+j = m + u the eta integral is the finite sum over b in [-deg G, deg G]^n
+
+    T(u, k, omega) = sum_b cF(m+u, k+b) conj(cG(u, b)) e^{2 pi i b.omega},
+
+exact for fields of the stated `degree_bound` (as `convolve_phase_space`
+also relies on) while 2D <= M - 1, D = deg F + deg G.  Per lattice shift m
+that is one product of coefficients, one matmul from b to omega and one
+from u to xi, with u in the window's lattice radius R trimmed per axis to
+the j = m + u in F's lattice range.  One private generator, `_symbol_slabs`,
+yields the (xi, k, omega) slab of each m in a fixed order: `stft_symbol`
+stacks the slabs into the full array, while the symbol norm reduces each
+slab as it arrives and so never holds more than one slab
+(1/(2(R_f+R)+1)^n of the transform).
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from .lattice import (
     TorusGrid,
     _check_finite,
     block_slices,
+    field_coefficients,
     inner,
     norm2,
     phase_matrix,
@@ -156,12 +163,7 @@ class SymbolTransform:
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=np.complex128)
         n, M = self.spec.n, self.torus.M
-        want = (
-            (2 * self.m_radius + 1,) * n
-            + (M,) * n
-            + (M,) * n
-            + (2 * self.freq_radius + 1,) * n
-        )
+        want = (2 * self.m_radius + 1,) * n + (M,) * (2 * n) + (2 * self.freq_radius + 1,) * n
         if self.values.shape != want:
             raise DomainError(f"transform shape {self.values.shape}, expected {want}")
         # one lattice shift's slab at a time: no temporary of the transform's size
@@ -185,45 +187,44 @@ def _symbol_freq_radius(F: PhaseSpaceField, G: PhaseSpaceField) -> int:
 
 
 def _symbol_slabs(F: PhaseSpaceField, G: PhaseSpaceField, D: int):
-    """Yield the (omega, xi, k) slab of each lattice shift m, in C order of [-Rm, Rm]^n.
+    """Yield the (xi, k, omega) slab of each lattice shift m, in C order of [-Rm, Rm]^n.
 
-    Each slab has shape (M^n, M^n, (2D+1)^n) and is written into one buffer
+    Each slab has shape (M^n, (2D+1)^n, M^n) and is written into one buffer
     that the next slab overwrites, so a caller that reduces slabs as they
     arrive holds one at a time.  The inputs must have passed
     `_symbol_freq_radius`; the slabs are not checked for finiteness, which
     each consumer does once per slab.
     """
     n, M = F.spec.n, F.torus.M
-    Rf, Rg = F.m_radius, G.m_radius
-    Mn, Dk = M**n, (2 * D + 1) ** n
-    # rot[w, eta] = flat grid index of eta - w, so G(u, eta - w) is one gather
-    c = np.indices(F.torus.shape).reshape(n, Mn)
-    rot = np.ravel_multi_index(tuple((c[:, None] - c[:, :, None]) % M), F.torus.shape)
-    Gc = np.conj(G.values.reshape(-1, Mn))
-    Grot = Gc[np.arange(Gc.shape[0])[:, None], rot[:, None]]  # (w, u, eta)
-    Grot = Grot.reshape((Mn,) + (2 * Rg + 1,) * n + (Mn,))
-    Fv = F.values.reshape((2 * Rf + 1,) * n + (Mn,))
-    Ek = phase_matrix(M, -D, D, -1, n).T * F.torus.weight  # eta -> k, with weight
+    Rf, Rg, dG = F.m_radius, G.m_radius, G.degree_bound
+    Mn, Dk, Bn = M**n, (2 * D + 1) ** n, (2 * dG + 1) ** n
+    # cF(j, k + b) for every k in [-D, D]^n and b in [-dG, dG]^n: windows of
+    # width 2 dG + 1 over F's coefficients padded by 2 dG zeros per side
+    cF = np.pad(field_coefficients(F), ((0, 0),) * n + ((2 * dG, 2 * dG),) * n)
+    cF = sliding_window_view(cF, (2 * dG + 1,) * n, axis=tuple(range(n, 2 * n)))
+    cG = np.expand_dims(np.conj(field_coefficients(G)), tuple(range(n, 2 * n)))  # (u, 1, b)
+    Eb = phase_matrix(M, -dG, dG, 1, n)  # b -> omega
     Pj = phase_matrix(M, -Rf, Rf, -1, n).T.reshape((Mn,) + (2 * Rf + 1,) * n)  # (xi, j)
-    H = np.empty(Grot.size, dtype=np.complex128)
-    T = np.empty(Mn * Gc.shape[0] * Dk, dtype=np.complex128)
-    slab = np.empty((Mn, Mn, Dk), dtype=np.complex128)
+    Z = np.empty((2 * Rg + 1) ** n * Dk * Bn, dtype=np.complex128)
+    T = np.empty((2 * Rg + 1) ** n * Dk * Mn, dtype=np.complex128)
+    slab = np.empty((Mn, Dk, Mn), dtype=np.complex128)
     shifts = range(-Rf - Rg, Rf + Rg + 1)
     for m in itertools.product(shifts, repeat=n):
         # per axis u runs over [max(-Rg, -Rf - m), min(Rg, Rf - m)]: the part
         # of the window block that overlaps F's lattice range j = m + u
         lo = [max(-Rg, -Rf - a) for a in m]
         hi = [min(Rg, Rf - a) for a in m]
-        usl = (slice(None),) + tuple(slice(l + Rg, h + Rg + 1) for l, h in zip(lo, hi))
+        usl = tuple(slice(l + Rg, h + Rg + 1) for l, h in zip(lo, hi))
         jsl = tuple(slice(a + l + Rf, a + h + Rf + 1) for a, l, h in zip(m, lo, hi))
-        block = Fv[jsl]  # (u, eta)
-        U = block.size // Mn
-        Hm = H[: Mn * U * Mn].reshape((Mn,) + block.shape)
-        np.multiply(block, Grot[usl], out=Hm)  # F(m + u, eta) conj(G(u, eta - w))
-        Tm = T[: Mn * U * Dk].reshape(Mn * U, Dk)
-        np.matmul(Hm.reshape(-1, Mn), Ek, out=Tm)
-        # u -> xi with the phases of j = m + u: (xi, u) @ (w, u, k) -> (w, xi, k)
-        np.matmul(Pj[(slice(None),) + jsl].reshape(Mn, U), Tm.reshape(Mn, U, Dk), out=slab)
+        block = cF[jsl]  # (u, k, b)
+        U = block.size // (Dk * Bn)
+        Zm = Z[: block.size].reshape(block.shape)
+        np.multiply(block, cG[usl], out=Zm)  # cF(m + u, k + b) conj(cG(u, b))
+        Tm = T[: U * Dk * Mn].reshape(U * Dk, Mn)
+        np.matmul(Zm.reshape(U * Dk, Bn), Eb, out=Tm)  # (u, k, omega)
+        # u -> xi with the phases of j = m + u: (xi, u) @ (u, k omega)
+        Pm = Pj[(slice(None),) + jsl].reshape(Mn, U)
+        np.matmul(Pm, Tm.reshape(U, Dk * Mn), out=slab.reshape(Mn, Dk * Mn))
         yield slab
 
 
@@ -233,22 +234,18 @@ def stft_symbol(F: PhaseSpaceField, G: PhaseSpaceField) -> SymbolTransform:
     values(m, omega, xi, k) =
         sum_j int e^{-2 pi i j.xi} e^{-2 pi i eta.k} F(j, eta)
               conj(G(j-m, eta-omega)) d eta,
-    with the eta integral evaluated by exact grid quadrature and k over
-    [-D, D]^n, D = deg F + deg G.
-
-    Block form: j = m + u with u in [-R, R]^n, R = G.m_radius, trimmed per
-    axis to the u whose j lies in F's lattice range.  Per shift m,
-    F(m + u, eta) times conj(G(u, eta - omega)) for every omega (one gather),
-    then one matmul from eta to k and one from u to xi.  `_symbol_slabs`
-    yields these per-shift slabs; this function stacks them into the one
-    array of the transform's size, while `symbol_modulation_norm` reduces
-    them one at a time and never holds more than one slab.
+    with k over [-D, D]^n, D = deg F + deg G, and the eta integral taken
+    exactly in torus-coefficient space (PrecisionError unless 2D <= M - 1).
+    `_symbol_slabs` yields one (xi, k, omega) slab per lattice shift m (see
+    the module docstring); this function stores each as (omega, xi, k) in
+    the one array of the transform's size, while `symbol_modulation_norm`
+    reduces them one at a time and never holds more than one slab.
     """
     D = _symbol_freq_radius(F, G)
     spec, n, M = F.spec, F.spec.n, F.torus.M
     Rm = F.m_radius + G.m_radius
     out = np.empty(((2 * Rm + 1) ** n, M**n, M**n, (2 * D + 1) ** n), dtype=np.complex128)
     for i, slab in enumerate(_symbol_slabs(F, G, D)):
-        out[i] = slab
+        out[i] = slab.transpose(2, 0, 1)
     shaped = out.reshape((2 * Rm + 1,) * n + (M,) * (2 * n) + (2 * D + 1,) * n)
     return SymbolTransform(spec, F.torus, Rm, D, shaped)

@@ -47,6 +47,7 @@ from .lattice import (
     PhaseSpaceField,
     Signal,
     TorusGrid,
+    coefficients_to_values,
     inner,
     modulate,
     norm2,
@@ -75,7 +76,6 @@ from .orlicz import (
     _field_abs,
     _lux_stack,
     _mixed_norms,
-    coefficients_to_values,
     convolve_phase_space,
     field_lp_norm,
     holder_pairing,

@@ -159,8 +159,10 @@ def test_symbol_norm_raises_like_stft_symbol(small_env):
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(err):
                 stft_symbol(F_, G_)
-            with pytest.raises(err):
-                symbol_modulation_norm(F_, G_, 1.0)
+            # p = 2 reduces a slab by a dot product, the others by |.|
+            for p in (1.0, 2.0, math.inf):
+                with pytest.raises(err):
+                    symbol_modulation_norm(F_, G_, p)
 
 
 def test_symbol_norm_overflow_of_finite_entries_is_inf(small_env):

@@ -20,9 +20,9 @@ from tflocal import (
     stft_symbol,
     symbol_modulation_norm,
 )
-from tflocal.lattice import delta_signal, phase_matrix
+from tflocal.lattice import coefficients_to_values, delta_signal, phase_matrix
 from tflocal.locop import apply_operator
-from tflocal.orlicz import coefficients_to_values, field_lp_norm
+from tflocal.orlicz import field_lp_norm
 from tflocal.stft import SymbolTransform, _stft_values
 from tflocal.verify import (
     Environment,
@@ -428,3 +428,31 @@ def test_symbol_norm_matches_direct_oracle(lat, tor):
             want = a.max() if p == math.inf else (w * (a**p).sum()) ** (1 / p)
             got = symbol_modulation_norm(F, G, p)
             assert abs(got - want) <= 1e-12 * want, p
+
+
+# one interior (deg F, deg G) pair with deg G > deg F per small grid
+EDGE_GRIDS = [g + (d,) for g, d in zip(SMALL_GRIDS, [(1, 3), (1, 2)])]
+
+
+@pytest.mark.parametrize("lat,tor,interior", EDGE_GRIDS)
+def test_symbol_transform_at_the_edges_of_the_coefficient_window(lat, tor, interior):
+    # D = deg F + deg G at its largest, (M - 1)/2, with all of it in one of
+    # the two fields, and an interior split with deg G > deg F: the windows
+    # over F's coefficients reach the zero padding on both sides
+    h = (tor.M - 1) // 2
+    rng = trial_rng(40, "symbol-edges", 0)
+    w = tor.weight**2
+
+    def field(radius, deg):
+        coefs = _crandn(rng, (2 * radius + 1,) * lat.n + (2 * deg + 1,) * lat.n)
+        vals = coefficients_to_values(coefs, tor, deg)
+        return PhaseSpaceField(lat, tor, radius, vals, degree_bound=deg)
+
+    for dF, dG in [(0, h), (h, 0), interior]:
+        F, G = field(2 * lat.K, dF), field(lat.K, dG)
+        want = direct_symbol_oracle(F, G, dF + dG)
+        assert _rel_err(stft_symbol(F, G).values, want) <= 1e-12, (dF, dG)
+        a = np.abs(want)
+        for p in (1.0, 2.0, math.inf):
+            norm = a.max() if p == math.inf else (w * (a**p).sum()) ** (1 / p)
+            assert abs(symbol_modulation_norm(F, G, p) - norm) <= 1e-12 * norm, (dF, dG, p)

@@ -175,7 +175,7 @@ def test_stacked_checks_solve_once_per_young_function(env, monkeypatch):
 GOLDEN_SUMMARY = """\
 {"id": "inclusion_chain_flanks", "trials": 1, "violations": 0, "worst_margin": 0, "seed": 20240801, "elapsed": 0, "tier": "C_left=0.73575888234288456;C_right=0.5"}
 {"id": "window_robustness", "trials": 5, "violations": 0, "worst_margin": 0, "seed": 20240801, "elapsed": 0, "tier": "R=1.0026638675501449"}
-{"id": "mphi_boundedness", "trials": 3, "violations": 0, "worst_margin": 0, "seed": 20240801, "elapsed": 0, "tier": "kappa=0.0032236001488743517;cov=0.092701487362364221"}
+{"id": "mphi_boundedness", "trials": 3, "violations": 0, "worst_margin": 0, "seed": 20240801, "elapsed": 0, "tier": "kappa=0.0032236001488743552;cov=0.092701487362364221"}
 """
 
 
