@@ -83,7 +83,7 @@ def _lux_batched(v: np.ndarray, weight: float, phi: YoungFunction) -> np.ndarray
         raise DomainError("Luxemburg norms require a finite Young function")
     if not (weight > 0 and np.isfinite(weight)):
         raise DomainError("measure weight must be positive and finite")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise DomainError("Luxemburg input must be finite")
     out = np.zeros(v.shape[0])
     peak = v.max(axis=1, initial=0.0)
@@ -102,7 +102,10 @@ def _lux_batched(v: np.ndarray, weight: float, phi: YoungFunction) -> np.ndarray
         yhi = np.empty(rows.size)  # log G(hi)
         grow = np.arange(rows.size)
         for _ in range(200):
-            yhi[grow] = np.log(modular(va[grow], hi[grow]))
+            if grow.size == rows.size:  # every row still doubles: no copies
+                yhi[:] = np.log(modular(va, hi))
+            else:
+                yhi[grow] = np.log(modular(va[grow], hi[grow]))
             grow = grow[yhi[grow] > 0.0]
             if grow.size == 0:
                 break
@@ -113,23 +116,33 @@ def _lux_batched(v: np.ndarray, weight: float, phi: YoungFunction) -> np.ndarray
         side = np.zeros(rows.size)  # +1: hi moved last, -1: lo moved last
         for _ in range(280):
             done = hi - lo <= 0.5 * _REL_TOL * hi
-            if np.any(done):
+            if done.any():
                 out[rows[done]] = hi[done]
-                if np.all(done):
+                if done.all():
                     return out
                 live = ~done
                 rows, va, lo, ylo, hi, yhi, side = (
                     a[live] for a in (rows, va, lo, ylo, hi, yhi, side)
                 )
-            slope = np.where(lo > 0, np.log(hi / lo) / (ylo - yhi), 1.0)
+            zero = lo == 0.0
+            anyzero = zero.any()
+            ends = ylo - yhi  # finite exactly where both ends' log G are
+            slope = np.log(hi / lo) / ends
+            if anyzero:
+                np.copyto(slope, 1.0, where=zero)
             mid = hi * np.exp(yhi * slope)
-            # while lo = 0, a concave Phi puts hi G(hi) above the root, so
-            # after the first probe take at most the midpoint
-            mid = np.where((lo > 0) | (side == 0), mid, np.minimum(mid, 0.5 * hi))
-            guess = np.isfinite(mid) & np.isfinite(yhi) & (np.isfinite(ylo) | (lo == 0))
-            mid = np.where(guess, mid, 0.5 * (lo + hi))
+            if anyzero:
+                # while lo = 0, a concave Phi puts hi G(hi) above the root, so
+                # after the first probe take at most the midpoint
+                np.minimum(mid, 0.5 * hi, out=mid, where=zero & (side != 0))
+                np.copyto(ends, yhi, where=zero)  # at lo = 0 only log G(hi) is read
+            guess = np.isfinite(mid)
+            guess &= np.isfinite(ends)
+            if not guess.all():
+                np.copyto(mid, 0.5 * (lo + hi), where=~guess)
             d = 0.25 * _REL_TOL * hi
-            mid = np.clip(mid, lo + d, hi - d)
+            np.maximum(mid, lo + d, out=mid)
+            np.minimum(mid, hi - d, out=mid)
             y = np.log(modular(va, mid))
             ok = y <= 0.0
             step = np.where(ok, 1.0, -1.0)

@@ -16,10 +16,10 @@ its (trial index, rng) pairs, and returns the worst margin of each trial, in
 trial order, with the check's tier: a fixed label, a summary of all trials,
 or None.  Per-trial randomness comes from a counter-based Philox stream
 keyed by (master seed, check id) with the trial index as the counter.  The
-Hoelder and mixed convolution checks solve the Luxemburg norms of many
-trials together, but each trial still draws from its own stream, and the
-solver's rows are independent, so every margin and report byte is the same
-as trial by trial, and identical across runs.
+Hoelder, mixed convolution and norm-axiom checks solve the Luxemburg norms
+of many trials together, but each trial still draws from its own stream,
+and the solver's rows are independent, so every margin and report byte is
+the same as trial by trial, and identical across runs.
 
 Serialized reports are JSON Lines with the fixed field set
 {"id","trials","violations","worst_margin","seed","elapsed","tier"}.  The
@@ -80,8 +80,6 @@ from .orlicz import (
     field_lp_norm,
     holder_pairing,
     luxemburg,
-    mixed_norm,
-    mixed_norm_swapped,
     orlicz_norm,
 )
 from .stft import _stft_values, stft, invert
@@ -273,9 +271,10 @@ def _le_margin(lhs: float, rhs: float, scale: Optional[float] = None) -> float:
 # check implementations
 #
 # Most checks are written for one trial, as fn(env, rng, t) -> margins, and
-# wrapped by `_trialwise`.  The Hoelder and mixed convolution checks draw the
-# trials of one `_in_parts` part and then solve their Luxemburg norms
-# together; the checks whose tier summarizes their trials own their loop.
+# wrapped by `_trialwise`.  The Hoelder, mixed convolution and norm-axiom
+# checks draw the trials of one `_in_parts` part and then solve their
+# Luxemburg norms together; the checks whose tier summarizes their trials own
+# their loop.
 
 
 def _trialwise(fn):
@@ -343,59 +342,6 @@ def _chk_covariance(env, rng, t):
     B = np.roll(B, jnu, axis=tuple(range(n, 2 * n)))  # torus shift is cyclic
     scale = max(float(A.max()), _TINY)
     return [_eq_margin(float(np.abs(A - B).max()), 0.0, scale)]
-
-
-_NORM_STYLES = ("product", "mixed", "swapped")
-
-
-def _field_norm(style, F, phi1, phi2):
-    if style == "product":
-        return orlicz_norm(F, phi1)
-    if style == "mixed":
-        return mixed_norm(F, phi1, phi2)
-    return mixed_norm_swapped(F, phi1, phi2)
-
-
-_AXIOM_PHIS = ((power(1.5), power(2)), (power(2), power(3)), (eq5(), power(2)))
-
-
-@_trialwise
-def _chk_homogeneity(env, rng, t):
-    F = _trig_symbol(env, rng)
-    c = complex(_crandn(rng, ()) * 3)
-    phi1, phi2 = _AXIOM_PHIS[t % 3]
-    style = _NORM_STYLES[t % 3]
-    a = _field_norm(style, PhaseSpaceField(F.spec, F.torus, F.m_radius, c * F.values, degree_bound=F.degree_bound), phi1, phi2)
-    b = abs(c) * _field_norm(style, F, phi1, phi2)
-    return [_eq_margin(a, b, scale=max(b, _TINY))]
-
-
-@_trialwise
-def _chk_triangle(env, rng, t):
-    F = _trig_symbol(env, rng)
-    G = _trig_symbol(env, rng)
-    phi1, phi2 = _AXIOM_PHIS[t % 3]
-    style = _NORM_STYLES[t % 3]
-    H = PhaseSpaceField(
-        F.spec, F.torus, F.m_radius, F.values + G.values, degree_bound=F.degree_bound
-    )
-    lhs = _field_norm(style, H, phi1, phi2)
-    rhs = _field_norm(style, F, phi1, phi2) + _field_norm(style, G, phi1, phi2)
-    return [_le_margin(lhs, rhs)]
-
-
-@_trialwise
-def _chk_monotonicity(env, rng, t):
-    G = _trig_symbol(env, rng)
-    u = rng.uniform(0.0, 1.0, size=G.values.shape)
-    F = PhaseSpaceField(
-        G.spec, G.torus, G.m_radius, G.values * u, degree_bound=env.torus.M - 1
-    )
-    phi1, phi2 = _AXIOM_PHIS[t % 3]
-    style = _NORM_STYLES[t % 3]
-    lhs = _field_norm(style, F, phi1, phi2)
-    rhs = _field_norm(style, G, phi1, phi2)
-    return [_le_margin(lhs, rhs, scale=max(rhs, _TINY))]
 
 
 _LUX_PS = (1.0, 1.5, 2.0, 3.0)
@@ -561,6 +507,89 @@ def _chk_convolution_mixed_power(env, spec, trials):
 
 def _chk_convolution_mixed_orlicz(env, spec, trials):
     return _convolution_mixed(env, trials, lambda t: (env.phi, power(2))), None
+
+
+_NORM_STYLES = ("product", "mixed", "swapped")
+_AXIOM_PHIS = ((power(1.5), power(2)), (power(2), power(3)), (eq5(), power(2)))
+
+
+def _axiom_norms(env, keys, fields):
+    """Norms of the fields |F| of one shape (L, T), field i in style keys[i] % 3.
+
+    Style s is the product, mixed or swapped norm of _NORM_STYLES under the
+    Young pair _AXIOM_PHIS[s]; the fields of one style are solved together.
+    """
+    w = env.torus.weight
+    out = np.empty(len(fields))
+    for s, style in enumerate(_NORM_STYLES):
+        idx = [i for i, k in enumerate(keys) if k % 3 == s]
+        if not idx:
+            continue
+        group = [fields[i] for i in idx]
+        phi1s, phi2s = ([phi] * len(idx) for phi in _AXIOM_PHIS[s])
+        if style == "product":
+            out[idx] = _lux_stack([a.ravel() for a in group], w, phi1s)
+        else:
+            out[idx] = _mixed_norms(group, w, phi1s, phi2s, swapped=style == "swapped")
+    return out
+
+
+def _abs_with(F, values):
+    """|values| of a field on F's grids, shaped as `_field_abs(F)`."""
+    return np.abs(values).reshape(-1, int(np.prod(F.torus.shape)))
+
+
+@_in_parts(lambda env: 2 * _field_values(env, 2 * env.lattice.K))  # c F and F
+def _homogeneity(env, trials):
+    """|c F| = |c| |F| in each trial's norm style."""
+    keys, fields, scale = [], [], []
+    for t, rng in trials:
+        F = _trig_symbol(env, rng)
+        c = complex(_crandn(rng, ()) * 3)
+        keys += [t, t]
+        fields += [_abs_with(F, c * F.values), _field_abs(F)]
+        scale.append(abs(c))
+    norm = _axiom_norms(env, keys, fields)
+    rhs = np.array(scale) * norm[1::2]
+    return [_eq_margin(float(a), float(b), scale=max(float(b), _TINY)) for a, b in zip(norm[0::2], rhs)]
+
+
+@_in_parts(lambda env: 3 * _field_values(env, 2 * env.lattice.K))  # F + G, F and G
+def _triangle(env, trials):
+    """|F + G| <= |F| + |G| in each trial's norm style."""
+    keys, fields = [], []
+    for t, rng in trials:
+        F = _trig_symbol(env, rng)
+        G = _trig_symbol(env, rng)
+        keys += [t, t, t]
+        fields += [_abs_with(F, F.values + G.values), _field_abs(F), _field_abs(G)]
+    norm = _axiom_norms(env, keys, fields)
+    return _le_trials(norm[0::3], norm[1::3] + norm[2::3])
+
+
+@_in_parts(lambda env: 2 * _field_values(env, 2 * env.lattice.K))  # u G and G
+def _monotonicity(env, trials):
+    """|u G| <= |G| for 0 <= u <= 1 pointwise, in each trial's norm style."""
+    keys, fields = [], []
+    for t, rng in trials:
+        G = _trig_symbol(env, rng)
+        u = rng.uniform(0.0, 1.0, size=G.values.shape)
+        keys += [t, t]
+        fields += [_abs_with(G, G.values * u), _field_abs(G)]
+    norm = _axiom_norms(env, keys, fields)
+    return [_le_margin(float(a), float(b), scale=max(float(b), _TINY)) for a, b in zip(norm[0::2], norm[1::2])]
+
+
+def _chk_homogeneity(env, spec, trials):
+    return _homogeneity(env, trials), None
+
+
+def _chk_triangle(env, spec, trials):
+    return _triangle(env, trials), None
+
+
+def _chk_monotonicity(env, spec, trials):
+    return _monotonicity(env, trials), None
 
 
 @_trialwise

@@ -14,6 +14,15 @@ evaluable kinds are supported:
   extended past the last node.  Used mainly for tabulated conjugates, whose
   node values are lower bounds (see ``conjugate_table``).
 
+A table whose nodes after 0 are log-uniform, as ``conjugate_table`` builds
+them, finds the segment of an argument t in O(1) instead of by binary
+search: floor((log t - log x1)/h + 1/2), which is the segment itself or the
+one below it, then one exact comparison with the segment's upper node.  Its
+value is ``np.interp``'s formula slope_j (t - x_j) + y_j on that segment,
+with the per-segment slopes computed once by ``table``, so it returns the
+same bits as ``np.interp`` (and as the linear extension past the last node).
+Any other table uses ``np.interp``.
+
 Each function is validated once, by its builder.  ``power`` and ``eq5`` are
 valid by construction; ``quasi_young`` and ``table`` run one probe pass
 (Phi(0) = 0, Phi nondecreasing) that also sets ``finite``.
@@ -26,8 +35,9 @@ Both are heuristic certificates over finite grids, not proofs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -67,6 +77,73 @@ def _eval_eq5(t: np.ndarray) -> np.ndarray:
     return np.where(t <= EQ5_BREAK, head, tail)
 
 
+class _LogGrid(NamedTuple):
+    """O(1) segment lookup of a table whose nodes x1 < x2 < ... are log-uniform.
+
+    Segment j is [x_j, x_{j+1}), and the last one, `top`, runs on past the
+    last node.  log(t) * scale + lead puts node j near j - 1/2; `upper[j]`
+    is x_{j+1} (NaN for `top`) and `slopes[j]` segment j's slope.
+    """
+
+    scale: float
+    lead: float
+    top: float
+    upper: np.ndarray
+    slopes: np.ndarray
+
+
+def _log_grid(xs: np.ndarray, ys: np.ndarray) -> Optional[_LogGrid]:
+    """The O(1) lookup of a table with log-uniform positive nodes, else None.
+
+    Each node must sit within a quarter segment of its place, measured by
+    the very formula the lookup evaluates, so the floor is never more than
+    one segment low nor above the segment; slopes must be finite, so that
+    the formula gives y_j exactly at x_j.
+    """
+    if xs.size < 3:
+        return None
+    with np.errstate(all="ignore"):
+        slopes = np.diff(ys) / np.diff(xs)
+        logs = np.log(xs[1:])
+        scale = (xs.size - 2) / (logs[-1] - logs[0])
+        lead = 0.5 - logs[0] * scale
+        place = logs * scale + lead - np.arange(0.5, xs.size - 1)
+    if not (np.isfinite(slopes).all() and np.abs(place).max() <= 0.25):
+        return None
+    upper = np.append(xs[1:], np.nan)
+    slopes = np.append(slopes, slopes[-1])
+    upper.flags.writeable = False
+    slopes.flags.writeable = False
+    return _LogGrid(float(scale), float(lead), float(xs.size - 1), upper, slopes)
+
+
+def _eval_table(xs: np.ndarray, ys: np.ndarray, grid: Optional[_LogGrid], t: np.ndarray) -> np.ndarray:
+    """np.interp through the nodes, linearly extended past the last one.
+
+    On a log grid, an overflow far past the last node warns unless the
+    caller's errstate says otherwise; ``__call__`` and the solvers set one.
+    """
+    if grid is None:
+        out = np.interp(t, xs, ys)
+        slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+        with np.errstate(over="ignore", invalid="ignore"):
+            ext = ys[-1] + slope * (t - xs[-1])
+        return np.where(t > xs[-1], ext, out)
+    # below x1 every argument is in segment 0, so log(max(t, x1)) never sees
+    # 0 and the floor is never negative; fmin also sends NaN to the last one
+    u = np.maximum(t, xs[1], out=np.empty(t.shape))
+    np.log(u, out=u)
+    u *= grid.scale
+    u += grid.lead
+    np.fmin(u, grid.top, out=u)
+    j = u.astype(np.intp)
+    j += t >= grid.upper[j]
+    out = t - xs[j]
+    out *= grid.slopes[j]
+    out += ys[j]
+    return out
+
+
 @dataclass(frozen=True)
 class YoungFunction:
     """Evaluable Young (or quasi-Young) function, validated once when built.
@@ -75,7 +152,8 @@ class YoungFunction:
     builders check the axioms and set ``finite``, and nothing is probed again
     afterwards.  A table's nodes ``xs`` and ``ys`` are read-only float64
     arrays: writing into them raises ValueError.  ``==`` and ``hash`` cover
-    every field but ``finite``, and compare table nodes by their values.
+    every field but ``finite`` and ``grid``, and compare table nodes by their
+    values; ``grid`` is the O(1) segment lookup of a log-uniform table.
     """
 
     kind: str
@@ -84,6 +162,7 @@ class YoungFunction:
     xs: Optional[np.ndarray] = None
     ys: Optional[np.ndarray] = None
     finite: bool = field(default=True, compare=False)
+    grid: Optional[_LogGrid] = field(default=None, compare=False, repr=False)
 
     def _key(self) -> tuple:
         nodes = None if self.xs is None else (self.xs.tobytes(), self.ys.tobytes())
@@ -99,9 +178,10 @@ class YoungFunction:
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=np.float64)
-        if np.any(arr < 0):
-            raise DomainError("Young functions take non-negative arguments")
-        out = self._eval(arr)
+        if not (np.isfinite(arr) & (arr >= 0)).all():
+            raise DomainError("Young functions take finite non-negative arguments")
+        with np.errstate(over="ignore"):
+            out = self._eval(arr)
         return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
     def _eval(self, t: np.ndarray) -> np.ndarray:
@@ -113,12 +193,7 @@ class YoungFunction:
             with np.errstate(over="ignore"):
                 return self.base._eval(t**self.p)
         if self.kind == "table":
-            xs, ys = self.xs, self.ys
-            out = np.interp(t, xs, ys)
-            slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
-            with np.errstate(over="ignore", invalid="ignore"):
-                ext = ys[-1] + slope * (t - xs[-1])
-            return np.where(t > xs[-1], ext, out)
+            return _eval_table(self.xs, self.ys, self.grid, t)
         raise DomainError(f"unknown Young-function kind {self.kind!r}")
 
 
@@ -156,7 +231,13 @@ def quasi_young(base: YoungFunction, p: float) -> YoungFunction:
 
 
 def table(xs, ys) -> YoungFunction:
-    """Piecewise-linear Young function through (xs, ys); xs[0] must be 0."""
+    """Piecewise-linear Young function through (xs, ys); xs[0] must be 0.
+
+    Its values are ``np.interp``'s, linearly extended past the last node.
+    When the nodes after 0 are log-uniform (with finite slopes), the table
+    keeps the constants and per-segment slopes of an O(1) segment lookup,
+    which returns the same bits; otherwise it binary-searches.
+    """
     xs = np.array(xs, dtype=np.float64)
     ys = np.array(ys, dtype=np.float64)
     if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
@@ -167,7 +248,7 @@ def table(xs, ys) -> YoungFunction:
         raise DomainError("table abscissae must be strictly increasing")
     xs.flags.writeable = False
     ys.flags.writeable = False
-    return _probed(YoungFunction("table", xs=xs, ys=ys))
+    return _probed(YoungFunction("table", xs=xs, ys=ys, grid=_log_grid(xs, ys)))
 
 
 _BRACKET_CAP = 2.0**60
@@ -179,11 +260,14 @@ def complementary(phi: YoungFunction, y):
     The objective is concave, so the maximizer is bracketed by doubling
     x until the mean slope Phi(x)/x reaches y, then located by ternary
     search.  Raises UnboundedError when the bracket cap 2^60 is hit,
-    which is how extended-valued conjugates are refused.
+    which is how extended-valued conjugates are refused, and DomainError
+    for a non-finite y.
     """
     if not phi.finite:
         raise DomainError("complementary requires a finite Young function")
     arr = np.abs(np.asarray(y, dtype=np.float64))
+    if not np.isfinite(arr).all():
+        raise DomainError("complementary takes finite arguments")
     scalar = np.isscalar(y) or arr.ndim == 0
     yv = np.atleast_1d(arr).astype(np.float64)
 
@@ -212,17 +296,24 @@ def complementary(phi: YoungFunction, y):
 def conjugate_table(
     phi: YoungFunction, y_lo: float = 1e-9, y_hi: float = 1e9, nodes: int = 2048
 ) -> YoungFunction:
-    """Tabulate the numeric conjugate on a log grid.
+    """Tabulate the numeric conjugate at 0 and on a log grid of `nodes` points.
 
-    Each node value is x* y - Phi(x*) at the ternary-search point x*, a
-    *lower* bound on Psi(y) (short of it by the search error).  Linear
-    interpolation of a convex function overestimates between nodes, so the
-    table majorizes the true conjugate between nodes only up to that error,
-    and not at the nodes themselves.  Young's inequality x y <= Phi(x) +
-    Psi(y), which the constant-2 Hoelder checks rely on, therefore holds for
-    the table only up to the same error; a certified upper bound is not
-    computed here.
+    The grid runs from y_lo to y_hi, which need finite 0 < y_lo < y_hi, and
+    nodes must be an integer >= 2, else DomainError.  Its nodes after 0 are
+    log-uniform, so the table finds an argument's segment in O(1) (see
+    ``table``) and returns ``np.interp``'s values.  Each node value is
+    x* y - Phi(x*) at the ternary-search point x*, a *lower* bound on Psi(y)
+    (short of it by the search error).  Linear interpolation of a convex
+    function overestimates between nodes, so the table majorizes the true
+    conjugate between nodes only up to that error, and not at the nodes
+    themselves.  Young's inequality x y <= Phi(x) + Psi(y), which the
+    constant-2 Hoelder checks rely on, therefore holds for the table only up
+    to the same error; a certified upper bound is not computed here.
     """
+    if not 0 < y_lo < y_hi < math.inf:
+        raise DomainError(f"conjugate grid needs finite 0 < y_lo < y_hi, got {y_lo!r}, {y_hi!r}")
+    if isinstance(nodes, bool) or not isinstance(nodes, numbers.Integral) or nodes < 2:
+        raise DomainError(f"conjugate grid needs an integer nodes >= 2, got {nodes!r}")
     ys_grid = np.geomspace(y_lo, y_hi, nodes)
     vals = complementary(phi, ys_grid)
     return table(np.concatenate(([0.0], ys_grid)), np.concatenate(([0.0], vals)))
@@ -235,8 +326,8 @@ def delta2_probe(phi: YoungFunction, r: float, samples: int = 256) -> float:
     this is a heuristic doubling certificate, not a proof.  Ratios 0/0 are
     skipped; Phi(x) = 0 with Phi(2x) > 0 reports +inf.
     """
-    if not r > 0:
-        raise DomainError("probe radius must be positive")
+    if not 0 < r < math.inf:
+        raise DomainError("probe radius must be positive and finite")
     if samples < 16:
         raise DomainError("need at least 16 probe samples")
     xs = np.geomspace(r * 1e-12, r, samples)

@@ -170,6 +170,23 @@ def test_stacked_checks_solve_once_per_young_function(env, monkeypatch):
         assert 0 < len(calls) <= most, (cid, len(calls))
 
 
+# the three norm-axiom checks at their registry trial counts, as solving
+# every trial's norms on its own reports them
+GOLDEN_AXIOMS = """\
+{"id": "orlicz_homogeneity", "trials": 100, "violations": 0, "worst_margin": -2.7610040745107492e-13, "seed": 20240801, "elapsed": 0, "tier": null}
+{"id": "orlicz_triangle", "trials": 100, "violations": 0, "worst_margin": 0.28507599550916846, "seed": 20240801, "elapsed": 0, "tier": null}
+{"id": "orlicz_monotonicity", "trials": 100, "violations": 0, "worst_margin": 0.40167835932909757, "seed": 20240801, "elapsed": 0, "tier": null}
+"""
+
+
+@pytest.mark.parametrize("held", [1, 10_000, None])
+def test_axiom_checks_report_is_part_free(env, monkeypatch, held):
+    if held is not None:
+        monkeypatch.setattr(verify, "_HELD_VALUES", held)
+    ids = ("orlicz_homogeneity", "orlicz_triangle", "orlicz_monotonicity")
+    assert report_lines(run_suite([CheckSpec(cid) for cid in ids], env)) == GOLDEN_AXIOMS
+
+
 # the three checks whose tier summarizes all their trials: the flank
 # embedding constants, the window-change ratio and the M^Phi ratio spread
 GOLDEN_SUMMARY = """\

@@ -193,6 +193,94 @@ def test_table_nodes_read_only_and_exact():
     assert np.array_equal(psi(t), want)
 
 
+def _interp_reference(psi, t):
+    """np.interp through the table's nodes, extended by the last slope."""
+    xs, ys = psi.xs, psi.ys
+    slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+    with np.errstate(over="ignore"):
+        ext = ys[-1] + slope * (t - xs[-1])
+    return np.where(t > xs[-1], ext, np.interp(t, xs, ys))
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+@pytest.mark.parametrize("phi", [eq5(), power(1.5), power(3)], ids=["eq5", "p1.5", "p3"])
+def test_log_grid_lookup_is_interp_bit_for_bit(phi):
+    psi = conjugate_table(phi)
+    assert psi.grid is not None  # the O(1) path is the one under test
+    xs = psi.xs
+    nodes = xs[1:]
+    t = np.concatenate(
+        (
+            np.geomspace(1e-14, 1e14, 300_000),
+            xs,
+            np.nextafter(nodes, 0.0),
+            np.nextafter(nodes, np.inf),
+            [0.0, 5e-324, xs[-1], np.nextafter(xs[-1], np.inf), 2 * xs[-1], 1e300],
+        )
+    )
+    with np.errstate(over="ignore"):  # 1e300 overflows past the last node
+        assert _same_bits(psi._eval(t), _interp_reference(psi, t))
+    grid = t[:300_000].reshape(600, 500)  # a 2-D argument keeps its shape
+    got = psi(grid)
+    assert got.shape == grid.shape and _same_bits(got, _interp_reference(psi, grid))
+    assert _same_bits(psi(float(xs[7])), psi.ys[7])
+
+
+def test_small_log_grid_and_other_tables():
+    # the fewest nodes conjugate_table accepts still take the O(1) path
+    psi = conjugate_table(power(2), 1e-3, 1e3, nodes=2)
+    assert psi.grid is not None
+    t = np.concatenate((np.geomspace(1e-6, 1e6, 999), psi.xs, [0.0]))
+    assert _same_bits(psi._eval(t), _interp_reference(psi, t))
+    # nodes off a log-uniform grid keep np.interp, with the same values
+    hand = table((0.0, 1.0, 2.0, 5.0, 6.0), (0.0, 1.0, 3.0, 10.0, 13.0))
+    assert hand.grid is None
+    t = np.linspace(0.0, 8.0, 801)
+    assert _same_bits(hand._eval(t), _interp_reference(hand, t))
+    # the lookup is derived data: equality and hashing ignore it, and it is read-only
+    again = table(psi.xs, psi.ys)
+    assert again == psi and hash(again) == hash(psi)
+    for arr in (psi.grid.upper, psi.grid.slopes):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (0.0, 1e9, 2048),  # numpy refuses a geometric grid through zero
+        (-1.0, 1e9, 2048),
+        (1e9, 1e-9, 2048),  # reversed ends
+        (1.0, 1.0, 2048),
+        (math.nan, 1e9, 2048),
+        (1e-9, math.inf, 2048),
+        (1e-9, 1e9, 1),  # one positive node
+        (1e-9, 1e9, 0),
+        (1e-9, 1e9, 2.5),
+        (1e-9, 1e9, True),
+    ],
+)
+def test_conjugate_table_grid_validation(args):
+    with pytest.raises(DomainError, match="conjugate grid"):
+        conjugate_table(power(2), *args)
+
+
+def test_non_finite_arguments_are_refused():
+    for phi in (power(2), eq5(), quasi_young(power(2), 0.5), conjugate_table(power(2), nodes=64)):
+        for bad in (math.nan, math.inf, np.array([1.0, math.nan]), -1.0):
+            with pytest.raises(DomainError):
+                phi(bad)
+    for bad in (math.nan, math.inf, -math.inf, np.array([0.5, math.nan])):
+        with pytest.raises(DomainError):
+            complementary(power(2), bad)
+    for bad in (math.inf, math.nan, 0.0):
+        with pytest.raises(DomainError):
+            delta2_probe(power(2), bad)
+
+
 def test_conjugate_table_majorizes():
     phi = eq5()
     psi = conjugate_table(phi, nodes=512)
