@@ -3,22 +3,16 @@
 The Luxemburg norm is inf{b > 0 : w sum_i Phi(|v_i|/b) <= 1} for a uniform
 weight w per point (1 for counting, 1/M^n for torus quadrature).  The
 modular b -> G(b) is continuous and nonincreasing, and G(0+) = infinity
-because Young functions are unbounded, so the bracket starts at lo = 0: a
-doubling loop finds an upper end hi with G(hi) <= 1, moving lo up to each
-probe it rejects, and a narrowing loop shrinks [lo, hi] to a relative width
-of 1e-12.  Its probes are Illinois regula-falsi steps on log G against
-log b (exact in one step for power functions, superlinear otherwise; see
-Dowell and Jarratt, BIT 11, 1971), clamped a quarter of the tolerance
-inside the bracket and replaced by the midpoint where log G is not finite.
-While lo = 0 there is no second end to interpolate with: the first probe is
-hi G(hi), and later ones take the lesser of hi G(hi) and hi/2, so a concave
-Phi, for which hi G(hi) lies above the root, still halves hi every pass.
-The ends only ever move to evaluated probes, so the returned value b
-satisfies G(b(1+eps)) <= 1 <= G(b(1-eps)) with eps = 1e-12.  A row stops
-being probed once its bracket closes, so batch-mates do not change it.  One
-solver, `_lux_batched`, computes every Luxemburg norm here and checks its
-inputs (a finite Phi, a positive finite weight, finite values); a bracket
-that cannot be certified within its pass caps raises PrecisionError.
+because Young functions are unbounded.  One solver, `_lux_batched`,
+computes every Luxemburg norm here and checks its inputs (a finite Phi, a
+positive finite weight, finite values).  Each b it returns satisfies the
+certificate G(b(1+eps)) <= 1 <= G(b(1-eps)), eps = 1e-12, and does not
+depend on the rows solved with it.  power(p) and eq5 take a closed-form
+root (for eq5, a Newton solve on the head/tail segment that prefix sums of
+the sorted row locate), kept where two direct modular evaluations certify
+it.  Every other row goes to `_lux_illinois`, which narrows a bracket with
+Illinois regula-falsi steps on log G against log b (Dowell and Jarratt,
+BIT 11, 1971) and raises PrecisionError when its pass caps run out.
 
 Mixed norms take an inner Luxemburg norm along the lattice axes per torus
 node and an outer one across the torus (or the other way round for the
@@ -36,7 +30,7 @@ import numpy as np
 
 from .errors import DomainError, PrecisionError, RangeError
 from .lattice import PhaseSpaceField, coefficients_to_values, field_coefficients
-from .young import YoungFunction
+from .young import EQ5_TAIL, YoungFunction
 
 __all__ = [
     "luxemburg",
@@ -52,8 +46,118 @@ __all__ = [
 _REL_TOL = 1e-12
 
 
+def _eq5_roots(va: np.ndarray, peak: np.ndarray, weight: float) -> np.ndarray:
+    """The Luxemburg norm of each row under eq5, from prefix sums of the sorted row.
+
+    In units of the row's peak, u = v/peak sorted and r = b/peak, the values
+    u_i <= r beta (beta = e^{-3/2}) take the head -t^2 log t and the others
+    the tail t^2 + E (E = e^{-3}/2).  With k head values, S_k = sum_{i<=k} u_i^2,
+    A_k = -sum_{i<=k} u_i^2 ln u_i and x = ln r,
+        G = w [(A_k + S_k x + S_N - S_k) e^{-2x} + E (N - k)],
+    so G = 1 reads D + S_k x = c e^{2x} with D = A_k + S_N - S_k and
+    c = 1/w - E (N - k).  G is continuous and decreasing, so k is the number
+    of breakpoints r_j = u_j/beta with G(r_j) > 1 (below the first positive
+    u_j, G is infinite).  g(x) = ln(D + S_k x) - 2x - ln c is concave and
+    decreasing, so Newton's method on g from a start at or above the root
+    decreases monotonically to it: the segment's right end x_{k+1}, or for
+    the last segment x_N + ln G_N, since G <= G_N e^{-(x - x_N)} there.
+    With no positive head value (S_k = 0) g is linear and one step is exact.
+    A row stops at its first step that does not decrease x, so its bits do
+    not depend on its batch-mates.  The result is a candidate: the caller
+    certifies it.
+    """
+    rows, n = va.shape
+    u = va / peak[:, None]
+    u.sort(axis=1)
+    x = np.log(u)
+    x[u == 0.0] = 0.0  # so that u^2 ln u is 0 there
+    u *= u
+    A = u * x
+    np.negative(A, out=A)
+    np.cumsum(A, axis=1, out=A)
+    S = np.cumsum(u, axis=1, out=u)
+    x += 1.5  # ln r_j: u_j sits on the head/tail break at r_j = u_j/beta
+    SN = S[:, -1:]
+    G = S * x
+    G += A
+    G -= S
+    G += SN
+    G *= np.exp(-2.0 * x)
+    G += EQ5_TAIL * np.arange(n - 1, -1, -1)
+    G *= weight
+    G[S == 0.0] = np.inf  # G(0+): no u^2 > 0 up to this breakpoint
+    k = (G > 1.0).sum(axis=1)
+    i = np.arange(rows)
+    below = np.maximum(k - 1, 0)
+    Sk = np.where(k > 0, S[i, below], 0.0)
+    D = np.where(k > 0, A[i, below], 0.0) + SN[:, 0] - Sk
+    lnc = np.log(1.0 / weight - EQ5_TAIL * (n - k))
+    root = np.where(k < n, x[i, np.minimum(k, n - 1)], x[:, -1] + np.log(G[:, -1]))
+    live = np.ones(rows, dtype=bool)
+    for _ in range(100):  # a cap only: rows stop within a few steps
+        q = Sk * root
+        q += D
+        step = root + (np.log(q) - 2.0 * root - lnc) / (2.0 - Sk / q)
+        live &= step < root
+        if not live.any():
+            break
+        np.copyto(root, step, where=live)
+    return peak * np.exp(root)
+
+
+def _closed_roots(va: np.ndarray, peak: np.ndarray, weight: float, phi: YoungFunction):
+    """Candidate norms of the rows of va, whose maxima `peak` are positive.
+
+    power(p) and eq5 have a closed-form root; every other kind returns None.
+    """
+    if phi.kind == "power":
+        return peak * (weight * phi._eval(va / peak[:, None]).sum(axis=1)) ** (1.0 / phi.p)
+    if phi.kind == "eq5":
+        return _eq5_roots(va, peak, weight)
+    return None
+
+
+def _certified(va: np.ndarray, b: np.ndarray, weight: float, phi: YoungFunction) -> np.ndarray:
+    """Rows whose b satisfies G(b(1+eps)) <= 1 <= G(b(1-eps)), eps = _REL_TOL."""
+    up = weight * phi._eval(va / (b * (1.0 + _REL_TOL))[:, None]).sum(axis=1)
+    dn = weight * phi._eval(va / (b * (1.0 - _REL_TOL))[:, None]).sum(axis=1)
+    return (up <= 1.0) & (1.0 <= dn)
+
+
 def _lux_batched(v: np.ndarray, weight: float, phi: YoungFunction) -> np.ndarray:
     """Luxemburg norm of each row of v (shape (batch, N), nonnegative).
+
+    Rows whose maximum is 0 have norm 0.  For power and eq5, each other row
+    first takes its closed-form root, kept if it passes the certificate;
+    rows that fail, and all rows of other kinds, go to `_lux_illinois`.  A
+    non-finite Phi, weight or input raises DomainError.
+    """
+    if not phi.finite:
+        raise DomainError("Luxemburg norms require a finite Young function")
+    if not (weight > 0 and np.isfinite(weight)):
+        raise DomainError("measure weight must be positive and finite")
+    if not np.isfinite(v).all():
+        raise DomainError("Luxemburg input must be finite")
+    out = np.zeros(v.shape[0])
+    peak = v.max(axis=1, initial=0.0)
+    rows = np.flatnonzero(peak > 0)
+    if rows.size == 0:
+        return out
+    va, peak = v[rows], peak[rows]
+    with np.errstate(all="ignore"):
+        b = _closed_roots(va, peak, weight, phi)
+        if b is not None:
+            ok = _certified(va, b, weight, phi)
+            out[rows[ok]] = b[ok]
+            if ok.all():
+                return out
+            rows, va, peak = rows[~ok], va[~ok], peak[~ok]
+        out[rows] = _lux_illinois(va, peak, weight, phi)
+    return out
+
+
+def _lux_illinois(va: np.ndarray, peak: np.ndarray, weight: float, phi: YoungFunction) -> np.ndarray:
+    """Luxemburg norm of each row of va, whose maxima `peak` are positive, by bracketing.
 
     Invariant per row: G(hi) <= 1 < G(lo), with G(0) read as +infinity, and
     lo and hi only move to probes at which G was evaluated.  The doubling
@@ -77,81 +181,70 @@ def _lux_batched(v: np.ndarray, weight: float, phi: YoungFunction) -> np.ndarray
       guess closes the bracket within a probe or two.
     A row stops being probed once hi - lo <= 0.5e-12 hi and returns hi, so
     its result does not depend on the other rows.  An exhausted cap raises
-    PrecisionError; a non-finite Phi, weight or input raises DomainError.
+    PrecisionError.  Runs under the caller's errstate.
     """
-    if not phi.finite:
-        raise DomainError("Luxemburg norms require a finite Young function")
-    if not (weight > 0 and np.isfinite(weight)):
-        raise DomainError("measure weight must be positive and finite")
-    if not np.isfinite(v).all():
-        raise DomainError("Luxemburg input must be finite")
-    out = np.zeros(v.shape[0])
-    peak = v.max(axis=1, initial=0.0)
-    rows = np.flatnonzero(peak > 0)
-    if rows.size == 0:
-        return out
-    va = v[rows]
-    with np.errstate(all="ignore"):
+    out = np.empty(va.shape[0])
+    rows = np.arange(va.shape[0])
 
-        def modular(x, b):
-            return weight * phi._eval(x / b[:, None]).sum(axis=1)
+    def modular(x, b):
+        return weight * phi._eval(x / b[:, None]).sum(axis=1)
 
-        lo = np.zeros(rows.size)
-        ylo = np.full(rows.size, np.inf)  # log G(lo)
-        hi = weight * va.sum(axis=1) + peak[rows]
-        yhi = np.empty(rows.size)  # log G(hi)
-        grow = np.arange(rows.size)
-        for _ in range(200):
-            if grow.size == rows.size:  # every row still doubles: no copies
-                yhi[:] = np.log(modular(va, hi))
-            else:
-                yhi[grow] = np.log(modular(va[grow], hi[grow]))
-            grow = grow[yhi[grow] > 0.0]
-            if grow.size == 0:
-                break
-            lo[grow], ylo[grow] = hi[grow], yhi[grow]
-            hi[grow] *= 2.0
+    lo = np.zeros(rows.size)
+    ylo = np.full(rows.size, np.inf)  # log G(lo)
+    hi = weight * va.sum(axis=1) + peak
+    yhi = np.empty(rows.size)  # log G(hi)
+    grow = np.arange(rows.size)
+    for _ in range(200):
+        if grow.size == rows.size:  # every row still doubles: no copies
+            yhi[:] = np.log(modular(va, hi))
         else:
-            raise PrecisionError("Luxemburg upper bracket not found in 200 doublings")
-        side = np.zeros(rows.size)  # +1: hi moved last, -1: lo moved last
-        for _ in range(280):
-            done = hi - lo <= 0.5 * _REL_TOL * hi
-            if done.any():
-                out[rows[done]] = hi[done]
-                if done.all():
-                    return out
-                live = ~done
-                rows, va, lo, ylo, hi, yhi, side = (
-                    a[live] for a in (rows, va, lo, ylo, hi, yhi, side)
-                )
-            zero = lo == 0.0
-            anyzero = zero.any()
-            ends = ylo - yhi  # finite exactly where both ends' log G are
-            slope = np.log(hi / lo) / ends
-            if anyzero:
-                np.copyto(slope, 1.0, where=zero)
-            mid = hi * np.exp(yhi * slope)
-            if anyzero:
-                # while lo = 0, a concave Phi puts hi G(hi) above the root, so
-                # after the first probe take at most the midpoint
-                np.minimum(mid, 0.5 * hi, out=mid, where=zero & (side != 0))
-                np.copyto(ends, yhi, where=zero)  # at lo = 0 only log G(hi) is read
-            guess = np.isfinite(mid)
-            guess &= np.isfinite(ends)
-            if not guess.all():
-                np.copyto(mid, 0.5 * (lo + hi), where=~guess)
-            d = 0.25 * _REL_TOL * hi
-            np.maximum(mid, lo + d, out=mid)
-            np.minimum(mid, hi - d, out=mid)
-            y = np.log(modular(va, mid))
-            ok = y <= 0.0
-            step = np.where(ok, 1.0, -1.0)
-            halve = np.where(step == side, 0.5, 1.0)
-            side = step
-            ylo = np.where(ok, halve * ylo, y)
-            yhi = np.where(ok, y, halve * yhi)
-            lo = np.where(ok, lo, mid)
-            hi = np.where(ok, mid, hi)
+            yhi[grow] = np.log(modular(va[grow], hi[grow]))
+        grow = grow[yhi[grow] > 0.0]
+        if grow.size == 0:
+            break
+        lo[grow], ylo[grow] = hi[grow], yhi[grow]
+        hi[grow] *= 2.0
+    else:
+        raise PrecisionError("Luxemburg upper bracket not found in 200 doublings")
+    side = np.zeros(rows.size)  # +1: hi moved last, -1: lo moved last
+    for _ in range(280):
+        done = hi - lo <= 0.5 * _REL_TOL * hi
+        if done.any():
+            out[rows[done]] = hi[done]
+            if done.all():
+                return out
+            live = ~done
+            rows, va, lo, ylo, hi, yhi, side = (
+                a[live] for a in (rows, va, lo, ylo, hi, yhi, side)
+            )
+        zero = lo == 0.0
+        anyzero = zero.any()
+        ends = ylo - yhi  # finite exactly where both ends' log G are
+        slope = np.log(hi / lo) / ends
+        if anyzero:
+            np.copyto(slope, 1.0, where=zero)
+        mid = hi * np.exp(yhi * slope)
+        if anyzero:
+            # while lo = 0, a concave Phi puts hi G(hi) above the root, so
+            # after the first probe take at most the midpoint
+            np.minimum(mid, 0.5 * hi, out=mid, where=zero & (side != 0))
+            np.copyto(ends, yhi, where=zero)  # at lo = 0 only log G(hi) is read
+        guess = np.isfinite(mid)
+        guess &= np.isfinite(ends)
+        if not guess.all():
+            np.copyto(mid, 0.5 * (lo + hi), where=~guess)
+        d = 0.25 * _REL_TOL * hi
+        np.maximum(mid, lo + d, out=mid)
+        np.minimum(mid, hi - d, out=mid)
+        y = np.log(modular(va, mid))
+        ok = y <= 0.0
+        step = np.where(ok, 1.0, -1.0)
+        halve = np.where(step == side, 0.5, 1.0)
+        side = step
+        ylo = np.where(ok, halve * ylo, y)
+        yhi = np.where(ok, y, halve * yhi)
+        lo = np.where(ok, lo, mid)
+        hi = np.where(ok, mid, hi)
     raise PrecisionError("Luxemburg bracket did not narrow in 280 passes")
 
 

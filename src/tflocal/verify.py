@@ -359,10 +359,13 @@ def _chk_power_reduction(env, rng, t):
         v = np.abs(_crandn(rng, ((2 * K + 1) ** n,)))
         weight = 1.0
     margins = []
-    # eq5 and its conjugate psi have no closed form, but the modular bracket
-    # still certifies b; (t // 2) % 2 gives each input kind both of them
-    for phi in [*map(power, _LUX_PS), (env.phi, env.psi)[(t // 2) % 2]]:
+    # power norms have a direct sum to compare with; for eq5 and psi the
+    # modular bracket certifies b ((t // 2) % 2 gives each input kind both).
+    # The stacked solver of the Hoelder and axiom checks must give luxemburg's bits.
+    phis = [*map(power, _LUX_PS), (env.phi, env.psi)[(t // 2) % 2]]
+    for phi, stacked in zip(phis, _lux_stack([v] * len(phis), weight, phis)):
         b = luxemburg(v, weight, phi)
+        margins.append(_eq_margin(float(stacked), b, scale=max(b, _TINY)))
         if phi.kind == "power":
             direct = float((weight * v**phi.p).sum() ** (1.0 / phi.p))
             margins.append(_eq_margin(b, direct, scale=max(direct, _TINY)))

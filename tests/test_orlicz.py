@@ -42,7 +42,7 @@ def lux_oracle(vals, weight, phi, iters=200):
         hi *= 2.0
     lo = hi
     while modular(lo) < 1.0:
-        lo /= 2.0
+        hi, lo = lo, lo / 2.0
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         if modular(mid) <= 1.0:
@@ -117,9 +117,10 @@ def test_luxemburg_bracket_property(env, monkeypatch):
 
 
 def test_luxemburg_evaluation_budget(monkeypatch):
-    # one doubling probe, then the clamped Illinois step: 3-5 modular
-    # evaluations for power(p), where log G is linear in log b, and 8-12 for
-    # the others; bisection to the same 1e-12 bracket took 44-46
+    # power and eq5 take a closed-form root and its two-sided certificate
+    # (power sums its modular once more to form the root); the others take
+    # one doubling probe and then the clamped Illinois step, 8-12 modular
+    # evaluations; bisection to the same 1e-12 bracket took 44-46
     calls = []
     evaluate = YoungFunction._eval
 
@@ -133,7 +134,7 @@ def test_luxemburg_evaluation_budget(monkeypatch):
     for phi in phis:
         calls.clear()
         luxemburg(v, 1.0, phi)
-        assert 0 < len(calls) <= (5 if phi.kind == "power" else 12), (phi.kind, len(calls))
+        assert 0 < len(calls) <= (3 if phi.kind in ("power", "eq5") else 12), (phi.kind, len(calls))
     # t^0.05 is concave: hi G(hi) lies above the root and G(hi) < 1 at the
     # first upper end, so lo stays 0 until a probe at or below hi/2 is
     # rejected; repeating hi G(hi) would creep down as 2^(0.95^k) and hit the
@@ -216,6 +217,91 @@ def test_luxemburg_cross_oracle():
                 assert abs(b - want) <= 1e-11 * want, (phi.kind, phi.p, weight)
 
 
+def _spy_fallback(monkeypatch):
+    """Record (kind, rows) of every solve that reaches the Illinois bracket."""
+    fallback = []
+    illinois = orlicz._lux_illinois
+
+    def spy(va, peak, weight, phi):
+        fallback.append((phi.kind, len(va)))
+        return illinois(va, peak, weight, phi)
+
+    monkeypatch.setattr(orlicz, "_lux_illinois", spy)
+    return fallback
+
+
+def _closed_form_cases():
+    """(name, rows, weights): the edge cases of the closed-form roots."""
+    rng = trial_rng(19, "lux-closed", 0)
+    spread = rng.uniform(0.5, 2.0, (2, 40))
+    return (
+        # the norm under power(1) is 6e-300
+        ("tiny norm", np.array([[1.0, 2.0, 3.0]]), (1e-300,)),
+        ("zeros", np.array([[0.0, 0, 0, 0], [0, 0, 0, 2], [0, 0.5, 0, 3], [1e-3, 0, 0, 0]]), None),
+        # every value on one breakpoint
+        ("all equal", np.array([np.full(50, 0.3), np.full(50, 1.0), np.full(50, 7.0)]), None),
+        # at weight 1 every value ends in eq5's head -t^2 log t
+        ("all head", np.array([np.ones(200), rng.uniform(0.5, 1.0, 200)]), None),
+        # one value in eq5's tail t^2 + e^{-3}/2
+        ("single atom", np.array([[1.0], [5.0], [1e-3]]), None),
+        # |v|^2 and |v|^3 leave the double range unless scaled by the peak
+        ("1e+-150", np.vstack([1e150 * spread[0], 1e-150 * spread[1], np.geomspace(1e-150, 1e150, 40)]), None),
+    )
+
+
+@pytest.mark.parametrize("name, v, weights", _closed_form_cases())
+def test_luxemburg_closed_form_edge_cases(monkeypatch, name, v, weights):
+    # each row certifies on the closed path and agrees with the bisection
+    # oracle, at counting weight and at weight 1/N unless the case fixes one
+    fallback = _spy_fallback(monkeypatch)
+    for weight in weights or (1.0, 1.0 / v.shape[1]):
+        for phi in (power(1), power(3), eq5()):
+            norms = orlicz._lux_batched(v, weight, phi)
+            _assert_bracket(v, weight, phi, norms)
+            for row, b in zip(v, norms):
+                want = lux_oracle(row, weight, phi)
+                assert abs(b - want) <= 1e-11 * want, (name, weight, phi.kind, phi.p)
+    assert fallback == [], name
+
+
+@pytest.mark.parametrize("skew", [1.0 + 1e-9, math.nan])
+def test_luxemburg_certificate_guards_the_closed_form(monkeypatch, skew):
+    # closed-form roots 1e-9 too large, or NaN, fail the certificate on
+    # every row; those rows get the bits of the bracket run on them alone,
+    # and a batch still evaluates each row as often as its single solve
+    rng = trial_rng(18, "lux-certificate", 0)
+    v = np.abs(rng.standard_normal((6, 30))) * rng.uniform(0.01, 50.0, (6, 1))
+    v[2] = 0.0
+    v[4, 1:] = 0.0
+    live = v.max(axis=1) > 0
+    closed, illinois = orlicz._closed_roots, orlicz._lux_illinois
+    monkeypatch.setattr(orlicz, "_closed_roots", lambda va, peak, w, phi: skew * closed(va, peak, w, phi))
+    fallback = _spy_fallback(monkeypatch)
+    sizes = []
+    evaluate = YoungFunction._eval
+
+    def counting(self, t):
+        sizes.append(t.size)
+        return evaluate(self, t)
+
+    monkeypatch.setattr(YoungFunction, "_eval", counting)
+    for phi in (power(1), power(2.5), eq5()):
+        for weight in (1.0, 1.0 / v.shape[1]):
+            fallback.clear()
+            sizes.clear()
+            norms = orlicz._lux_batched(v, weight, phi)
+            work = sum(sizes)
+            assert fallback == [(phi.kind, live.sum())], (phi.kind, weight)
+            with np.errstate(all="ignore"):
+                alone = illinois(v[live], v[live].max(axis=1), weight, phi)
+            assert norms[live].tolist() == alone.tolist(), (phi.kind, weight)
+            assert not norms[~live].any()
+            sizes.clear()
+            for row, b in zip(v, norms):
+                assert orlicz._lux_batched(row[None], weight, phi)[0] == b
+            assert work == sum(sizes), (phi.kind, weight)
+
+
 def test_luxemburg_rejects_bad_input():
     with pytest.raises(DomainError):
         luxemburg(np.array([np.inf]), 1.0, power(2))
@@ -231,9 +317,13 @@ def test_luxemburg_tiny_norm_and_pass_cap(monkeypatch):
     b = luxemburg(v, 1e-300, power(1))
     assert abs(b - 6e-300) <= 1e-12 * 6e-300
     _assert_bracket(v[None], 1e-300, power(1), [b])
-    # with no tolerance no bracket can close, so the cap must raise
+    # with no tolerance no bracket can close, so the cap must raise; an exact
+    # closed-form root would certify at zero width, so power and eq5 rows
+    # are sent to the bracket by a candidate that fails
     monkeypatch.setattr(orlicz, "_REL_TOL", 0.0)
-    for phi in (power(2), eq5()):
+    monkeypatch.setattr(orlicz, "_closed_roots", lambda va, peak, weight, phi: np.full(len(va), np.nan))
+    flat = table([0, 1, 2, 3], [0, 0, 1, 3])
+    for phi in (power(2), eq5(), flat, quasi_young(eq5(), 0.75)):
         with pytest.raises(PrecisionError, match="280 passes"):
             luxemburg(v, 1.0, phi)
 

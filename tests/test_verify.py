@@ -121,6 +121,22 @@ def test_power_reduction_catches_off_power_luxemburg_error(env, monkeypatch):
     assert res.violations > 0
 
 
+def test_power_reduction_catches_off_power_stacked_error(env, monkeypatch):
+    # the same 0.1% error one layer down, in the stacked solver that the
+    # Hoelder, convolution and axiom checks call: luxemburg stays right, so
+    # only the equal-bits margin against it can see the fault
+    spec = CheckSpec(id="luxemburg_power_reduction", trials=4)
+    stack = verify._lux_stack
+
+    def skewed(blocks, weight, phis):
+        out = stack(blocks, weight, phis)
+        return np.array([b if phi.kind == "power" else 1.001 * b for b, phi in zip(out, phis)])
+
+    monkeypatch.setattr(verify, "_lux_stack", skewed)
+    (res,) = run_suite([spec], env)
+    assert res.violations > 0
+
+
 # the six checks that solve many trials' Luxemburg norms together, and the
 # report that solving every trial's norms on their own gives at 40 trials each
 _STACKED = (
@@ -132,12 +148,12 @@ _STACKED = (
     "convolution_mixed_orlicz",
 )
 GOLDEN_STACKED = """\
-{"id": "holder_lattice_power", "trials": 40, "violations": 0, "worst_margin": 0.12378482217805055, "seed": 20240801, "elapsed": 0, "tier": "holder-constant-1"}
-{"id": "holder_lattice_conjugate", "trials": 40, "violations": 0, "worst_margin": 0.19128746694602891, "seed": 20240801, "elapsed": 0, "tier": "holder-constant-2"}
-{"id": "holder_mixed_power", "trials": 40, "violations": 0, "worst_margin": 0.19455233489385157, "seed": 20240801, "elapsed": 0, "tier": "holder-constant-1"}
-{"id": "holder_mixed_conjugate", "trials": 40, "violations": 0, "worst_margin": 0.27560239657005081, "seed": 20240801, "elapsed": 0, "tier": "holder-constant-2"}
-{"id": "convolution_mixed_power", "trials": 40, "violations": 0, "worst_margin": 0.93866297404944521, "seed": 20240801, "elapsed": 0, "tier": null}
-{"id": "convolution_mixed_orlicz", "trials": 40, "violations": 0, "worst_margin": 0.93300479858194973, "seed": 20240801, "elapsed": 0, "tier": null}
+{"id": "holder_lattice_power", "trials": 40, "violations": 0, "worst_margin": 0.12378482217783143, "seed": 20240801, "elapsed": 0, "tier": "holder-constant-1"}
+{"id": "holder_lattice_conjugate", "trials": 40, "violations": 0, "worst_margin": 0.1912874669460288, "seed": 20240801, "elapsed": 0, "tier": "holder-constant-2"}
+{"id": "holder_mixed_power", "trials": 40, "violations": 0, "worst_margin": 0.19455233489350757, "seed": 20240801, "elapsed": 0, "tier": "holder-constant-1"}
+{"id": "holder_mixed_conjugate", "trials": 40, "violations": 0, "worst_margin": 0.27560239656997093, "seed": 20240801, "elapsed": 0, "tier": "holder-constant-2"}
+{"id": "convolution_mixed_power", "trials": 40, "violations": 0, "worst_margin": 0.93866297404944654, "seed": 20240801, "elapsed": 0, "tier": null}
+{"id": "convolution_mixed_orlicz", "trials": 40, "violations": 0, "worst_margin": 0.93300479858194374, "seed": 20240801, "elapsed": 0, "tier": null}
 """
 
 
@@ -170,12 +186,28 @@ def test_stacked_checks_solve_once_per_young_function(env, monkeypatch):
         assert 0 < len(calls) <= most, (cid, len(calls))
 
 
+def test_desk_checks_solve_power_and_eq5_in_closed_form(env, monkeypatch):
+    # every power and eq5 row of the desk checks certifies its closed-form
+    # root; only the psi table goes to the Illinois bracket
+    kinds = set()
+    illinois = orlicz._lux_illinois
+
+    def spy(va, peak, weight, phi):
+        kinds.add(phi.kind)
+        return illinois(va, peak, weight, phi)
+
+    monkeypatch.setattr(orlicz, "_lux_illinois", spy)
+    results = run_suite([CheckSpec(cid, trials=3) for cid in REGISTRY], env)
+    assert all(r.violations == 0 for r in results)
+    assert kinds == {"table"}
+
+
 # the three norm-axiom checks at their registry trial counts, as solving
 # every trial's norms on its own reports them
 GOLDEN_AXIOMS = """\
-{"id": "orlicz_homogeneity", "trials": 100, "violations": 0, "worst_margin": -2.7610040745107492e-13, "seed": 20240801, "elapsed": 0, "tier": null}
-{"id": "orlicz_triangle", "trials": 100, "violations": 0, "worst_margin": 0.28507599550916846, "seed": 20240801, "elapsed": 0, "tier": null}
-{"id": "orlicz_monotonicity", "trials": 100, "violations": 0, "worst_margin": 0.40167835932909757, "seed": 20240801, "elapsed": 0, "tier": null}
+{"id": "orlicz_homogeneity", "trials": 100, "violations": 0, "worst_margin": -6.3621626416067753e-16, "seed": 20240801, "elapsed": 0, "tier": null}
+{"id": "orlicz_triangle", "trials": 100, "violations": 0, "worst_margin": 0.28507599550907708, "seed": 20240801, "elapsed": 0, "tier": null}
+{"id": "orlicz_monotonicity", "trials": 100, "violations": 0, "worst_margin": 0.401678359329254, "seed": 20240801, "elapsed": 0, "tier": null}
 """
 
 
@@ -191,8 +223,8 @@ def test_axiom_checks_report_is_part_free(env, monkeypatch, held):
 # embedding constants, the window-change ratio and the M^Phi ratio spread
 GOLDEN_SUMMARY = """\
 {"id": "inclusion_chain_flanks", "trials": 1, "violations": 0, "worst_margin": 0, "seed": 20240801, "elapsed": 0, "tier": "C_left=0.73575888234288456;C_right=0.5"}
-{"id": "window_robustness", "trials": 5, "violations": 0, "worst_margin": 0, "seed": 20240801, "elapsed": 0, "tier": "R=1.0026638675501449"}
-{"id": "mphi_boundedness", "trials": 3, "violations": 0, "worst_margin": 0, "seed": 20240801, "elapsed": 0, "tier": "kappa=0.0032236001488743552;cov=0.092701487362364221"}
+{"id": "window_robustness", "trials": 5, "violations": 0, "worst_margin": 0, "seed": 20240801, "elapsed": 0, "tier": "R=1.0026638675501447"}
+{"id": "mphi_boundedness", "trials": 3, "violations": 0, "worst_margin": 0, "seed": 20240801, "elapsed": 0, "tier": "kappa=0.0032236001488743543;cov=0.092701487362455343"}
 """
 
 
