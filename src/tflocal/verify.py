@@ -271,7 +271,7 @@ def _le_margin(lhs: float, rhs: float, scale: Optional[float] = None) -> float:
 # check implementations
 #
 # Most checks are written for one trial, as fn(env, rng, t) -> margins, and
-# wrapped by `_trialwise`.  The Hoelder, mixed convolution and norm-axiom
+# wrapped by `_trialwise`.  The Hoelder, convolution and norm-axiom
 # checks draw the trials of one `_in_parts` part and then solve their
 # Luxemburg norms together; the checks whose tier summarizes their trials own
 # their loop.
@@ -480,21 +480,29 @@ def _conv_pair(env, rng, t):
     return F, G
 
 
+def _product_norms(fields, weight: float, phis) -> np.ndarray:
+    """Luxemburg norms of arrays |F| over the product measure, field b under phis[b]."""
+    return _lux_stack([a.ravel() for a in fields], weight, phis)
+
+
 @_in_parts(lambda env: sum(_field_values(env, r * env.lattice.K) for r in (2, 4)))  # G and F * G
-def _convolution_mixed(env, trials, young):
-    """|F * G|_(phi1, phi2) <= |F|_1 |G|_(phi1, phi2), young(t) = (phi1, phi2)."""
-    l1, Hs, Gs, phi1s, phi2s = [], [], [], [], []
+def _convolution(env, trials, young, norms):
+    """|F * G| <= |F|_1 |G| in norms(fields, weight, *young functions), young(t) the trial's.
+
+    norms is `_mixed_norms` with young(t) = (phi1, phi2), or `_product_norms`
+    with young(t) = (phi,).
+    """
+    l1, Hs, Gs, youngs = [], [], [], []
     for t, rng in trials:
         F, G = _conv_pair(env, rng, t)
         l1.append(field_lp_norm(F, 1.0))
         Hs.append(_field_abs(convolve_phase_space(F, G)))
         Gs.append(_field_abs(G))
-        phi1, phi2 = young(t)
-        phi1s.append(phi1)
-        phi2s.append(phi2)
+        youngs.append(young(t))
     w = env.torus.weight
-    lhs = _mixed_norms(Hs, w, phi1s, phi2s)
-    rhs = np.array(l1) * _mixed_norms(Gs, w, phi1s, phi2s)
+    phis = list(zip(*youngs))
+    lhs = norms(Hs, w, *phis)
+    rhs = np.array(l1) * norms(Gs, w, *phis)
     return _le_trials(lhs, rhs)
 
 
@@ -505,11 +513,11 @@ def _mixed_convolution_powers(t):
 
 
 def _chk_convolution_mixed_power(env, spec, trials):
-    return _convolution_mixed(env, trials, _mixed_convolution_powers), None
+    return _convolution(env, trials, _mixed_convolution_powers, _mixed_norms), None
 
 
 def _chk_convolution_mixed_orlicz(env, spec, trials):
-    return _convolution_mixed(env, trials, lambda t: (env.phi, power(2))), None
+    return _convolution(env, trials, lambda t: (env.phi, power(2)), _mixed_norms), None
 
 
 _NORM_STYLES = ("product", "mixed", "swapped")
@@ -531,7 +539,7 @@ def _axiom_norms(env, keys, fields):
         group = [fields[i] for i in idx]
         phi1s, phi2s = ([phi] * len(idx) for phi in _AXIOM_PHIS[s])
         if style == "product":
-            out[idx] = _lux_stack([a.ravel() for a in group], w, phi1s)
+            out[idx] = _product_norms(group, w, phi1s)
         else:
             out[idx] = _mixed_norms(group, w, phi1s, phi2s, swapped=style == "swapped")
     return out
@@ -595,14 +603,9 @@ def _chk_monotonicity(env, spec, trials):
     return _monotonicity(env, trials), None
 
 
-@_trialwise
-def _chk_convolution_product(env, rng, t):
-    F, G = _conv_pair(env, rng, t)
-    H = convolve_phase_space(F, G)
-    phi = env.phi if t % 2 else power(1.5)
-    lhs = orlicz_norm(H, phi)
-    rhs = field_lp_norm(F, 1.0) * orlicz_norm(G, phi)
-    return [_le_margin(lhs, rhs)]
+def _chk_convolution_product(env, spec, trials):
+    young = lambda t: (env.phi if t % 2 else power(1.5),)
+    return _convolution(env, trials, young, _product_norms), None
 
 
 _X0 = math.exp(-2.0)

@@ -9,9 +9,19 @@ import numpy as np
 import pytest
 
 import tflocal
-from tflocal import LatticeSpec, OperatorKernel, Signal, TorusGrid, UsageError, kernel
+from tflocal import (
+    LatticeSpec,
+    OperatorKernel,
+    PhaseSpaceField,
+    Signal,
+    TorusGrid,
+    UsageError,
+    kernel,
+    serialization,
+)
 from tflocal.errors import fmt17
 from tflocal.serialization import (
+    _join17,
     dump_field,
     dump_kernel_json,
     dump_kernel_raw,
@@ -42,6 +52,20 @@ def test_every_module_imports_first():
             [sys.executable, "-c", f"import {name}"], env=env, capture_output=True, text=True
         )
         assert proc.returncode == 0, (name, proc.stderr)
+
+
+def test_import_builds_no_formatter_tables():
+    # the writer's tables are built on first use, and nothing imports fractions
+    root = os.path.dirname(os.path.dirname(tflocal.__file__))
+    code = (
+        "import sys, tflocal; "
+        "assert 'fractions' not in sys.modules, 'fractions imported'; "
+        "assert tflocal.serialization._tables.cache_info().currsize == 0, 'tables built'"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=root), capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_signal_round_trip(env):
@@ -187,3 +211,124 @@ def test_golden_bytes():
     K = OperatorKernel(spec, TorusGrid(1, 1), np.array([vals, vals[::-1], -vals]))
     payload, _ = dump_kernel_raw(K)
     assert payload == b"".join(struct.pack("<dd", z.real, z.imag) for z in K.matrix.ravel())
+
+
+def _percent17(flat) -> list:
+    """The reference texts: "%.17g", with a negative zero written "-0.0"."""
+    return ["-0.0" if t == "-0" else t for t in ("%.17g " * len(flat) % tuple(flat)).split()]
+
+
+def test_join17_matches_percent_g():
+    rng = np.random.default_rng(1717)
+    bits = rng.integers(0, 2**64, size=200_000, dtype=np.uint64).view(np.float64)
+    subnormal = rng.integers(1, 2**52, size=20_000, dtype=np.uint64).view(np.float64)
+    p10 = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    switch = np.array([1e-5, 1e-4, 1e16, 1e17])
+    ints = rng.integers(-(2**53), 2**53, size=20_000).astype(np.float64)
+    flat = np.concatenate(
+        [
+            bits[np.isfinite(bits)],
+            subnormal,
+            -subnormal[:100],
+            [5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.0, -0.0],
+            p10,
+            np.nextafter(p10, 0),
+            np.nextafter(p10, np.inf),
+            switch,
+            np.nextafter(switch, 0),
+            np.nextafter(switch, np.inf),
+            np.ldexp(ints, rng.integers(-1000, 970, size=ints.size)),  # integers x 2^k
+            ints[:1000] / 8,
+        ]
+    )
+    assert _join17(flat, pairs=False).split(",") == _percent17(flat.tolist())
+    # these lie below a power of ten and round up to it at 17 digits
+    for k in (98, 129, 153):
+        x = float(f"1e{k}")
+        assert int(x) < 10**k
+        assert _join17(np.array([x]), pairs=False) == f"1e+{k}"
+
+
+def test_join17_hands_ties_to_fmt17(monkeypatch):
+    # 2^50 + 1/4 = 1125899906842624.25 is an exact tie at 17 digits (round half even)
+    taken = []
+    monkeypatch.setattr(serialization, "fmt17", lambda x: taken.append(x) or fmt17(x))
+    flat = np.array([0.5, 1125899906842624.25, -(1 + 2.0**-17), 0.25])
+    assert _join17(flat, pairs=True) == "[0.5,1125899906842624.2],[-1.0000076293945312,0.25]"
+    assert taken == [1125899906842624.25, -(1 + 2.0**-17)]
+    assert _join17(flat, pairs=False).split(",") == _percent17(flat.tolist())
+    # next to a power of ten log10 often puts the exponent one off; such
+    # values settle without fmt17, except 999999999999999.875, a tie
+    p10 = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    near = np.concatenate([np.nextafter(p10, 0), np.nextafter(p10, np.inf)])
+    off = near[np.floor(np.log10(near)) != [int(f"{x:.25e}".split("e")[1]) for x in near]]
+    assert off.size > 500
+    taken.clear()
+    assert _join17(off, pairs=False).split(",") == _percent17(off.tolist())
+    assert taken == [999999999999999.875]
+
+
+# fixed and scientific entries, -0.0, subnormals, the tie 2^50 + 1/4, the extremes
+GOLDEN_KERNEL = (
+    '{"n": 1, "K": 0, "C": 1, "M": 1, "provenance": {"symbol": "golden"}, "matrix": '
+    "[[0.10000000000000001,-0.0],[4.9406564584124654e-324,1125899906842624.2],"
+    "[1.0000000000000001e-05,10000000000000000],[1e+17,123.5],[-2.4999999999999999e-07,1],"
+    "[0,9.9999999999999992e+22],[-1.5,6.0221407599999999e+23],[0.0001,12345678.9],"
+    "[-1.7976931348623157e+308,1.4821969375237396e-323]]}\n"
+)
+GOLDEN_FIELD = (
+    '{"n": 1, "K": 0, "C": 1, "m_radius": 1, "M": 3, "degree_bound": 1, "values": '
+    "[[0.5,-0.0],[0.33333333333333331,0.66666666666666663],[0.0001,-1.0000000000000001e-05],"
+    "[99999.999999999985,3.1415926535897931],[2.5000000000000171e-310,-7],"
+    "[1000000000000000.5,0.001],[9.9999999999999991e-05,1.0000000000000001e+300],"
+    "[-2.2204460492503131e-16,42],[0.20000000000000001,-0.29999999999999999]]}\n"
+)
+
+
+def test_golden_kernel_and_field_bytes():
+    spec = LatticeSpec(1, 0, 1)
+    flat = np.array(
+        [0.1, -0.0, 5e-324, 1125899906842624.25, 1e-05, 1e16, 1e17, 123.5, -2.5e-07, 1.0,
+         0.0, 1e23, -1.5, 6.02214076e23, 0.0001, 12345678.9, -1.7976931348623157e308, 3 * 5e-324]
+    )
+    K = OperatorKernel(spec, TorusGrid(1, 1), flat.view(np.complex128).reshape(3, 3), {"symbol": "golden"})
+    assert dump_kernel_json(K) == GOLDEN_KERNEL
+    assert np.array_equal(load_kernel_json(GOLDEN_KERNEL).matrix.view(np.float64).ravel(), flat)
+    flat = np.array(
+        [0.5, -0.0, 1 / 3, 2 / 3, 1e-4, -1e-5, 99999.999999999985, np.pi, 2.5e-310,
+         -7.0, 1e15 + 0.5, 0.001, 9.9999999999999995e-5, 1e300, -(2.0**-52), 42.0, 0.2, -0.3]
+    )
+    F = PhaseSpaceField(spec, TorusGrid(1, 3), 1, flat.view(np.complex128).reshape(3, 3), degree_bound=1)
+    assert dump_field(F) == GOLDEN_FIELD
+    back = load_field(GOLDEN_FIELD).values.view(np.float64).ravel()
+    assert np.array_equal(back, flat) and np.array_equal(np.signbit(back), np.signbit(flat))
+
+
+def _percent_dump(spec, key, values, **header) -> str:
+    """The writer as it was before the vectorized formatter: one "%.17g" per float."""
+    flat = np.ascontiguousarray(values, dtype=np.complex128).view(np.float64).ravel()
+    pairs = ",".join(["[%.17g,%.17g]"] * (flat.size // 2)) % tuple(flat.tolist())
+    if (np.signbit(flat) & (flat == 0)).any():
+        pairs = pairs.replace("[-0,", "[-0.0,").replace(",-0]", ",-0.0]")
+    head = "".join(f'"{k}": {v}, ' for k, v in header.items())
+    return f'{{"n": {spec.n}, "K": {spec.K}, "C": {spec.C}, {head}"{key}": [{pairs}]}}\n'
+
+
+def test_writers_match_the_percent_writer(env):
+    rng = trial_rng(65, "ser", 0)
+    for half in (False, True):  # zeros fill the box outside the block; flip some to -0.0
+        f = _random_signal(env, rng, half=half)
+        f = Signal(f.spec, f.values * np.where(rng.random(f.values.shape) < 0.5, -1, 1))
+        text = dump_signal(f)
+        assert text == _percent_dump(f.spec, "values", f.values)
+        assert "-0.0" in text
+    F = _trig_symbol(env, rng)
+    header = dict(m_radius=F.m_radius, M=F.torus.M, degree_bound=F.degree_bound)
+    assert dump_field(F) == _percent_dump(F.spec, "values", F.values, **header)
+    K = kernel(F, env.window, env.window2)
+    prov = json.dumps(K.provenance, sort_keys=True)
+    assert dump_kernel_json(K) == _percent_dump(K.spec, "matrix", K.matrix, M=K.torus.M, provenance=prov)
+    s = spectrum(K, ps=(1.0, 2.0, float("inf")))
+    sv = s.singular_values.tolist()
+    old = ",".join(["%.17g"] * len(sv)) % tuple(sv)
+    assert dump_summary(s).startswith(f'{{"singular_values": [{old}], ')
