@@ -58,11 +58,6 @@ def _split(a):
     return hi, a - hi
 
 
-def _words(b: np.ndarray) -> np.ndarray:
-    """Bytes (..., 8w) as w little-endian 64-bit words."""
-    return np.ascontiguousarray(b, dtype=np.uint8).view("<u8")
-
-
 @functools.cache
 def _tables():
     """The formatter's tables, built on first use.
@@ -114,11 +109,12 @@ def _tables():
     dot = (point >= 0) & (c == point + 1)
     prefix = [b"\0\0\0" + (b"0." + b"0" * (-1 - k) if k < 0 else b"") for k in range(-4, 18)]
     prefix = [int.from_bytes(t, "little") for t in prefix]
-    lay = np.concatenate(
-        [_words(0xFF * pick), _words(0xFF * moved), _words(ord(".") * dot),
-         np.broadcast_to(np.array(prefix, np.uint64)[:, None, None], (22, 17, 1))],
-        axis=2,
-    ).reshape(22 * 17, 10).T.copy()
+    masks = [
+        (byte * m).astype(np.uint8).view("<u8")
+        for byte, m in ((0xFF, pick), (0xFF, moved), (ord("."), dot))
+    ]
+    prefix = np.broadcast_to(np.array(prefix, np.uint64)[:, None, None], (22, 17, 1))
+    lay = np.concatenate([*masks, prefix], axis=2).reshape(22 * 17, 10).T.copy()
     return pow10, dig4, zeros4, np.array(expo, np.uint64), lay
 
 
@@ -228,7 +224,8 @@ def _dump(spec: LatticeSpec, key: str, values: np.ndarray, **header) -> str:
     """One array file: the n/K/C header, `header` in order, then `key`: pairs."""
     flat = np.ascontiguousarray(values, dtype=np.complex128).view(np.float64).ravel()
     head = "".join(f'"{k}": {v}, ' for k, v in header.items())
-    return f'{{"n": {spec.n}, "K": {spec.K}, "C": {spec.C}, {head}"{key}": [{_join17(flat, pairs=True)}]}}\n'
+    pairs = _join17(flat, pairs=True)
+    return f'{{"n": {spec.n}, "K": {spec.K}, "C": {spec.C}, {head}"{key}": [{pairs}]}}\n'
 
 
 @contextmanager

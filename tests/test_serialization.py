@@ -220,7 +220,7 @@ def _percent17(flat) -> list:
 
 def test_join17_matches_percent_g():
     rng = np.random.default_rng(1717)
-    bits = rng.integers(0, 2**64, size=200_000, dtype=np.uint64).view(np.float64)
+    bits = rng.integers(0, 2**64, size=210_000, dtype=np.uint64).view(np.float64)
     subnormal = rng.integers(1, 2**52, size=20_000, dtype=np.uint64).view(np.float64)
     p10 = np.array([float(f"1e{k}") for k in range(-323, 309)])
     switch = np.array([1e-5, 1e-4, 1e16, 1e17])
