@@ -136,7 +136,9 @@ def _scaled(m, ex, e, pow10):
     fh = np.floor(yh)
     r = (yh - fh) + yl
     fr = np.floor(r)
-    return fh.astype(np.int64) + fr.astype(np.int64), r - fr
+    frac = r - fr
+    up = frac == 1.0  # r a hair below an integer, where r - floor(r) rounds to 1
+    return fh.astype(np.int64) + fr.astype(np.int64) + up, np.where(up, 0.0, frac)
 
 
 def _rows(x: np.ndarray) -> np.ndarray:
