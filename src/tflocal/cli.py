@@ -18,9 +18,7 @@ import numpy as np
 
 from .errors import (
     ConditioningError,
-    DomainError,
     PrecisionError,
-    RangeError,
     UnboundedError,
     UsageError,
     fmt17,
@@ -181,7 +179,7 @@ def _parse_young(token: str) -> YoungFunction:
         return quasi_young(_parse_young(parts[2]), _number(parts[1], "quasi order"))
     try:
         spec = json.loads(token)
-    except ValueError as exc:  # also an integer past Python's digit limit
+    except (ValueError, RecursionError) as exc:  # also a too long integer or deep nesting
         raise UsageError(f"cannot parse Young-function spec {token!r}") from exc
     return young_from_dict(spec)
 
@@ -346,7 +344,7 @@ def _cmd_verify(args) -> int:
     if args.config is not None:
         try:
             obj = json.loads(_read(args.config))
-        except ValueError as exc:  # also an integer past Python's digit limit
+        except (ValueError, RecursionError) as exc:  # also a too long integer or deep nesting
             raise UsageError(f"config is not valid JSON: {exc}") from exc
     cfg = config_from_dict(obj, seed=args.seed)
     env = Environment(cfg.lattice, cfg.torus, cfg.window)
@@ -435,16 +433,18 @@ def dispatch(argv) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.fn(args)
-    except (UsageError, DomainError, RangeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:
-        # never exit 1: that code means the verification found violations
-        print(f"error: out of memory: {exc}", file=sys.stderr)
-        return 2
     except (PrecisionError, ConditioningError, UnboundedError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except (ValueError, RecursionError, OSError) as exc:
+        # never exit 1, which means violations: ValueError is also numpy's array
+        # rank limit (LinAlgError, a ValueError, is caught above), RecursionError
+        # a too deeply nested Young-function spec
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

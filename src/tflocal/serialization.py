@@ -235,7 +235,7 @@ def _reading(what: str):
     """Report any malformation met while reading a `what` file as a UsageError."""
     try:
         yield
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise UsageError(f"malformed {what} file: {exc}") from exc
 
 

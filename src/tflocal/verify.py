@@ -2,24 +2,25 @@
 
 Every identity and inequality the toolkit claims is registered here as a
 named check.  A check is declared in one place only, its row in the
-registry: id, invariant, trial count, tolerance and run function;
-`SPEC_INVARIANTS`, `registered_ids` and every `CheckSpec` default are read
-from those rows.  A check draws a seeded ensemble, evaluates its predicate
-on every trial, and reports the worst margin, where margins are normalized
-by the right-hand side (or by the natural scale of an identity) so that
-tolerances are scale free.  Equality checks report minus the relative
-deviation, hence their margins are never positive; a deviation that is not
-a number gives the worst possible margin.
+registry: id, invariant, trial count, tolerance and run function, where a
+row of a stacked check binds its shared driver's Young functions, constant
+and tier; `SPEC_INVARIANTS`, `registered_ids` and every `CheckSpec`
+default are read from those rows.  A check draws a seeded ensemble,
+evaluates its predicate on every trial, and reports the worst margin, where
+margins are normalized by the right-hand side (or by the natural scale of
+an identity) so that tolerances are scale free.  Equality checks report
+minus the relative deviation, hence their margins are never positive; a
+deviation that is not a number gives the worst possible margin.
 
 A run function takes the environment, the check's spec and a lazy stream of
 its (trial index, rng) pairs, and returns the worst margin of each trial, in
 trial order, with the check's tier: a fixed label, a summary of all trials,
 or None.  Per-trial randomness comes from a counter-based Philox stream
 keyed by (master seed, check id) with the trial index as the counter.  The
-Hoelder, mixed convolution and norm-axiom checks solve the Luxemburg norms
-of many trials together, but each trial still draws from its own stream,
-and the solver's rows are independent, so every margin and report byte is
-the same as trial by trial, and identical across runs.
+stacked checks (Hoelder, convolution and norm axioms) solve the Luxemburg
+norms of many trials together, but each trial still draws from its own
+stream, and the solver's rows are independent, so every margin and report
+byte is the same as trial by trial, and identical across runs.
 
 Serialized reports are JSON Lines with the fixed field set
 {"id","trials","violations","worst_margin","seed","elapsed","tier"}.  The
@@ -36,7 +37,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from typing import Callable, Optional
 
 import numpy as np
@@ -80,7 +81,6 @@ from .orlicz import (
     field_lp_norm,
     holder_pairing,
     luxemburg,
-    orlicz_norm,
 )
 from .stft import _stft_values, stft, invert
 from .young import YoungFunction, conjugate_table, eq5, power
@@ -271,10 +271,10 @@ def _le_margin(lhs: float, rhs: float, scale: Optional[float] = None) -> float:
 # check implementations
 #
 # Most checks are written for one trial, as fn(env, rng, t) -> margins, and
-# wrapped by `_trialwise`.  The Hoelder, convolution and norm-axiom
-# checks draw the trials of one `_in_parts` part and then solve their
-# Luxemburg norms together; the checks whose tier summarizes their trials own
-# their loop.
+# wrapped by `_trialwise`.  The stacked checks draw the trials of one
+# `_in_parts` part and solve their Luxemburg norms together; a registry row
+# binds its stacked driver's Young functions, constant and tier.  The checks
+# whose tier summarizes their trials own their loop.
 
 
 def _trialwise(fn):
@@ -398,30 +398,33 @@ def _field_values(env, R: int) -> int:
 
 
 def _in_parts(values_per_trial):
-    """Run a stacked check(env, trials, ...) on consecutive parts of its trials.
+    """The run form of a stacked check fn(env, part, **bindings) -> margins.
 
-    Each part holds at most _HELD_VALUES values (and at least one trial), so
-    a check's memory does not grow with its trial count or field size: at
-    n = 1, K = 8 a mixed-norm part is 13 to 20 trials, at n = 2, K = 2 one or
-    two, and a lattice part over a thousand.
+    The form is run(env, spec, trials, tier=None, **bindings) -> (margins,
+    tier); a registry row binds the tier and the check's bindings with
+    `partial`.  The check runs on consecutive parts of its trials.  Each part
+    holds at most _HELD_VALUES values (and at least one trial), so a check's
+    memory does not grow with its trial count or field size: at n = 1, K = 8
+    a mixed-norm part is 13 to 20 trials, at n = 2, K = 2 one or two, and a
+    lattice part over a thousand.
     """
 
     def wrap(fn):
-        def parts(env, trials, *args, **kwargs):
+        def run(env, spec, trials, tier=None, **bindings):
             per = max(1, _HELD_VALUES // values_per_trial(env))
-            trials, out = iter(trials), []
+            trials, margins = iter(trials), []
             while part := list(itertools.islice(trials, per)):
-                out += fn(env, part, *args, **kwargs)
-            return out
+                margins += fn(env, part, **bindings)
+            return margins, tier
 
-        return parts
+        return run
 
     return wrap
 
 
 @_in_parts(lambda env: 2 * (2 * env.lattice.K + 1) ** env.lattice.n)  # f and g
 def _holder_lattice(env, trials, young, c=1.0):
-    """sum f g <= c |f|_phi |g|_psi on the lattice, young(t) = (phi, psi)."""
+    """sum f g <= c |f|_phi |g|_psi on the lattice, young(env, t) = (phi, psi)."""
     size = (2 * env.lattice.K + 1) ** env.lattice.n
     lhs, rows, phis = [], [], []
     for t, rng in trials:
@@ -429,55 +432,35 @@ def _holder_lattice(env, trials, young, c=1.0):
         g = np.abs(_crandn(rng, (size,)))
         lhs.append(float((f * g).sum()))
         rows += [f, g]
-        phis += young(t)
+        phis += young(env, t)
     norm = _lux_stack(rows, 1.0, phis)
     return _le_trials(lhs, c * norm[0::2] * norm[1::2])
 
 
-def _chk_holder_lattice_power(env, spec, trials):
-    young = lambda t: _conjugate_powers(_HOLDER_PS[t % len(_HOLDER_PS)])
-    return _holder_lattice(env, trials, young), "holder-constant-1"
-
-
-def _chk_holder_lattice_conj(env, spec, trials):
-    return _holder_lattice(env, trials, lambda t: (env.phi, env.psi), c=2.0), "holder-constant-2"
-
-
 @_in_parts(lambda env: 2 * _field_values(env, 2 * env.lattice.K))
 def _holder_mixed(env, trials, young, c=1.0):
-    """<|F|, |G|> <= c |F|_(phi1, phi2) |G|_(psi1, psi2), young(t) = (phi1, phi2, psi1, psi2)."""
+    """<|F|, |G|> <= c |F|_(phi1, phi2) |G|_(psi1, psi2), young(env, t) = (phi1, phi2, psi1, psi2)."""
     lhs, fields, phi1s, phi2s = [], [], [], []
     for t, rng in trials:
         F = _trig_symbol(env, rng)
         G = _trig_symbol(env, rng)
         lhs.append(holder_pairing(F, G))
         fields += [_field_abs(F), _field_abs(G)]
-        phi1, phi2, psi1, psi2 = young(t)
+        phi1, phi2, psi1, psi2 = young(env, t)
         phi1s += [phi1, psi1]
         phi2s += [phi2, psi2]
     norm = _mixed_norms(fields, env.torus.weight, phi1s, phi2s)
     return _le_trials(lhs, c * norm[0::2] * norm[1::2])
 
 
-def _mixed_holder_powers(t):
+def _lattice_holder_powers(env, t):
+    return _conjugate_powers(_HOLDER_PS[t % len(_HOLDER_PS)])
+
+
+def _mixed_holder_powers(env, t):
     phi1, psi1 = _conjugate_powers(_HOLDER_PS[t % len(_HOLDER_PS)])
     phi2, psi2 = _conjugate_powers(_HOLDER_PS[(t // len(_HOLDER_PS)) % len(_HOLDER_PS)])
     return phi1, phi2, psi1, psi2
-
-
-def _chk_holder_mixed_power(env, spec, trials):
-    return _holder_mixed(env, trials, _mixed_holder_powers), "holder-constant-1"
-
-
-def _chk_holder_mixed_conj(env, spec, trials):
-    young = lambda t: (env.phi, power(2), env.psi, power(2))
-    return _holder_mixed(env, trials, young, c=2.0), "holder-constant-2"
-
-
-def _conv_pair(env, rng, t):
-    F = _trig_symbol(env, rng)
-    G = _rank_one_symbol(env, rng) if t % 2 else _trig_symbol(env, rng)
-    return F, G
 
 
 def _product_norms(fields, weight: float, phis) -> np.ndarray:
@@ -487,18 +470,19 @@ def _product_norms(fields, weight: float, phis) -> np.ndarray:
 
 @_in_parts(lambda env: sum(_field_values(env, r * env.lattice.K) for r in (2, 4)))  # G and F * G
 def _convolution(env, trials, young, norms):
-    """|F * G| <= |F|_1 |G| in norms(fields, weight, *young functions), young(t) the trial's.
+    """|F * G| <= |F|_1 |G| in norms(fields, weight, *young functions), young(env, t) the trial's.
 
-    norms is `_mixed_norms` with young(t) = (phi1, phi2), or `_product_norms`
-    with young(t) = (phi,).
+    norms is `_mixed_norms` with young(env, t) = (phi1, phi2), or
+    `_product_norms` with young(env, t) = (phi,).
     """
     l1, Hs, Gs, youngs = [], [], [], []
     for t, rng in trials:
-        F, G = _conv_pair(env, rng, t)
+        F = _trig_symbol(env, rng)
+        G = _rank_one_symbol(env, rng) if t % 2 else _trig_symbol(env, rng)
         l1.append(field_lp_norm(F, 1.0))
         Hs.append(_field_abs(convolve_phase_space(F, G)))
         Gs.append(_field_abs(G))
-        youngs.append(young(t))
+        youngs.append(young(env, t))
     w = env.torus.weight
     phis = list(zip(*youngs))
     lhs = norms(Hs, w, *phis)
@@ -506,42 +490,35 @@ def _convolution(env, trials, young, norms):
     return _le_trials(lhs, rhs)
 
 
-def _mixed_convolution_powers(t):
+def _mixed_convolution_powers(env, t):
     p1 = _HOLDER_PS[t % len(_HOLDER_PS)]
     p2 = p1 if t % 3 == 0 else _HOLDER_PS[(t + 1) % len(_HOLDER_PS)]
     return power(p1), power(p2)
 
 
-def _chk_convolution_mixed_power(env, spec, trials):
-    return _convolution(env, trials, _mixed_convolution_powers, _mixed_norms), None
+def _every_field(norms, *phis, **kwargs):
+    """norms(fields, weight) with every field under the Young functions phis."""
+    return lambda fields, w: norms(fields, w, *([phi] * len(fields) for phi in phis), **kwargs)
 
 
-def _chk_convolution_mixed_orlicz(env, spec, trials):
-    return _convolution(env, trials, lambda t: (env.phi, power(2)), _mixed_norms), None
-
-
-_NORM_STYLES = ("product", "mixed", "swapped")
-_AXIOM_PHIS = ((power(1.5), power(2)), (power(2), power(3)), (eq5(), power(2)))
+# the norm-axiom checks measure trial t's fields in norm _AXIOM_NORMS[t % 3]
+_AXIOM_NORMS = (
+    _every_field(_product_norms, power(1.5)),
+    _every_field(_mixed_norms, power(2), power(3)),
+    _every_field(_mixed_norms, eq5(), power(2), swapped=True),
+)
 
 
 def _axiom_norms(env, keys, fields):
-    """Norms of the fields |F| of one shape (L, T), field i in style keys[i] % 3.
+    """Norms of the fields |F| of one shape (L, T), field i in _AXIOM_NORMS[keys[i] % 3].
 
-    Style s is the product, mixed or swapped norm of _NORM_STYLES under the
-    Young pair _AXIOM_PHIS[s]; the fields of one style are solved together.
+    The fields of one norm are solved together.
     """
-    w = env.torus.weight
     out = np.empty(len(fields))
-    for s, style in enumerate(_NORM_STYLES):
+    for s, norms in enumerate(_AXIOM_NORMS):
         idx = [i for i, k in enumerate(keys) if k % 3 == s]
-        if not idx:
-            continue
-        group = [fields[i] for i in idx]
-        phi1s, phi2s = ([phi] * len(idx) for phi in _AXIOM_PHIS[s])
-        if style == "product":
-            out[idx] = _product_norms(group, w, phi1s)
-        else:
-            out[idx] = _mixed_norms(group, w, phi1s, phi2s, swapped=style == "swapped")
+        if idx:
+            out[idx] = norms([fields[i] for i in idx], env.torus.weight)
     return out
 
 
@@ -552,7 +529,7 @@ def _abs_with(F, values):
 
 @_in_parts(lambda env: 2 * _field_values(env, 2 * env.lattice.K))  # c F and F
 def _homogeneity(env, trials):
-    """|c F| = |c| |F| in each trial's norm style."""
+    """|c F| = |c| |F| in each trial's axiom norm."""
     keys, fields, scale = [], [], []
     for t, rng in trials:
         F = _trig_symbol(env, rng)
@@ -567,7 +544,7 @@ def _homogeneity(env, trials):
 
 @_in_parts(lambda env: 3 * _field_values(env, 2 * env.lattice.K))  # F + G, F and G
 def _triangle(env, trials):
-    """|F + G| <= |F| + |G| in each trial's norm style."""
+    """|F + G| <= |F| + |G| in each trial's axiom norm."""
     keys, fields = [], []
     for t, rng in trials:
         F = _trig_symbol(env, rng)
@@ -580,7 +557,7 @@ def _triangle(env, trials):
 
 @_in_parts(lambda env: 2 * _field_values(env, 2 * env.lattice.K))  # u G and G
 def _monotonicity(env, trials):
-    """|u G| <= |G| for 0 <= u <= 1 pointwise, in each trial's norm style."""
+    """|u G| <= |G| for 0 <= u <= 1 pointwise, in each trial's axiom norm."""
     keys, fields = [], []
     for t, rng in trials:
         G = _trig_symbol(env, rng)
@@ -589,23 +566,6 @@ def _monotonicity(env, trials):
         fields += [_abs_with(G, G.values * u), _field_abs(G)]
     norm = _axiom_norms(env, keys, fields)
     return [_le_margin(float(a), float(b), scale=max(float(b), _TINY)) for a, b in zip(norm[0::2], norm[1::2])]
-
-
-def _chk_homogeneity(env, spec, trials):
-    return _homogeneity(env, trials), None
-
-
-def _chk_triangle(env, spec, trials):
-    return _triangle(env, trials), None
-
-
-def _chk_monotonicity(env, spec, trials):
-    return _monotonicity(env, trials), None
-
-
-def _chk_convolution_product(env, spec, trials):
-    young = lambda t: (env.phi if t % 2 else power(1.5),)
-    return _convolution(env, trials, young, _product_norms), None
 
 
 _X0 = math.exp(-2.0)
@@ -875,10 +835,7 @@ def _truncated_mphi(env, x: Signal) -> float:
     vals = _stft_values(
         x.values, env.window.values, env.lattice, env.torus, 2 * env.lattice.K
     )
-    F = PhaseSpaceField(
-        env.lattice, env.torus, 2 * env.lattice.K, vals, degree_bound=env.torus.M - 1
-    )
-    return orlicz_norm(F, env.phi)
+    return luxemburg(vals, env.torus.weight, env.phi)
 
 
 def _chk_mphi(env, spec, trials):
@@ -931,17 +888,27 @@ _ROWS = (
     CheckDef("orthogonality", "stft.orthogonality", 100, 1e-10, _chk_orthogonality),
     CheckDef("inversion_roundtrip", "stft.inversion_round_trip", 100, 1e-10, _chk_inversion),
     CheckDef("stft_covariance", "stft.covariance", 100, 1e-12, _chk_covariance),
-    CheckDef("orlicz_homogeneity", "orlicz.norm_axioms", 100, 1e-9, _chk_homogeneity),
-    CheckDef("orlicz_triangle", "orlicz.norm_axioms", 100, 1e-9, _chk_triangle),
-    CheckDef("orlicz_monotonicity", "orlicz.norm_axioms", 100, 1e-12, _chk_monotonicity),
+    CheckDef("orlicz_homogeneity", "orlicz.norm_axioms", 100, 1e-9, _homogeneity),
+    CheckDef("orlicz_triangle", "orlicz.norm_axioms", 100, 1e-9, _triangle),
+    CheckDef("orlicz_monotonicity", "orlicz.norm_axioms", 100, 1e-12, _monotonicity),
     CheckDef("luxemburg_power_reduction", "orlicz.power_reduction", 100, 1e-9, _chk_power_reduction),
-    CheckDef("holder_lattice_power", "orlicz.holder_lattice", 500, 1e-9, _chk_holder_lattice_power),
-    CheckDef("holder_lattice_conjugate", "orlicz.holder_lattice", 500, 1e-9, _chk_holder_lattice_conj),
-    CheckDef("holder_mixed_power", "orlicz.holder_mixed", 500, 1e-9, _chk_holder_mixed_power),
-    CheckDef("holder_mixed_conjugate", "orlicz.holder_mixed", 500, 1e-9, _chk_holder_mixed_conj),
-    CheckDef("convolution_mixed_power", "orlicz.convolution_young", 100, 1e-9, _chk_convolution_mixed_power),
-    CheckDef("convolution_mixed_orlicz", "orlicz.convolution_young", 100, 1e-9, _chk_convolution_mixed_orlicz),
-    CheckDef("convolution_product", "orlicz.convolution_young", 100, 1e-9, _chk_convolution_product),
+    CheckDef("holder_lattice_power", "orlicz.holder_lattice", 500, 1e-9,
+             partial(_holder_lattice, young=_lattice_holder_powers, tier="holder-constant-1")),
+    CheckDef("holder_lattice_conjugate", "orlicz.holder_lattice", 500, 1e-9,
+             partial(_holder_lattice, young=lambda env, t: (env.phi, env.psi), c=2.0,
+                     tier="holder-constant-2")),
+    CheckDef("holder_mixed_power", "orlicz.holder_mixed", 500, 1e-9,
+             partial(_holder_mixed, young=_mixed_holder_powers, tier="holder-constant-1")),
+    CheckDef("holder_mixed_conjugate", "orlicz.holder_mixed", 500, 1e-9,
+             partial(_holder_mixed, young=lambda env, t: (env.phi, power(2), env.psi, power(2)),
+                     c=2.0, tier="holder-constant-2")),
+    CheckDef("convolution_mixed_power", "orlicz.convolution_young", 100, 1e-9,
+             partial(_convolution, young=_mixed_convolution_powers, norms=_mixed_norms)),
+    CheckDef("convolution_mixed_orlicz", "orlicz.convolution_young", 100, 1e-9,
+             partial(_convolution, young=lambda env, t: (env.phi, power(2)), norms=_mixed_norms)),
+    CheckDef("convolution_product", "orlicz.convolution_young", 100, 1e-9,
+             partial(_convolution, young=lambda env, t: (env.phi if t % 2 else power(1.5),),
+                     norms=_product_norms)),
     CheckDef("embedding_criteria", "modulation.embedding_criteria", 1, 1e-9, _chk_embedding),
     CheckDef("inclusion_chain_flanks", "modulation.embedding_criteria", 1, 1e-9, _chk_inclusion_flanks),
     CheckDef("m2_identity", "modulation.m2_identity", 100, 1e-10, _chk_m2_identity),

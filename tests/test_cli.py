@@ -4,6 +4,8 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
+
 import tflocal
 from tflocal import LatticeSpec, Signal, norm2
 from tflocal import cli
@@ -37,9 +39,19 @@ def test_python_dash_m_entry_point():
     assert "verify" in proc.stdout
 
 
-def test_missing_arguments(capsys):
+def test_missing_arguments(tmp_path, capsys):
     code, _, _ = run(capsys, "norm", "--space", "M2")
     assert code == 2
+    # inputs past numpy's 64 array dimensions or Python's recursion limit
+    # are usage errors too, never exit 1, which means violations
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    for argv in (
+        ("gen", "--kind", "gaussian-signal", "--n", "70", "--K", "1"),
+        ("stft", "--signal", str(deep)),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error: "), argv
 
 
 def test_gen_signal_deterministic(tmp_path, capsys):
@@ -132,6 +144,14 @@ def test_young_inline_json(tmp_path, capsys):
         capsys, "norm", "--space", "lphi", "--input", str(sig_path), "--phi", spec
     )
     assert code == 0 and float(out.strip()) > 0
+    # a spec nested past Python's recursion limit, as JSON or as quasi bases
+    nested = '{"kind": "quasi", "p": 0.5, "base": ' * 5000 + '{"kind": "eq5"}' + "}" * 5000
+    for deep in (nested, "quasi:0.5:" * 5000 + "eq5"):
+        for phi, psi in ((deep, "eq5"), ("eq5", deep)):
+            code, _, err = run(
+                capsys, "norm", "--space", "MPhiPsi", "--input", str(sig_path), "--phi", phi, "--psi", psi
+            )
+            assert code == 2 and err.startswith("error: "), (phi[:20], psi[:20])
 
 
 def test_locop_apply_and_kernel(tmp_path, capsys):
@@ -189,7 +209,7 @@ def test_locop_apply_and_kernel(tmp_path, capsys):
     assert set(json.loads(out_text)["schatten"]) == {"1", "2", "inf"}
 
 
-def test_numeric_failure_exit_code(tmp_path, capsys):
+def test_numeric_failure_exit_code(tmp_path, capsys, monkeypatch):
     # a symbol declaring the full grid degree makes the synthesis refuse
     sym = tmp_path / "s.json"
     run(capsys, "gen", "--kind", "trig-symbol", "--seed", "2", "--out", str(sym))
@@ -210,6 +230,13 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
     )
     assert code == 3
     assert "numeric failure" in err
+    # an SVD failure is a numeric failure although LinAlgError is a ValueError
+    def fail(*args):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(cli, "spectrum", fail)
+    code, _, err = run(capsys, "spectrum", "--symbol", str(sym))
+    assert code == 3 and err.startswith("numeric failure: ")
 
 
 def test_locop_apply_with_stored_radius(tmp_path, capsys):
@@ -321,10 +348,10 @@ def test_verify_checks_flag(tmp_path, capsys):
 
 def test_verify_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    for text in ("{nope", '{"seed": 1%s}' % ("0" * 5000)):
+    for text in ("{nope", '{"seed": 1%s}' % ("0" * 5000), "[" * 200_000 + "]" * 200_000):
         bad.write_text(text)
         code, _, err = run(capsys, "verify", "--config", str(bad))
-        assert code == 2 and "Traceback" not in err
+        assert code == 2 and err.startswith("error: ") and "Traceback" not in err
     check = {"id": "identity_operator"}
     for cfg in [
         {"mystery": 1},

@@ -26,8 +26,8 @@ from tflocal import (
     window_signal,
 )
 from tflocal.lattice import delta_signal
-from tflocal.orlicz import field_lp_norm
-from tflocal.stft import stft_symbol
+from tflocal.orlicz import field_lp_norm, mixed_norm, mixed_norm_swapped
+from tflocal.stft import stft, stft_symbol
 from tflocal.verify import _random_signal, _trig_symbol, trial_rng
 
 
@@ -85,6 +85,15 @@ def test_orlicz_variants_power_reduction(env):
             f, env.window, phi, phi, variant="WPhiPsi", torus=env.torus
         )
         assert abs(got - want) <= 1e-9 * want
+    # with phi != psi the variants differ: MPhiPsi is the mixed norm of the
+    # transform, WPhiPsi the swapped one (5.3% apart on this signal)
+    phi, psi = power(1.5), power(3)
+    F = stft(f, env.window, env.torus)
+    mixed = orlicz_modulation_norm(f, env.window, phi, psi, variant="MPhiPsi", torus=env.torus)
+    swapped = orlicz_modulation_norm(f, env.window, phi, psi, variant="WPhiPsi", torus=env.torus)
+    assert mixed == mixed_norm(F, phi, psi)
+    assert swapped == mixed_norm_swapped(F, phi, psi)
+    assert abs(mixed - swapped) > 0.01 * max(mixed, swapped)
     with pytest.raises(DomainError):
         orlicz_modulation_norm(f, env.window, power(2), variant="MPhiPsi", torus=env.torus)
     assert (

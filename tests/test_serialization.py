@@ -177,7 +177,7 @@ def test_loaders_reject_malformed_files(fmt):
     for bad in _BAD_PAIRS:
         with pytest.raises(UsageError):
             load(json.dumps({**good, key: bad(good[key])}))
-    for text in ("[]", "null", json.dumps({**good, key: "abc"})):
+    for text in ("[]", "null", json.dumps({**good, key: "abc"}), "[" * 200_000 + "]" * 200_000):
         with pytest.raises(UsageError):
             load(text)
 

@@ -137,8 +137,9 @@ def test_power_reduction_catches_off_power_stacked_error(env, monkeypatch):
     assert res.violations > 0
 
 
-# the six checks that solve many trials' Luxemburg norms together, and the
-# report that solving every trial's norms on their own gives at 40 trials each
+# the seven Hoelder and convolution checks that solve many trials' Luxemburg
+# norms together, and the report that solving every trial's norms on their
+# own gives at 40 trials each
 _STACKED = (
     "holder_lattice_power",
     "holder_lattice_conjugate",
@@ -146,6 +147,7 @@ _STACKED = (
     "holder_mixed_conjugate",
     "convolution_mixed_power",
     "convolution_mixed_orlicz",
+    "convolution_product",
 )
 GOLDEN_STACKED = """\
 {"id": "holder_lattice_power", "trials": 40, "violations": 0, "worst_margin": 0.12378482217783143, "seed": 20240801, "elapsed": 0, "tier": "holder-constant-1"}
@@ -154,6 +156,7 @@ GOLDEN_STACKED = """\
 {"id": "holder_mixed_conjugate", "trials": 40, "violations": 0, "worst_margin": 0.27560239656997093, "seed": 20240801, "elapsed": 0, "tier": "holder-constant-2"}
 {"id": "convolution_mixed_power", "trials": 40, "violations": 0, "worst_margin": 0.93866297404944654, "seed": 20240801, "elapsed": 0, "tier": null}
 {"id": "convolution_mixed_orlicz", "trials": 40, "violations": 0, "worst_margin": 0.93300479858194374, "seed": 20240801, "elapsed": 0, "tier": null}
+{"id": "convolution_product", "trials": 40, "violations": 0, "worst_margin": 0.93838626848322704, "seed": 20240801, "elapsed": 0, "tier": null}
 """
 
 
@@ -204,6 +207,7 @@ def test_desk_checks_solve_power_and_eq5_in_closed_form(env, monkeypatch):
 
 # the three norm-axiom checks at their registry trial counts, as solving
 # every trial's norms on its own reports them
+_AXIOMS = ("orlicz_homogeneity", "orlicz_triangle", "orlicz_monotonicity")
 GOLDEN_AXIOMS = """\
 {"id": "orlicz_homogeneity", "trials": 100, "violations": 0, "worst_margin": -6.3621626416067753e-16, "seed": 20240801, "elapsed": 0, "tier": null}
 {"id": "orlicz_triangle", "trials": 100, "violations": 0, "worst_margin": 0.28507599550907708, "seed": 20240801, "elapsed": 0, "tier": null}
@@ -215,8 +219,7 @@ GOLDEN_AXIOMS = """\
 def test_axiom_checks_report_is_part_free(env, monkeypatch, held):
     if held is not None:
         monkeypatch.setattr(verify, "_HELD_VALUES", held)
-    ids = ("orlicz_homogeneity", "orlicz_triangle", "orlicz_monotonicity")
-    assert report_lines(run_suite([CheckSpec(cid) for cid in ids], env)) == GOLDEN_AXIOMS
+    assert report_lines(run_suite([CheckSpec(cid) for cid in _AXIOMS], env)) == GOLDEN_AXIOMS
 
 
 # the three checks whose tier summarizes all their trials: the flank
@@ -237,16 +240,29 @@ def test_summary_checks_report(env):
     assert report_lines(run_suite(specs, env)) == GOLDEN_SUMMARY
 
 
+# the tier each stacked check's registry row binds
+_STACKED_TIERS = {
+    **dict.fromkeys(_STACKED + _AXIOMS),
+    "holder_lattice_power": "holder-constant-1",
+    "holder_mixed_power": "holder-constant-1",
+    "holder_lattice_conjugate": "holder-constant-2",
+    "holder_mixed_conjugate": "holder-constant-2",
+}
+
+
 @pytest.mark.parametrize("cid", sorted(REGISTRY))
 def test_every_check_gives_one_margin_per_trial(small_env, cid):
     # run_suite copies the trial count from the spec, so only this sees a
-    # check that drops or adds a trial
+    # check that drops or adds a trial; a stacked row bound to the wrong
+    # tier fails here too
     spec = CheckSpec(cid, trials=3)
     stream = ((t, trial_rng(spec.seed, cid, t)) for t in range(spec.trials))
     worst, tier = REGISTRY[cid].run(small_env, spec, stream)
     assert len(worst) == 3
     assert all(isinstance(m, float) and math.isfinite(m) for m in worst)
     assert tier is None or isinstance(tier, str)
+    if cid in _STACKED_TIERS:
+        assert tier == _STACKED_TIERS[cid]
 
 
 def test_nan_equality_margin_is_a_violation(env, monkeypatch, tmp_path):
