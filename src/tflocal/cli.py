@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import reprlib
 import sys
 from dataclasses import dataclass, fields
 
@@ -141,7 +142,7 @@ def _number(token: str, what: str) -> float:
     try:
         return float(token)
     except ValueError:
-        raise UsageError(f"{what}: {token!r} is not a number") from None
+        raise UsageError(f"{what}: {reprlib.repr(token)} is not a number") from None
 
 
 def _parse_window(token: str) -> WindowSpec | str:
@@ -175,12 +176,12 @@ def _parse_young(token: str) -> YoungFunction:
     if token.startswith("quasi:"):
         parts = token.split(":", 2)
         if len(parts) < 3:
-            raise UsageError(f"quasi needs quasi:<p>:<base>, got {token!r}")
+            raise UsageError("quasi needs quasi:<p>:<base>")
         return quasi_young(_parse_young(parts[2]), _number(parts[1], "quasi order"))
     try:
         spec = json.loads(token)
     except (ValueError, RecursionError) as exc:  # also a too long integer or deep nesting
-        raise UsageError(f"cannot parse Young-function spec {token!r}") from exc
+        raise UsageError(f"cannot parse Young-function spec: {exc}") from exc
     return young_from_dict(spec)
 
 

@@ -11,6 +11,7 @@ that every module can use them without an import cycle.
 """
 
 import numbers
+import reprlib
 import sys
 
 
@@ -48,14 +49,14 @@ def integer(value, what: str) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise UsageError(f"{what} must be an integer, got {value!r}")
+        raise UsageError(f"{what} must be an integer, got {reprlib.repr(value)}")
     return int(value)
 
 
 def number(value, what: str) -> float:
     """`value` as a finite float: an int or a float, never a bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise UsageError(f"{what} must be a number, got {value!r}")
+        raise UsageError(f"{what} must be a number, got {reprlib.repr(value)}")
     if not abs(value) <= sys.float_info.max:  # nan, inf, or an int too large for a float
-        raise UsageError(f"{what} must be finite, got {value!r}")
+        raise UsageError(f"{what} must be finite, got {reprlib.repr(value)}")
     return float(value)

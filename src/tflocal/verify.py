@@ -62,6 +62,7 @@ from .locop import (
     apply_operator,
     kernel,
     sigma_tilde,
+    spectrum,
     weak_pairing,
 )
 from .modulation import (
@@ -274,7 +275,8 @@ def _le_margin(lhs: float, rhs: float, scale: Optional[float] = None) -> float:
 # wrapped by `_trialwise`.  The stacked checks draw the trials of one
 # `_in_parts` part and solve their Luxemburg norms together; a registry row
 # binds its stacked driver's Young functions, constant and tier.  The checks
-# whose tier summarizes their trials own their loop.
+# whose tier summarizes their trials own their loop.  Spectral checks read SVD
+# sums from `spectrum`, the routine behind `tflocal spectrum`.
 
 
 def _trialwise(fn):
@@ -696,20 +698,11 @@ def _chk_trace_identity(env, rng, t):
         g1, g2 = env.window, env.window2
     else:
         g1, g2 = _random_signal(env, rng), _random_signal(env, rng)
-    K = kernel(sigma, g1, g2)
-    mass = complex(env.torus.weight * sigma.values.sum())
-    expected = inner(g2, g1) * mass
-    scale = max(
-        abs(expected),
-        norm2(g1) * norm2(g2) * env.torus.weight * float(np.abs(sigma.values).sum()),
-        _TINY,
-    )
-    tr = complex(np.trace(K.matrix))
-    m1 = _eq_margin(abs(tr - expected), 0.0, scale)
-    s = np.linalg.svd(K.matrix, compute_uv=False)
-    hs_e = float(np.linalg.norm(K.matrix.ravel()))
-    hs_s = float(np.sqrt((s**2).sum()))
-    m2 = _eq_margin(hs_e, hs_s, scale=max(hs_e, _TINY))
+    S = spectrum(kernel(sigma, g1, g2))
+    expected = inner(g2, g1) * complex(env.torus.weight * sigma.values.sum())
+    scale = max(abs(expected), norm2(g1) * norm2(g2) * field_lp_norm(sigma, 1.0), _TINY)
+    m1 = _eq_margin(abs(S.trace - expected), 0.0, scale)
+    m2 = _eq_margin(S.hs_norm, S.schatten[2.0], scale=max(S.hs_norm, _TINY))
     return [m1, m2]
 
 
@@ -719,10 +712,10 @@ def _opnorm_margins(sigma, g1, g2):
     The bounds are Plancherel's, max|sigma| |g1| |g2|, and Schur's,
     sqrt(max column sum * max row sum) of |K|, in that order.
     """
-    K = kernel(sigma, g1, g2).matrix
-    s1 = float(np.linalg.svd(K, compute_uv=False)[0])
-    a = np.abs(K)
-    plancherel = float(np.abs(sigma.values).max()) * norm2(g1) * norm2(g2)
+    K = kernel(sigma, g1, g2)
+    s1 = spectrum(K).schatten[math.inf]
+    a = np.abs(K.matrix)
+    plancherel = field_lp_norm(sigma, math.inf) * norm2(g1) * norm2(g2)
     schur = math.sqrt(float(a.sum(axis=0).max()) * float(a.sum(axis=1).max()))
     return _le_margin(s1, plancherel), _le_margin(s1, schur)
 
@@ -747,18 +740,19 @@ def _nonneg_symbol(env, rng, t):
 def _chk_s1_positive(env, rng, t):
     sigma = _nonneg_symbol(env, rng, t)
     g = env.window
-    K = kernel(sigma, g, g).matrix
-    s = np.linalg.svd(K, compute_uv=False)
-    s1v = float(s[0])
-    eigs = np.linalg.eigvalsh((K + K.conj().T) / 2.0)
+    K = kernel(sigma, g, g)
+    S = spectrum(K)
+    S1, s1v = S.schatten[1.0], S.schatten[math.inf]
+    eigs = np.linalg.eigvalsh((K.matrix + K.matrix.conj().T) / 2.0)
     m_psd = float(eigs.min()) / max(s1v, _TINY)
-    trace = float(np.trace(K).real)
-    S1 = float(s.sum())
+    # a Hermitian PSD kernel's largest singular value is its largest eigenvalue
+    m_top = _eq_margin(s1v, float(eigs.max()))
+    trace = S.trace.real
     m_eq = _eq_margin(S1, trace, scale=max(trace, _TINY))
-    mass = env.torus.weight * float(np.abs(sigma.values).sum())
+    mass = field_lp_norm(sigma, 1.0)
     m_bound = _le_margin(S1, mass * norm2(g) ** 2)
     m_exact = _eq_margin(trace, mass * norm2(g) ** 2, scale=max(trace, _TINY))
-    return [m_psd, m_eq, m_bound, m_exact]
+    return [m_psd, m_top, m_eq, m_bound, m_exact]
 
 
 @_trialwise
@@ -773,22 +767,21 @@ def _chk_s1_general(env, rng, t):
         np.maximum(sigma.values.imag, 0.0),
         np.maximum(-sigma.values.imag, 0.0),
     ]
-    margins = []
-    for pv in parts:
-        pf = PhaseSpaceField(
+    fields = [
+        PhaseSpaceField(
             sigma.spec,
             sigma.torus,
             sigma.m_radius,
             pv.astype(np.complex128),
             degree_bound=env.torus.M - 1,
         )
-        s = np.linalg.svd(kernel(pf, g1, g2).matrix, compute_uv=False)
-        l1 = env.torus.weight * float(pv.sum())
-        margins.append(_le_margin(float(s.sum()), l1 * gmax2))
-    s = np.linalg.svd(kernel(sigma, g1, g2).matrix, compute_uv=False)
-    l1 = env.torus.weight * float(np.abs(sigma.values).sum())
-    margins.append(_le_margin(float(s.sum()), 4.0 * l1 * gmax2))
-    return margins
+        for pv in parts
+    ]
+    # the four nonnegative parts, then sigma itself against four times its mass
+    return [
+        _le_margin(spectrum(kernel(F, g1, g2)).schatten[1.0], c * field_lp_norm(F, 1.0) * gmax2)
+        for F, c in zip([*fields, sigma], (1.0, 1.0, 1.0, 1.0, 4.0))
+    ]
 
 
 _SCH_PS = (1.0, 1.5, 2.0, 3.0, math.inf)
@@ -799,27 +792,17 @@ def _chk_schatten_logconvexity(env, rng, t):
     sigma = _trig_symbol(env, rng)
     g1 = _random_signal(env, rng)
     g2 = _random_signal(env, rng)
-    s = np.linalg.svd(kernel(sigma, g1, g2).matrix, compute_uv=False)
-    S1, Sinf = float(s.sum()), float(s[0])
-    margins = []
-    for p in _SCH_PS:
-        if math.isinf(p):
-            lhs, rhs = Sinf, Sinf
-        else:
-            lhs = float((s**p).sum() ** (1.0 / p))
-            rhs = S1 ** (1.0 / p) * Sinf ** (1.0 - 1.0 / p)
-        margins.append(_le_margin(lhs, rhs))
-    return margins
+    sch = spectrum(kernel(sigma, g1, g2), _SCH_PS).schatten
+    S1, Sinf = sch[1.0], sch[math.inf]
+    return [_le_margin(sch[p], S1 ** (1.0 / p) * Sinf ** (1.0 - 1.0 / p)) for p in _SCH_PS]
 
 
 @_trialwise
 def _chk_trace_sandwich(env, rng, t):
     sigma = _nonneg_symbol(env, rng, t)
     g = env.window
-    st = sigma_tilde(sigma, g)
-    lhs = env.torus.weight * float(np.abs(st.values).sum())
-    s = np.linalg.svd(kernel(sigma, g, g).matrix, compute_uv=False)
-    rhs = norm2(g) ** 2 * float(s.sum())
+    lhs = field_lp_norm(sigma_tilde(sigma, g), 1.0)
+    rhs = norm2(g) ** 2 * spectrum(kernel(sigma, g, g)).schatten[1.0]
     return [_le_margin(lhs, rhs)]
 
 

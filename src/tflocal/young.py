@@ -354,15 +354,15 @@ def young_to_dict(phi: YoungFunction) -> dict:
     raise DomainError(f"kind {phi.kind!r} has no file representation")
 
 
+_SPEC_KEYS = {"eq5": {"kind"}, "power": {"kind", "p"}, "quasi": {"kind", "p", "base"}}
+
+
 def young_from_dict(spec: dict) -> YoungFunction:
-    """Inverse of young_to_dict; a malformed spec raises DomainError or UsageError."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise DomainError("Young-function spec must be an object with a 'kind'")
-    kind = spec["kind"]
+    """Inverse of young_to_dict: exactly the kind's keys; an error names the fault, not the spec."""
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if not isinstance(kind, str) or spec.keys() != _SPEC_KEYS.get(kind):
+        raise DomainError("Young-function spec must be {kind: eq5}, {kind: power, p} or {kind: quasi, p, base}")
     if kind == "eq5":
         return eq5()
-    needs = ("p",) if kind == "power" else ("p", "base")
-    if kind not in ("power", "quasi") or any(k not in spec for k in needs):
-        raise DomainError(f"Young-function spec {spec!r} is not power(p), eq5 or quasi(p, base)")
     p = number(spec["p"], f"{kind} exponent p")
     return power(p) if kind == "power" else quasi_young(young_from_dict(spec["base"]), p)

@@ -146,12 +146,16 @@ def test_young_inline_json(tmp_path, capsys):
     assert code == 0 and float(out.strip()) > 0
     # a spec nested past Python's recursion limit, as JSON or as quasi bases
     nested = '{"kind": "quasi", "p": 0.5, "base": ' * 5000 + '{"kind": "eq5"}' + "}" * 5000
-    for deep in (nested, "quasi:0.5:" * 5000 + "eq5"):
+    # and one that parses but lacks its outermost p; no error may echo the spec
+    base = '{"kind": "quasi", "p": 0.5, "base": ' * 400 + '{"kind": "eq5"}' + "}" * 400
+    no_p = '{"kind": "quasi", "base": ' + base + "}"
+    for deep in (nested, "quasi:0.5:" * 5000 + "eq5", no_p):
         for phi, psi in ((deep, "eq5"), ("eq5", deep)):
             code, _, err = run(
                 capsys, "norm", "--space", "MPhiPsi", "--input", str(sig_path), "--phi", phi, "--psi", psi
             )
             assert code == 2 and err.startswith("error: "), (phi[:20], psi[:20])
+            assert len(err.encode()) < 1024, (phi[:20], psi[:20])
 
 
 def test_locop_apply_and_kernel(tmp_path, capsys):
@@ -269,6 +273,14 @@ def test_malformed_number_tokens(tmp_path, capsys):
         (*lphi, '{"kind":"power","p":1%s}' % ("0" * 400)),  # too large for a float
         (*lphi, '{"kind":"power","p":1%s}' % ("0" * 5000)),  # past the int-digit limit
         (*lphi, '{"kind":"quasi","p":0.5}'),
+        # keys that the spec's kind does not take
+        (*lphi, '{"kind":"eq5","p":3}'),
+        (*lphi, '{"kind":"power","p":2,"typo":1}'),
+        (*lphi, '{"kind":"power","p":2,"base":{"kind":"eq5"}}'),
+        # long tokens, which the error must not echo
+        (*lphi, '{"kind":"power","p":"%s"}' % ("x" * 5000)),
+        (*lphi, "power:" + "x" * 5000),
+        (*lphi, "quasi:" + "x" * 5000),
         # numbers that are not L^p exponents (p >= 1 or inf)
         ("norm", "--space", "Mnan", "--input", str(sig)),
         ("norm", "--space", "M-inf", "--input", str(sig)),
@@ -281,6 +293,7 @@ def test_malformed_number_tokens(tmp_path, capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error: ") and "Traceback" not in err, argv
+        assert len(err.encode()) < 1024, argv
 
 
 def test_mixed_norm_rejects_infinite_young_function(tmp_path, capsys):

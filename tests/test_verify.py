@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from tflocal import (
     ConditioningError,
     LatticeSpec,
+    PrecisionError,
     TorusGrid,
     UsageError,
     default_specs,
@@ -119,6 +121,33 @@ def test_power_reduction_catches_off_power_luxemburg_error(env, monkeypatch):
     monkeypatch.setattr(verify, "luxemburg", skewed)
     (res,) = run_suite([spec], env)
     assert res.violations > 0
+
+
+def test_spectral_checks_catch_spectrum_faults(env, monkeypatch, tmp_path, capsys):
+    # the spectral checks read `spectrum`, the routine behind `tflocal
+    # spectrum`, so a fault in it must show: every finite Schatten norm 0.1%
+    # too large, the trace 1e-6 too large, the operator norm read from s[1]
+    faults = (
+        (lambda S: replace(S, schatten={p: v if math.isinf(p) else 1.001 * v for p, v in S.schatten.items()}),
+         ("s1_positive_trace", "trace_identity")),
+        (lambda S: replace(S, trace=S.trace * (1 + 1e-6)), ("s1_positive_trace", "trace_identity")),
+        (lambda S: replace(S, schatten={**S.schatten, math.inf: float(S.singular_values[1])}),
+         ("s1_positive_trace",)),
+    )
+    spectrum = verify.spectrum
+    for fault, ids in faults:
+        monkeypatch.setattr(verify, "spectrum", lambda K, ps=(1.0, 2.0, math.inf), f=fault: f(spectrum(K, ps)))
+        for res in run_suite([CheckSpec(id=i, trials=4) for i in ids], env):
+            assert res.violations > 0, res.id
+
+    # an SVD that fails spectrum's Hilbert-Schmidt cross-check is a numeric failure
+    def unreliable(K, ps=(1.0, 2.0, math.inf)):
+        raise PrecisionError("Hilbert-Schmidt cross-check failed; SVD unreliable")
+
+    monkeypatch.setattr(verify, "spectrum", unreliable)
+    out = str(tmp_path / "r.jsonl")
+    assert dispatch(["verify", "--checks", "trace_identity", "--output", out]) == 3
+    assert capsys.readouterr().err.startswith("numeric failure: ")
 
 
 def test_power_reduction_catches_off_power_stacked_error(env, monkeypatch):

@@ -300,3 +300,12 @@ def test_young_json_round_trip():
         assert young_from_dict(young_to_dict(phi))(1.25) == phi(1.25)
     with pytest.raises(DomainError):
         young_from_dict({"kind": "mystery"})
+    # a spec holds exactly its kind's keys: an extra key is never ignored
+    for s in (
+        {"kind": "eq5", "p": 3},
+        {"kind": "power", "p": 2, "typo": 1},
+        {"kind": "power", "p": 2, "base": {"kind": "eq5"}},
+        {"kind": ["power"], "p": 2},
+    ):
+        with pytest.raises(DomainError):
+            young_from_dict(s)
