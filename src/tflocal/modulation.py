@@ -38,7 +38,7 @@ from .orlicz import (
     mixed_norm_swapped,
     orlicz_norm,
 )
-from .stft import _symbol_freq_radius, _symbol_slabs, stft
+from .stft import _SymbolShifts, _symbol_freq_radius, stft
 from .young import YoungFunction
 
 __all__ = [
@@ -151,30 +151,33 @@ def symbol_modulation_norm(
     """M^p norm of a symbol via the second-level transform.
 
     The measure is counting on both lattice-type axes and quadrature on both
-    torus-type axes.  The norm streams: it reduces each lattice shift's
-    slab of the transform as `stft._symbol_slabs` yields it, so it holds one
-    slab, never the whole transform, and runs at n = 2.  A slab reduces by
-    |.|, power and sum (max for p = inf); for p = 2 it reduces to the real
-    part of its dot product with itself, which skips the |.| pass.  The
-    exponent and the transform's input checks run before the first slab.
-    A non-finite entry makes its slab's sum or max non-finite, so a slab is
-    scanned entry by entry only then: a non-finite entry raises DomainError,
-    while finite entries whose |.|^p overflows give inf.
+    torus-type axes.  The norm streams over the lattice shifts m of
+    `stft._SymbolShifts` and never holds the whole transform, so it runs at
+    n = 2.  At p = 2 it makes no slab at all: each m adds its slab's sum of
+    |.|^2, which Parseval gives from m's coefficient product
+    (`slab_energy`).  Other p make each m's slab and reduce it by |.|,
+    power and sum (max for p = inf), holding one slab.  The exponent and
+    the transform's input checks run before the first m.  A non-finite
+    entry makes its m's part non-finite, so only then is the slab made (at
+    p = 2) and scanned entry by entry: a non-finite entry raises
+    DomainError, while finite entries whose |.|^p overflows give inf.  At
+    p = 2 an entry can only be non-finite once some |Z|^2 has overflowed,
+    so that scan misses nothing.
     """
     p = _check_exponent(p)
-    slabs = _symbol_slabs(sigma, G0, _symbol_freq_radius(sigma, G0))
+    shifts = _SymbolShifts(sigma, G0, _symbol_freq_radius(sigma, G0))
     a = None
     acc = 0.0
-    for slab in slabs:
+    for _ in shifts:
         if p == 2:
-            part = float(np.vdot(slab, slab).real)
+            part = shifts.slab_energy()
         else:
-            a = np.abs(slab, out=a)
+            a = np.abs(shifts.slab(), out=a)
             if p != 1 and not np.isinf(p):
                 np.power(a, p, out=a)
             part = float(a.max() if np.isinf(p) else a.sum())
         if not np.isfinite(part):
-            _check_finite(slab, "transform")
+            _check_finite(shifts.slab(), "transform")
         acc = max(acc, part) if np.isinf(p) else acc + part
     if np.isinf(p):
         return acc

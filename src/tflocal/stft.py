@@ -30,13 +30,20 @@ j = m + u the eta integral is the finite sum over b in [-deg G, deg G]^n
 
 exact for fields of the stated `degree_bound` (as `convolve_phase_space`
 also relies on) while 2D <= M - 1, D = deg F + deg G.  Per lattice shift m
-that is one product of coefficients, one matmul from b to omega and one
-from u to xi, with u in the window's lattice radius R trimmed per axis to
-the j = m + u in F's lattice range.  One private generator, `_symbol_slabs`,
-yields the (xi, k, omega) slab of each m in a fixed order: `stft_symbol`
-stacks the slabs into the full array, while the symbol norm reduces each
-slab as it arrives and so never holds more than one slab
-(1/(2(R_f+R)+1)^n of the transform).
+that is one product of coefficients Z(u, k, b) = cF(m+u, k+b) conj(cG(u, b)),
+one matmul from b to omega and one from u to xi, with u in the window's
+lattice radius R trimmed per axis to the j = m + u in F's lattice range.
+One private class, `_SymbolShifts`, runs the loop over m in a fixed order
+and makes each m's product; from it, `slab()` makes the (xi, k, omega) slab
+by the two matmuls.  `stft_symbol` stacks the slabs into the full array,
+while the symbol norm at p != 2 reduces each slab as it arrives and so
+never holds more than one slab (1/(2(R_f+R)+1)^n of the transform).
+
+The slab of m is the 2n-dimensional DFT of Z over (j mod M, b), so by
+Parseval its sum of |.|^2 is M^{2n} times that of Z summed over u by residue
+j mod M: a discrete form of Moyal's identity (Groechenig, Foundations of
+Time-Frequency Analysis, 2001, 3.2).  `slab_energy()` takes it from Z alone,
+and the M^2 symbol norm makes no slab at all.
 """
 
 from __future__ import annotations
@@ -186,46 +193,88 @@ def _symbol_freq_radius(F: PhaseSpaceField, G: PhaseSpaceField) -> int:
     return D
 
 
-def _symbol_slabs(F: PhaseSpaceField, G: PhaseSpaceField, D: int):
-    """Yield the (xi, k, omega) slab of each lattice shift m, in C order of [-Rm, Rm]^n.
+class _SymbolShifts:
+    """The second-level transform, one lattice shift m at a time.
 
-    Each slab has shape (M^n, (2D+1)^n, M^n) and is written into one buffer
-    that the next slab overwrites, so a caller that reduces slabs as they
-    arrive holds one at a time.  The inputs must have passed
-    `_symbol_freq_radius`; the slabs are not checked for finiteness, which
-    each consumer does once per slab.
+    Iterating runs the one loop over m, in C order of [-Rm, Rm]^n, and
+    writes m's coefficient product over the trimmed u (module docstring)
+    into `Z`, shape (u) + (2D+1,)*n + (2 deg G + 1,)*n.  `slab()` makes m's
+    (xi, k, omega) slab, shape (M^n, (2D+1)^n, M^n), from it;
+    `slab_energy()` gives that slab's sum of |.|^2 without making it.  Each
+    buffer is reused by the next m, and the slab buffers are allocated by
+    the first `slab()`.  The inputs must have passed `_symbol_freq_radius`;
+    nothing here checks finiteness, which each consumer does.
     """
-    n, M = F.spec.n, F.torus.M
-    Rf, Rg, dG = F.m_radius, G.m_radius, G.degree_bound
-    Mn, Dk, Bn = M**n, (2 * D + 1) ** n, (2 * dG + 1) ** n
-    # cF(j, k + b) for every k in [-D, D]^n and b in [-dG, dG]^n: windows of
-    # width 2 dG + 1 over F's coefficients padded by 2 dG zeros per side
-    cF = np.pad(field_coefficients(F), ((0, 0),) * n + ((2 * dG, 2 * dG),) * n)
-    cF = sliding_window_view(cF, (2 * dG + 1,) * n, axis=tuple(range(n, 2 * n)))
-    cG = np.expand_dims(np.conj(field_coefficients(G)), tuple(range(n, 2 * n)))  # (u, 1, b)
-    Eb = phase_matrix(M, -dG, dG, 1, n)  # b -> omega
-    Pj = phase_matrix(M, -Rf, Rf, -1, n).T.reshape((Mn,) + (2 * Rf + 1,) * n)  # (xi, j)
-    Z = np.empty((2 * Rg + 1) ** n * Dk * Bn, dtype=np.complex128)
-    T = np.empty((2 * Rg + 1) ** n * Dk * Mn, dtype=np.complex128)
-    slab = np.empty((Mn, Dk, Mn), dtype=np.complex128)
-    shifts = range(-Rf - Rg, Rf + Rg + 1)
-    for m in itertools.product(shifts, repeat=n):
-        # per axis u runs over [max(-Rg, -Rf - m), min(Rg, Rf - m)]: the part
-        # of the window block that overlaps F's lattice range j = m + u
-        lo = [max(-Rg, -Rf - a) for a in m]
-        hi = [min(Rg, Rf - a) for a in m]
-        usl = tuple(slice(l + Rg, h + Rg + 1) for l, h in zip(lo, hi))
-        jsl = tuple(slice(a + l + Rf, a + h + Rf + 1) for a, l, h in zip(m, lo, hi))
-        block = cF[jsl]  # (u, k, b)
-        U = block.size // (Dk * Bn)
-        Zm = Z[: block.size].reshape(block.shape)
-        np.multiply(block, cG[usl], out=Zm)  # cF(m + u, k + b) conj(cG(u, b))
+
+    def __init__(self, F: PhaseSpaceField, G: PhaseSpaceField, D: int):
+        n, M = F.spec.n, F.torus.M
+        Rf, Rg, dG = F.m_radius, G.m_radius, G.degree_bound
+        self._n, self._M, self._Rf, self._Rg, self._dG = n, M, Rf, Rg, dG
+        self._Dk, self._Bn = (2 * D + 1) ** n, (2 * dG + 1) ** n
+        # cF(j, k + b) for every k in [-D, D]^n and b in [-dG, dG]^n: windows of
+        # width 2 dG + 1 over F's coefficients padded by 2 dG zeros per side
+        cF = np.pad(field_coefficients(F), ((0, 0),) * n + ((2 * dG, 2 * dG),) * n)
+        self._cF = sliding_window_view(cF, (2 * dG + 1,) * n, axis=tuple(range(n, 2 * n)))
+        self._cG = np.expand_dims(np.conj(field_coefficients(G)), tuple(range(n, 2 * n)))
+        self._Zbuf = np.empty((2 * Rg + 1) ** n * self._Dk * self._Bn, dtype=np.complex128)
+        self._slab_bufs = self._slab = self._jsl = self.Z = None
+
+    def __iter__(self):
+        n, Rf, Rg = self._n, self._Rf, self._Rg
+        for m in itertools.product(range(-Rf - Rg, Rf + Rg + 1), repeat=n):
+            # per axis u runs over [max(-Rg, -Rf - m), min(Rg, Rf - m)]: the part
+            # of the window block that overlaps F's lattice range j = m + u
+            lo = [max(-Rg, -Rf - a) for a in m]
+            hi = [min(Rg, Rf - a) for a in m]
+            usl = tuple(slice(l + Rg, h + Rg + 1) for l, h in zip(lo, hi))
+            self._jsl = tuple(slice(a + l + Rf, a + h + Rf + 1) for a, l, h in zip(m, lo, hi))
+            block, cG = self._cF[self._jsl], self._cG[usl]  # (u, k, b), (u, 1, b)
+            self.Z = Z = self._Zbuf[: block.size].reshape(block.shape)
+            # copy, then scale one u at a time: a single broadcast product makes
+            # numpy buffer its strided operands (0.8 of Z's size at n=1, K=8)
+            np.copyto(Z, block)
+            for Zu, cGu in zip(Z.reshape((-1,) + Z.shape[n:]), cG.reshape((-1,) + cG.shape[n:])):
+                Zu *= cGu
+            self._slab = None
+            yield m
+
+    def slab(self) -> np.ndarray:
+        """The current m's (xi, k, omega) slab, made once per m."""
+        if self._slab is not None:
+            return self._slab
+        n, M, Dk, Bn = self._n, self._M, self._Dk, self._Bn
+        Mn = M**n
+        if self._slab_bufs is None:
+            Rf, Rg, dG = self._Rf, self._Rg, self._dG
+            self._slab_bufs = (
+                phase_matrix(M, -dG, dG, 1, n),  # b -> omega
+                phase_matrix(M, -Rf, Rf, -1, n).T.reshape((Mn,) + (2 * Rf + 1,) * n),  # (xi, j)
+                np.empty((2 * Rg + 1) ** n * Dk * Mn, dtype=np.complex128),
+                np.empty((Mn, Dk, Mn), dtype=np.complex128),
+            )
+        Eb, Pj, T, slab = self._slab_bufs
+        U = self.Z.size // (Dk * Bn)
         Tm = T[: U * Dk * Mn].reshape(U * Dk, Mn)
-        np.matmul(Zm.reshape(U * Dk, Bn), Eb, out=Tm)  # (u, k, omega)
+        np.matmul(self.Z.reshape(U * Dk, Bn), Eb, out=Tm)  # (u, k, omega)
         # u -> xi with the phases of j = m + u: (xi, u) @ (u, k omega)
-        Pm = Pj[(slice(None),) + jsl].reshape(Mn, U)
+        Pm = Pj[(slice(None),) + self._jsl].reshape(Mn, U)
         np.matmul(Pm, Tm.reshape(U, Dk * Mn), out=slab.reshape(Mn, Dk * Mn))
-        yield slab
+        self._slab = slab
+        return slab
+
+    def slab_energy(self) -> float:
+        """Sum of |.|^2 over the current m's slab, by Parseval on Z (module docstring).
+
+        The fold by j mod M is the identity unless a trimmed u-axis is
+        longer than M; b needs none, as 2 deg G + 1 <= 2D + 1 <= M.
+        """
+        Z, M = self.Z, self._M
+        for ax in range(self._n):
+            L = Z.shape[ax]
+            if L > M:
+                Z = np.pad(Z, [(0, -L % M) if a == ax else (0, 0) for a in range(Z.ndim)])
+                Z = Z.reshape(Z.shape[:ax] + (-1, M) + Z.shape[ax + 1 :]).sum(axis=ax)
+        return M ** (2 * self._n) * float(np.vdot(Z, Z).real)
 
 
 def stft_symbol(F: PhaseSpaceField, G: PhaseSpaceField) -> SymbolTransform:
@@ -236,7 +285,7 @@ def stft_symbol(F: PhaseSpaceField, G: PhaseSpaceField) -> SymbolTransform:
               conj(G(j-m, eta-omega)) d eta,
     with k over [-D, D]^n, D = deg F + deg G, and the eta integral taken
     exactly in torus-coefficient space (PrecisionError unless 2D <= M - 1).
-    `_symbol_slabs` yields one (xi, k, omega) slab per lattice shift m (see
+    `_SymbolShifts` makes one (xi, k, omega) slab per lattice shift m (see
     the module docstring); this function stores each as (omega, xi, k) in
     the one array of the transform's size, while `symbol_modulation_norm`
     reduces them one at a time and never holds more than one slab.
@@ -245,7 +294,8 @@ def stft_symbol(F: PhaseSpaceField, G: PhaseSpaceField) -> SymbolTransform:
     spec, n, M = F.spec, F.spec.n, F.torus.M
     Rm = F.m_radius + G.m_radius
     out = np.empty(((2 * Rm + 1) ** n, M**n, M**n, (2 * D + 1) ** n), dtype=np.complex128)
-    for i, slab in enumerate(_symbol_slabs(F, G, D)):
-        out[i] = slab.transpose(2, 0, 1)
+    shifts = _SymbolShifts(F, G, D)
+    for i, _ in enumerate(shifts):
+        out[i] = shifts.slab().transpose(2, 0, 1)
     shaped = out.reshape((2 * Rm + 1,) * n + (M,) * (2 * n) + (2 * D + 1,) * n)
     return SymbolTransform(spec, F.torus, Rm, D, shaped)

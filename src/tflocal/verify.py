@@ -702,6 +702,7 @@ def _chk_trace_identity(env, rng, t):
     expected = inner(g2, g1) * complex(env.torus.weight * sigma.values.sum())
     scale = max(abs(expected), norm2(g1) * norm2(g2) * field_lp_norm(sigma, 1.0), _TINY)
     m1 = _eq_margin(abs(S.trace - expected), 0.0, scale)
+    # not redundant: spectrum's cross-check reads s, not the schatten[2] formed from it
     m2 = _eq_margin(S.hs_norm, S.schatten[2.0], scale=max(S.hs_norm, _TINY))
     return [m1, m2]
 
@@ -826,11 +827,18 @@ def _chk_mphi(env, spec, trials):
 
     The tier is kappa, the largest ratio over the symbol-M^1 bound on |A|,
     and cov, the ratios' coefficient of variation.  Trial 0 also carries the
-    hard operator-norm margins of A.
+    hard operator-norm margins of A and the symbol's M^2 identity (Moyal's,
+    |V_G0 sigma|_2 = |sigma|_2 |G0|_2).
     """
     sigma = _trig_symbol(env, trial_rng(spec.seed, spec.id + ":setup", 0))
     g1, g2 = env.window, env.window2
-    hard = _opnorm_margins(sigma, g1, g2)
+    hard = (
+        *_opnorm_margins(sigma, g1, g2),
+        _eq_margin(
+            symbol_modulation_norm(sigma, env.G0, 2.0),
+            field_lp_norm(sigma, 2.0) * field_lp_norm(env.G0, 2.0),
+        ),
+    )
     bound = (
         symbol_modulation_norm(sigma, env.G0, 1.0)
         * orlicz_modulation_norm(g1, env.window, env.psi, variant="MPhi", torus=env.torus)

@@ -10,6 +10,8 @@ import tflocal
 from tflocal import LatticeSpec, Signal, norm2
 from tflocal import cli
 from tflocal.cli import config_from_dict, dispatch
+from tflocal.modulation import symbol_window
+from tflocal.orlicz import field_lp_norm
 from tflocal.serialization import dump_signal, load_field, load_signal
 from tflocal.verify import parse_report
 
@@ -134,6 +136,18 @@ def test_norm_spaces(tmp_path, capsys):
 
     code, _, _ = run(capsys, "norm", "--space", "Mweird", "--input", str(sig_path))
     assert code == 2
+
+
+def test_symbol_m2_norm_at_n2(tmp_path, capsys):
+    # Moyal's identity |V_G0 sigma|_2 = |sigma|_2 |G0|_2 on the n=2, K=2 rung
+    sym = tmp_path / "sigma.json"
+    code, _, _ = run(capsys, "gen", "--kind", "trig-symbol", "--n", "2", "--K", "2", "--out", str(sym))
+    assert code == 0
+    code, out, err = run(capsys, "norm", "--space", "symbol-M2", "--input", str(sym))
+    assert code == 0, err
+    F = load_field(sym.read_text())
+    want = field_lp_norm(F, 2.0) * field_lp_norm(symbol_window(F.spec, F.torus), 2.0)
+    assert abs(float(out) - want) <= 1e-12 * want
 
 
 def test_young_inline_json(tmp_path, capsys):

@@ -189,19 +189,23 @@ def test_symbol_norm_overflow_of_finite_entries_is_inf(small_env):
 
 
 def test_symbol_norm_holds_one_slab(env):
-    # the whole transform at n=1, K=8, M=49 is 49 x 49 x 49 x 41 complex: 73.6 MiB
+    # the whole transform at n=1, K=8, M=49 is 49 x 49 x 49 x 41 complex: 73.6 MiB;
+    # at p = 2 Parseval reduces each coefficient product and no 49 x 41 x 49 slab is made
     sigma = _trig_symbol(env, trial_rng(39, "symbol-memory", 0))
     G0 = env.G0
     Rm = sigma.m_radius + G0.m_radius
     D = sigma.degree_bound + G0.degree_bound
-    full = 16 * (2 * Rm + 1) * env.torus.M**2 * (2 * D + 1)
-    tracemalloc.start()
-    try:
-        symbol_modulation_norm(sigma, G0, 1.5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < full / 8, (peak, full)
+    slab = 16 * env.torus.M**2 * (2 * D + 1)
+    full = (2 * Rm + 1) * slab
+    symbol_modulation_norm(sigma, G0, 2.0)  # fills phase_matrix's cache
+    for p, bound in ((1.5, full / 8), (2.0, slab / 4)):
+        tracemalloc.start()
+        try:
+            symbol_modulation_norm(sigma, G0, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (p, peak, bound)
 
 
 def test_symbol_norm_brute_force_small():

@@ -430,8 +430,13 @@ def test_symbol_norm_matches_direct_oracle(lat, tor):
             assert abs(got - want) <= 1e-12 * want, p
 
 
-# one interior (deg F, deg G) pair with deg G > deg F per small grid
-EDGE_GRIDS = [g + (d,) for g, d in zip(SMALL_GRIDS, [(1, 3), (1, 2)])]
+# one interior (deg F, deg G) pair with deg G > deg F per small grid, then
+# two grids with M < 2K + 1, where a trimmed window range u is longer than M
+# and the lattice frequency xi aliases j = m + u with m + u + M
+EDGE_GRIDS = [g + (d,) for g, d in zip(SMALL_GRIDS, [(1, 3), (1, 2)])] + [
+    (LatticeSpec(1, 3), TorusGrid(1, 5), (1, 1)),
+    (LatticeSpec(2, 2), TorusGrid(2, 3), (0, 1)),
+]
 
 
 @pytest.mark.parametrize("lat,tor,interior", EDGE_GRIDS)

@@ -256,7 +256,7 @@ def test_axiom_checks_report_is_part_free(env, monkeypatch, held):
 GOLDEN_SUMMARY = """\
 {"id": "inclusion_chain_flanks", "trials": 1, "violations": 0, "worst_margin": 0, "seed": 20240801, "elapsed": 0, "tier": "C_left=0.73575888234288456;C_right=0.5"}
 {"id": "window_robustness", "trials": 5, "violations": 0, "worst_margin": 0, "seed": 20240801, "elapsed": 0, "tier": "R=1.0026638675501447"}
-{"id": "mphi_boundedness", "trials": 3, "violations": 0, "worst_margin": 0, "seed": 20240801, "elapsed": 0, "tier": "kappa=0.0032236001488743543;cov=0.092701487362455343"}
+{"id": "mphi_boundedness", "trials": 3, "violations": 0, "worst_margin": -1.2406967789963575e-15, "seed": 20240801, "elapsed": 0, "tier": "kappa=0.0032236001488743543;cov=0.092701487362455343"}
 """
 
 
