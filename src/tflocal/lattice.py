@@ -8,7 +8,9 @@ sampled on the uniform M-point grid per axis; that grid integrates
 trigonometric polynomials of per-axis degree <= M-1 exactly, which turns
 every torus integral used here into a finite sum with no discretization
 error.  The default M = 6K+1 is large enough for every integrand this
-package produces.
+package produces.  `TorusGrid.require_exact` is the one place that rule is
+compared: a routine that refuses a too coarse grid passes it the degree of
+the integrand it is about to sum.
 
 The phases exp(+-2 pi i d.j/M) of that quadrature come from one place,
 `phase_matrix`; every transform, kernel and coefficient map in the package
@@ -111,6 +113,13 @@ class TorusGrid:
         """Per-axis node coordinates j/M, j = 0..M-1."""
         return np.arange(self.M) / self.M
 
+    def require_exact(self, degree: int, what: str) -> None:
+        """Raise PrecisionError unless the grid sums an integrand of this degree exactly."""
+        if degree > self.M - 1:
+            raise PrecisionError(
+                f"{what} not exactly integrable: degree {degree} exceeds M-1 = {self.M - 1}"
+            )
+
 
 @lru_cache(maxsize=None)
 def phase_matrix(M: int, lo: int, hi: int, sign: int, n: int = 1) -> np.ndarray:
@@ -132,8 +141,7 @@ def phase_matrix(M: int, lo: int, hi: int, sign: int, n: int = 1) -> np.ndarray:
 def field_coefficients(F: PhaseSpaceField) -> np.ndarray:
     """Torus Fourier coefficients per lattice point, exact for deg <= (M-1)/2."""
     M, n, deg = F.torus.M, F.n, F.degree_bound
-    if 2 * deg > M - 1:
-        raise PrecisionError("coefficient extraction would alias: need 2*degree <= M-1")
+    F.torus.require_exact(2 * deg, "coefficient extraction")
     coef = F.values.reshape(-1, M**n) @ phase_matrix(M, -deg, deg, -1, n).T
     coef *= F.torus.weight
     return coef.reshape(F.lattice_shape + (2 * deg + 1,) * n)
@@ -194,8 +202,8 @@ class PhaseSpaceField:
     """Complex values on ([-m_radius, m_radius]^n) x (torus grid).
 
     degree_bound is the largest per-axis trigonometric degree present in the
-    torus direction; it must stay <= M-1 so the samples determine the
-    polynomial uniquely.
+    torus direction; it must stay <= M-1 so that the grid integrates the
+    field exactly.
     """
 
     spec: LatticeSpec
@@ -212,7 +220,7 @@ class PhaseSpaceField:
         if self.values.shape != want:
             raise DomainError(f"field shape {self.values.shape}, expected {want}")
         if self.degree_bound > self.torus.M - 1:
-            raise DomainError("degree_bound exceeds M-1; samples would alias")
+            raise DomainError("degree_bound exceeds M-1, beyond what the grid integrates exactly")
         _check_finite(self.values, "phase-space field")
 
     @property

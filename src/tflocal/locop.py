@@ -110,11 +110,7 @@ def _product_field(sigma: PhaseSpaceField, V: PhaseSpaceField) -> PhaseSpaceFiel
     r = min(sigma.m_radius, V.m_radius)
     vals = _overlap_block(sigma, r) * _overlap_block(V, r)
     deg = sigma.degree_bound + V.degree_bound
-    if deg > sigma.torus.M - 1:
-        raise PrecisionError(
-            f"product field degree {deg} exceeds the grid resolution M-1 = "
-            f"{sigma.torus.M - 1}"
-        )
+    sigma.torus.require_exact(deg, "product field")
     return PhaseSpaceField(sigma.spec, sigma.torus, r, vals, degree_bound=deg)
 
 
@@ -193,7 +189,8 @@ def kernel(sigma: PhaseSpaceField, g1: Signal, g2: Signal) -> OperatorKernel:
     One matmul gives c_m(d) = (1/M^n) sum_j sigma(m, j) e^{2 pi i d.j/M} for
     every m and every d in [-2K, 2K]^n.  Each shift m then adds the block
     g2(u) c_m(u - v) conj(g1(v)) at rows and columns m + [-K, K]^n, in a
-    fixed order of m.
+    fixed order of m.  It refuses no degree: the sum is taken over the
+    samples as given, whatever sigma.degree_bound declares.
     """
     _check_operator_inputs(sigma, g1, g2)
     spec, torus = sigma.spec, sigma.torus

@@ -127,11 +127,10 @@ def orlicz_modulation_norm(
     phi: YoungFunction,
     psi: Optional[YoungFunction] = None,
     variant: str = "MPhi",
-    torus: Optional[TorusGrid] = None,
+    *,
+    torus: TorusGrid,
 ) -> float:
     """Orlicz modulation norms: 'MPhi', 'MPhiPsi' (mixed), 'WPhiPsi' (swapped)."""
-    if torus is None:
-        raise DomainError("a torus grid is required")
     g = _as_window(g0, f.spec)
     F = stft(f, g, torus)
     if variant == "MPhi":

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConditioningError, DomainError, PrecisionError
+from .errors import ConditioningError, DomainError
 from .lattice import (
     LatticeSpec,
     PhaseSpaceField,
@@ -122,15 +122,7 @@ def stft_adjoint(F: PhaseSpaceField, g: Signal) -> Signal:
     if g.spec != spec:
         raise DomainError("window lattice must match the field")
     _require_admissible(g, "window")
-    if F.degree_bound + spec.K > F.torus.M - 1:
-        raise PrecisionError(
-            "synthesis integral not exactly integrable: "
-            f"degree_bound {F.degree_bound} + K {spec.K} exceeds M-1 = {F.torus.M - 1}"
-        )
-    if F.m_radius + spec.K > spec.C:
-        raise PrecisionError(
-            "atoms at the outermost lattice shifts would leave the computation box"
-        )
+    F.torus.require_exact(F.degree_bound + spec.K, "synthesis integral")
     n, K, M = spec.n, spec.K, F.torus.M
     coef = F.values.reshape(-1, M**n) * phase_matrix(M, -F.m_radius, F.m_radius, 1, n)
     coef = (coef @ phase_matrix(M, -K, K, 1, n).T) * F.torus.weight
@@ -185,11 +177,7 @@ def _symbol_freq_radius(F: PhaseSpaceField, G: PhaseSpaceField) -> int:
     if G.m_radius > F.spec.K:
         raise DomainError("window must be admissible in the lattice direction")
     D = F.degree_bound + G.degree_bound
-    M = F.torus.M
-    if 2 * D > M - 1:
-        raise PrecisionError(
-            f"eta integral not exactly integrable: degree sum {2 * D} exceeds M-1 = {M - 1}"
-        )
+    F.torus.require_exact(2 * D, "eta integral")
     return D
 
 

@@ -606,21 +606,15 @@ def _chk_m2_identity(env, rng, t):
 @_trialwise
 def _chk_shift_invariance(env, rng, t):
     f, _, _, shifted = _tf_shift(env, rng)
-    which = t % 5
-    if which == 0:
-        norm = lambda x: modulation_norm(x, env.window, 1.0, env.torus)
-    elif which == 1:
-        norm = lambda x: modulation_norm(x, env.window, 2.0, env.torus)
-    elif which == 2:
-        norm = lambda x: modulation_norm(x, env.window, math.inf, env.torus)
-    elif which == 3:
-        norm = lambda x: orlicz_modulation_norm(
-            x, env.window, env.phi, variant="MPhi", torus=env.torus
-        )
-    else:
-        norm = lambda x: orlicz_modulation_norm(
+    norm = (
+        lambda x: modulation_norm(x, env.window, 1.0, env.torus),
+        lambda x: modulation_norm(x, env.window, 2.0, env.torus),
+        lambda x: modulation_norm(x, env.window, math.inf, env.torus),
+        lambda x: orlicz_modulation_norm(x, env.window, env.phi, variant="MPhi", torus=env.torus),
+        lambda x: orlicz_modulation_norm(
             x, env.window, env.phi, power(2), variant="MPhiPsi", torus=env.torus
-        )
+        ),
+    )[t % 5]
     a, b = norm(f), norm(shifted)
     return [_eq_margin(b, a, scale=max(a, _TINY))]
 
@@ -721,16 +715,10 @@ def _opnorm_margins(sigma, g1, g2):
     return _le_margin(s1, plancherel), _le_margin(s1, schur)
 
 
-@_trialwise
-def _chk_opnorm_plancherel(env, rng, t):
+def _chk_opnorm(env, rng, t, bound):
+    """The margin under bound `bound` of `_opnorm_margins` (0 Plancherel's, 1 Schur's)."""
     sigma, g1, g2 = _trig_symbol(env, rng), _random_signal(env, rng), _random_signal(env, rng)
-    return _opnorm_margins(sigma, g1, g2)[:1]
-
-
-@_trialwise
-def _chk_opnorm_schur(env, rng, t):
-    sigma, g1, g2 = _trig_symbol(env, rng), _random_signal(env, rng), _random_signal(env, rng)
-    return _opnorm_margins(sigma, g1, g2)[1:]
+    return _opnorm_margins(sigma, g1, g2)[bound : bound + 1]
 
 
 def _nonneg_symbol(env, rng, t):
@@ -909,8 +897,10 @@ _ROWS = (
     CheckDef("identity_operator", "locop.identity_case", 1, 1e-10, _chk_identity_operator),
     CheckDef("adjoint_identity", "locop.adjoint_identity", 50, 1e-12, _chk_adjoint_identity),
     CheckDef("trace_identity", "locop.trace_identity", 50, 1e-10, _chk_trace_identity),
-    CheckDef("opnorm_plancherel_bound", "locop.operator_norm_bound", 100, 1e-9, _chk_opnorm_plancherel),
-    CheckDef("opnorm_schur_bound", "locop.schur_test", 100, 1e-9, _chk_opnorm_schur),
+    CheckDef("opnorm_plancherel_bound", "locop.operator_norm_bound", 100, 1e-9,
+             _trialwise(partial(_chk_opnorm, bound=0))),
+    CheckDef("opnorm_schur_bound", "locop.schur_test", 100, 1e-9,
+             _trialwise(partial(_chk_opnorm, bound=1))),
     CheckDef("s1_positive_trace", "locop.positive_trace_class", 50, 1e-10, _chk_s1_positive),
     CheckDef("s1_general_split", "locop.general_trace_class", 50, 1e-9, _chk_s1_general),
     CheckDef("schatten_logconvexity", "locop.schatten_interpolation", 50, 1e-9, _chk_schatten_logconvexity),

@@ -10,6 +10,7 @@ from tflocal import (
     LatticeSpec,
     PhaseSpaceField,
     PrecisionError,
+    RangeError,
     Signal,
     TorusGrid,
     inner,
@@ -20,7 +21,12 @@ from tflocal import (
     stft_symbol,
     symbol_modulation_norm,
 )
-from tflocal.lattice import coefficients_to_values, delta_signal, phase_matrix
+from tflocal.lattice import (
+    coefficients_to_values,
+    delta_signal,
+    field_coefficients,
+    phase_matrix,
+)
 from tflocal.locop import apply_operator
 from tflocal.orlicz import field_lp_norm
 from tflocal.stft import SymbolTransform, _stft_values
@@ -240,6 +246,55 @@ def test_adjoint_precision_refusal(env):
     )
     with pytest.raises(PrecisionError):
         stft_adjoint(F, delta_signal(lat))
+
+
+def test_adjoint_box_refusal():
+    # the atoms at the outermost shifts m = -6, 6 would reach 6 + K = 8 > C = 7
+    lat = LatticeSpec(1, 2, 7)
+    F = PhaseSpaceField(lat, TorusGrid(1, 13), 6, np.ones((13, 13), complex), degree_bound=2)
+    with pytest.raises(RangeError):
+        stft_adjoint(F, delta_signal(lat))
+
+
+def _ones_field(spec, M, m_radius, deg):
+    vals = np.ones((2 * m_radius + 1, M), complex)
+    return PhaseSpaceField(spec, TorusGrid(1, M), m_radius, vals, degree_bound=deg)
+
+
+_K1 = LatticeSpec(1, 1)
+
+# site -> (d, call): call(over) makes the site sum an integrand of degree
+# M - 1 + over, and call(1) sums degree d on M = d points
+_EXACTNESS_SITES = {
+    # 2 deg = 2 * 3 on M = 7 - over
+    "coefficient extraction": (
+        6, lambda over: field_coefficients(_ones_field(_K1, 7 - over, 1, 3))
+    ),
+    # deg sigma + deg V = 4 + K on M = 5, as V = stft(f, g) has degree K = over
+    "product field": (
+        5,
+        lambda over: apply_operator(
+            _ones_field(LatticeSpec(1, over), 5, 0, 4), *[delta_signal(LatticeSpec(1, over))] * 3
+        ),
+    ),
+    # deg F + K = 2 + 1 on M = 4 - over
+    "synthesis integral": (
+        3, lambda over: stft_adjoint(_ones_field(_K1, 4 - over, 2, 2), delta_signal(_K1))
+    ),
+    # 2 (deg F + deg G) = 2 (1 + 1) on M = 5 - over
+    "eta integral": (4, lambda over: stft_symbol(*[_ones_field(_K1, 5 - over, 1, 1)] * 2)),
+}
+
+
+@pytest.mark.parametrize("site", list(_EXACTNESS_SITES))
+def test_exactness_rule_at_its_boundary(site):
+    # every refusal goes through TorusGrid.require_exact: degree M-1 is summed,
+    # degree M is refused with the site named
+    d, call = _EXACTNESS_SITES[site]
+    call(0)
+    msg = f"^{site} not exactly integrable: degree {d} exceeds M-1 = {d - 1}$"
+    with pytest.raises(PrecisionError, match=msg):
+        call(1)
 
 
 def test_invert_examples(env):
