@@ -17,6 +17,16 @@ def test_every_patch_applies_once_to_src():
         assert m.new != m.old, m.id
 
 
+def test_axis_order_fault_targets_the_one_overlap_primitive():
+    # every block placement reads lattice.overlap, so one patch there reverses
+    # the axis order of all of them
+    n1 = next(m for m in run.MUTANTS if m.id == "N1")
+    assert n1.file == "lattice.py"
+    text = (run.SRC / "tflocal" / n1.file).read_text()
+    start = text.index("def overlap(")
+    assert start < text.index(n1.old) < text.index("\ndef ", start + 1)
+
+
 def test_apply_refuses_a_missing_or_repeated_target(tmp_path):
     path = tmp_path / "f.py"
     path.write_text("a = 1\nb = 1\n")

@@ -17,10 +17,12 @@ The phases exp(+-2 pi i d.j/M) of that quadrature come from one place,
 uses it.  Its result is cached and read-only, so no caller can corrupt the
 phases another caller sees.  The maps between torus samples and torus
 Fourier coefficients, `field_coefficients` and `coefficients_to_values`,
-sit next to it.  Likewise the box position of the block m + [-K, K]^n that
-a lattice shift m touches comes from one place, `block_slices`: the STFT
-analysis and synthesis and the kernel assembly all read or write their
-shifted blocks through it.
+sit next to it.  Likewise every placement of a block m + [-r, r]^n in an
+array stored over a range [-R, R]^n comes from one place, `overlap`: the
+box position of an STFT or kernel block (`block_slices`), the admissible
+block, translation, the crop of a field to a smaller lattice radius and the
+second-level transform's trimmed window all read it, so the order of the
+lattice axes is decided there alone.
 
 Array layout is lexicographic with the slowest axis first (NumPy C order),
 so serialized files are reproducible bit for bit.
@@ -42,6 +44,7 @@ __all__ = [
     "Signal",
     "PhaseSpaceField",
     "phase_matrix",
+    "overlap",
     "block_slices",
     "translate",
     "modulate",
@@ -86,8 +89,7 @@ class LatticeSpec:
 
     def admissible_slices(self) -> tuple:
         """Slices selecting the [-K, K]^n block inside the [-C, C]^n array."""
-        s = slice(self.C - self.K, self.C + self.K + 1)
-        return (s,) * self.n
+        return overlap((0,) * self.n, self.K, self.C)[1]
 
 
 @dataclass(frozen=True)
@@ -155,6 +157,26 @@ def coefficients_to_values(coef: np.ndarray, torus: TorusGrid, deg: int) -> np.n
     return vals.reshape(lead + torus.shape)
 
 
+@lru_cache(maxsize=None)
+def overlap(m: tuple, r: int, R: int) -> tuple:
+    """Where the part of the block m + [-r, r]^n inside the range [-R, R]^n sits.
+
+    Returns (block, range): slice tuples, one slice per axis of m, into an
+    array over the block and into one over the range, both indexed from
+    their low corner.  An empty overlap gives empty slices with non-negative
+    bounds, never a stop that wraps around.  Cached like `phase_matrix`, as
+    the transforms ask for every shift m of a lattice range on each call;
+    the slices are immutable.
+    """
+    block, rng = [], []
+    for a in map(int, m):
+        lo, hi = max(a - r, -R), min(a + r, R)
+        hi = max(hi, lo - 1)  # empty: stop = start
+        block.append(slice(lo - a + r, hi - a + r + 1))
+        rng.append(slice(lo + R, hi + R + 1))
+    return tuple(block), tuple(rng)
+
+
 def block_slices(spec: LatticeSpec, m, radius: int | None = None) -> tuple:
     """Slices of the [-C, C]^n box that hold the block m + [-r, r]^n, r = K by default.
 
@@ -163,7 +185,7 @@ def block_slices(spec: LatticeSpec, m, radius: int | None = None) -> tuple:
     r = spec.K if radius is None else radius
     if any(abs(int(a)) + r > spec.C for a in m):
         raise RangeError(f"block {tuple(m)} + [-{r}, {r}]^n leaves the box [-C, C]^n")
-    return tuple(slice(spec.C + a - r, spec.C + a + r + 1) for a in m)
+    return overlap(tuple(m), r, spec.C)[1]
 
 
 def _check_finite(values: np.ndarray, what: str) -> None:
@@ -189,9 +211,8 @@ class Signal:
     @property
     def admissible(self) -> bool:
         """True when the support lies inside [-K, K]^n."""
-        mask = np.zeros(self.spec.shape, dtype=bool)
-        mask[self.spec.admissible_slices()] = True
-        return not np.any(self.values[~mask])
+        inside = self.values[self.spec.admissible_slices()]
+        return np.count_nonzero(inside) == np.count_nonzero(self.values)
 
     def is_zero(self) -> bool:
         return not np.any(self.values)
@@ -236,9 +257,6 @@ class PhaseSpaceField:
         r = range(-self.m_radius, self.m_radius + 1)
         return itertools.product(r, repeat=self.spec.n)
 
-    def m_index(self, m) -> tuple:
-        return tuple(int(c) + self.m_radius for c in m)
-
 
 def _as_vector(x, n: int, name: str) -> tuple:
     if np.isscalar(x):
@@ -251,31 +269,16 @@ def _as_vector(x, n: int, name: str) -> tuple:
     return vec
 
 
-def shift_array(arr: np.ndarray, shifts) -> np.ndarray:
-    """Shift with zero fill (no wraparound): out[k] = arr[k - shift]."""
-    out = np.zeros_like(arr)
-    src = []
-    dst = []
-    for size, s in zip(arr.shape, shifts):
-        s = int(s)
-        if abs(s) >= size:
-            return out
-        if s >= 0:
-            src.append(slice(0, size - s))
-            dst.append(slice(s, size))
-        else:
-            src.append(slice(-s, size))
-            dst.append(slice(0, size + s))
-    out[tuple(dst)] = arr[tuple(src)]
-    return out
-
-
 def translate(f: Signal, m) -> Signal:
     """Time shift: result(k) = f(k - m); requires |m|_inf <= 2K."""
     mv = _as_vector(m, f.spec.n, "shift")
     if any(abs(int(c)) > 2 * f.spec.K for c in mv):
         raise RangeError(f"shift {tuple(int(c) for c in mv)} exceeds 2K = {2 * f.spec.K}")
-    return Signal(f.spec, shift_array(f.values, mv))
+    # f moved by m fills the block m + [-C, C]^n; its part inside the box stays
+    src, dst = overlap(mv, f.spec.C, f.spec.C)
+    out = np.zeros_like(f.values)
+    out[dst] = f.values[src]
+    return Signal(f.spec, out)
 
 
 def modulate(f: Signal, w) -> Signal:

@@ -26,10 +26,11 @@ from .lattice import (
     TorusGrid,
     _check_finite,
     block_slices,
+    overlap,
     phase_matrix,
 )
 from .orlicz import _check_exponent
-from .stft import _stft_values, stft, stft_adjoint
+from .stft import _stft_values, _synthesis_values, stft
 
 __all__ = [
     "OperatorKernel",
@@ -99,28 +100,26 @@ def _check_operator_inputs(sigma: PhaseSpaceField, g1: Signal, g2: Signal) -> No
         )
 
 
-def _overlap_block(F: PhaseSpaceField, r: int) -> np.ndarray:
-    off = F.m_radius - r
-    sl = tuple(slice(off, off + 2 * r + 1) for _ in range(F.spec.n))
-    return F.values[sl]
-
-
-def _product_field(sigma: PhaseSpaceField, V: PhaseSpaceField) -> PhaseSpaceField:
-    """Pointwise product sigma * V on the overlap of their lattice ranges."""
-    r = min(sigma.m_radius, V.m_radius)
-    vals = _overlap_block(sigma, r) * _overlap_block(V, r)
-    deg = sigma.degree_bound + V.degree_bound
-    sigma.torus.require_exact(deg, "product field")
-    return PhaseSpaceField(sigma.spec, sigma.torus, r, vals, degree_bound=deg)
+def _crop(V: np.ndarray, sigma: PhaseSpaceField) -> np.ndarray:
+    """An STFT array over [-2K, 2K]^n cut to the symbol's lattice range (radius <= 2K)."""
+    return V[overlap((0,) * sigma.n, sigma.m_radius, 2 * sigma.spec.K)[1]]
 
 
 def apply_operator(
     sigma: PhaseSpaceField, g1: Signal, g2: Signal, f: Signal
 ) -> Signal:
-    """Apply the localization operator: synthesize(sigma * analyze(f))."""
+    """Apply the localization operator: synthesize(sigma * analyze(f)).
+
+    The synthesis integrand has degree deg sigma + 2K (the product's
+    deg sigma + K and the atoms' K).  That one degree is checked, after the
+    analysis has checked f and g1 and before the synthesis.
+    """
     _check_operator_inputs(sigma, g1, g2)
-    V = stft(f, g1, sigma.torus)
-    return stft_adjoint(_product_field(sigma, V), g2)
+    spec, torus = sigma.spec, sigma.torus
+    V = stft(f, g1, torus)
+    torus.require_exact(sigma.degree_bound + 2 * spec.K, "operator synthesis")
+    prod = sigma.values * _crop(V.values, sigma)
+    return Signal(spec, _synthesis_values(prod, g2.values, spec, torus, sigma.m_radius))
 
 
 def weak_pairing(
@@ -135,14 +134,9 @@ def weak_pairing(
     _check_operator_inputs(sigma, g1, g2)
     spec, torus = sigma.spec, sigma.torus
     Vf = stft(f, g1, torus)
-    Vh_vals = _stft_values(h.values, g2.values, spec, torus, 2 * spec.K)
-    Vh = PhaseSpaceField(spec, torus, 2 * spec.K, Vh_vals, degree_bound=torus.M - 1)
-    r = min(sigma.m_radius, Vf.m_radius)
-    prod = (
-        _overlap_block(sigma, r)
-        * _overlap_block(Vf, r)
-        * np.conj(_overlap_block(Vh, r))
-    )
+    Vh = _stft_values(h.values, g2.values, spec, torus, 2 * spec.K)
+    _check_finite(Vh, "phase-space field")
+    prod = sigma.values * _crop(Vf.values, sigma) * np.conj(_crop(Vh, sigma))
     return complex(torus.weight * prod.sum())
 
 

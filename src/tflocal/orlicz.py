@@ -29,8 +29,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, PrecisionError, RangeError
-from .lattice import PhaseSpaceField, coefficients_to_values, field_coefficients
-from .young import EQ5_TAIL, YoungFunction
+from .lattice import PhaseSpaceField, coefficients_to_values, field_coefficients, overlap
+from .young import EQ5_LOG_BREAK, EQ5_TAIL, YoungFunction
 
 __all__ = [
     "luxemburg",
@@ -76,7 +76,7 @@ def _eq5_roots(va: np.ndarray, peak: np.ndarray, weight: float) -> np.ndarray:
     np.negative(A, out=A)
     np.cumsum(A, axis=1, out=A)
     S = np.cumsum(u, axis=1, out=u)
-    x += 1.5  # ln r_j: u_j sits on the head/tail break at r_j = u_j/beta
+    x -= EQ5_LOG_BREAK  # ln r_j: u_j sits on the head/tail break at r_j = u_j/beta
     SN = S[:, -1:]
     G = S * x
     G += A
@@ -327,11 +327,11 @@ def field_lp_norm(F: PhaseSpaceField, p: float) -> float:
 
 
 def _lattice_convolve(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Full n-dimensional convolution along the first n axes."""
-    out_shape = tuple(a.shape[i] + b.shape[i] - 1 for i in range(n)) + a.shape[n:]
-    out = np.zeros(out_shape, dtype=np.complex128)
+    """Full convolution along the first n axes, which hold lattice ranges [-R, R]^n."""
+    Ra, Rb = a.shape[0] // 2, b.shape[0] // 2
+    out = np.zeros((2 * (Ra + Rb) + 1,) * n + a.shape[n:], dtype=np.complex128)
     for idx in np.ndindex(a.shape[:n]):
-        window = tuple(slice(i, i + b.shape[ax]) for ax, i in enumerate(idx))
+        window = overlap(tuple(i - Ra for i in idx), Rb, Ra + Rb)[1]
         out[window] += a[idx] * b
     return out
 
@@ -348,19 +348,13 @@ def convolve_phase_space(F: PhaseSpaceField, G: PhaseSpaceField) -> PhaseSpaceFi
     r_out = F.m_radius + G.m_radius
     if r_out > 2 * F.spec.C:
         raise RangeError("convolution support would leave the doubled computation box")
-    cf = field_coefficients(F)
-    cg = field_coefficients(G)
     deg = min(F.degree_bound, G.degree_bound)
     n = F.n
-
-    def trim(c, frm):
-        sl = (slice(None),) * n + tuple(
-            slice(frm - deg, frm + deg + 1) for _ in range(n)
-        )
-        return c[sl]
-
-    cf = trim(cf, F.degree_bound)
-    cg = trim(cg, G.degree_bound)
+    # each field's coefficients [-deg, deg]^n, out of the [-deg X, deg X]^n it holds
+    cf, cg = (
+        field_coefficients(X)[(slice(None),) * n + overlap((0,) * n, deg, X.degree_bound)[1]]
+        for X in (F, G)
+    )
     conv = _lattice_convolve(cf, cg, n)
     vals = coefficients_to_values(conv, F.torus, deg)
     return PhaseSpaceField(F.spec, F.torus, r_out, vals, degree_bound=deg)

@@ -14,7 +14,7 @@ Analysis reads every block f(m + [-K, K]^n) through one window view, then
 does one matmul against the phases of [-K, K]^n and one product with the
 phases of m.  Synthesis is the transpose: the phases of m, one matmul back
 to u, and an overlap-add of each block into m + [-K, K]^n in a fixed order
-of m.  The box position of each block comes from `lattice.block_slices`.
+of m.  Every block placement here comes from `lattice.overlap`.
 
 The adjoint sums Gabor atoms against a field; its torus integral is done by
 grid quadrature, which is exact as long as degree_bound + K <= M - 1, and
@@ -32,7 +32,8 @@ exact for fields of the stated `degree_bound` (as `convolve_phase_space`
 also relies on) while 2D <= M - 1, D = deg F + deg G.  Per lattice shift m
 that is one product of coefficients Z(u, k, b) = cF(m+u, k+b) conj(cG(u, b)),
 one matmul from b to omega and one from u to xi, with u in the window's
-lattice radius R trimmed per axis to the j = m + u in F's lattice range.
+lattice radius R trimmed per axis to the j = m + u in F's lattice range:
+the two sides of `lattice.overlap(m, R, R_f)`.
 One private class, `_SymbolShifts`, runs the loop over m in a fixed order
 and makes each m's product; from it, `slab()` makes the (xi, k, omega) slab
 by the two matmuls.  `stft_symbol` stacks the slabs into the full array,
@@ -65,6 +66,7 @@ from .lattice import (
     field_coefficients,
     inner,
     norm2,
+    overlap,
     phase_matrix,
 )
 
@@ -113,6 +115,20 @@ def stft(f: Signal, g: Signal, torus: TorusGrid) -> PhaseSpaceField:
     return PhaseSpaceField(spec, torus, R, out, degree_bound=spec.K)
 
 
+def _synthesis_values(
+    vals: np.ndarray, gvals: np.ndarray, spec: LatticeSpec, torus: TorusGrid, R: int
+) -> np.ndarray:
+    """Synthesis of field values over [-R, R]^n; each caller checks the degree."""
+    n, K, M = spec.n, spec.K, torus.M
+    coef = vals.reshape(-1, M**n) * phase_matrix(M, -R, R, 1, n)
+    coef = (coef @ phase_matrix(M, -K, K, 1, n).T) * torus.weight
+    coef *= gvals[spec.admissible_slices()].ravel()
+    out = np.zeros(spec.shape, dtype=np.complex128)
+    for cm, m in zip(coef, itertools.product(range(-R, R + 1), repeat=n)):
+        out[block_slices(spec, m)] += cm.reshape((2 * K + 1,) * n)
+    return out
+
+
 def stft_adjoint(F: PhaseSpaceField, g: Signal) -> Signal:
     """Synthesis: sum_m (1/M^n) sum_j F(m, w_j) e^{2 pi i w_j.k} g(k-m).
 
@@ -123,14 +139,7 @@ def stft_adjoint(F: PhaseSpaceField, g: Signal) -> Signal:
         raise DomainError("window lattice must match the field")
     _require_admissible(g, "window")
     F.torus.require_exact(F.degree_bound + spec.K, "synthesis integral")
-    n, K, M = spec.n, spec.K, F.torus.M
-    coef = F.values.reshape(-1, M**n) * phase_matrix(M, -F.m_radius, F.m_radius, 1, n)
-    coef = (coef @ phase_matrix(M, -K, K, 1, n).T) * F.torus.weight
-    coef *= g.values[spec.admissible_slices()].ravel()
-    out = np.zeros(spec.shape, dtype=np.complex128)
-    for cm, m in zip(coef, F.m_points()):
-        out[block_slices(spec, m)] += cm.reshape((2 * K + 1,) * n)
-    return Signal(spec, out)
+    return Signal(spec, _synthesis_values(F.values, g.values, spec, F.torus, F.m_radius))
 
 
 def invert(F: PhaseSpaceField, g: Signal, h: Signal) -> Signal:
@@ -210,12 +219,9 @@ class _SymbolShifts:
     def __iter__(self):
         n, Rf, Rg = self._n, self._Rf, self._Rg
         for m in itertools.product(range(-Rf - Rg, Rf + Rg + 1), repeat=n):
-            # per axis u runs over [max(-Rg, -Rf - m), min(Rg, Rf - m)]: the part
-            # of the window block that overlaps F's lattice range j = m + u
-            lo = [max(-Rg, -Rf - a) for a in m]
-            hi = [min(Rg, Rf - a) for a in m]
-            usl = tuple(slice(l + Rg, h + Rg + 1) for l, h in zip(lo, hi))
-            self._jsl = tuple(slice(a + l + Rf, a + h + Rf + 1) for a, l, h in zip(m, lo, hi))
+            # the part of the window block u in [-Rg, Rg]^n whose j = m + u
+            # lies in F's lattice range
+            usl, self._jsl = overlap(m, Rg, Rf)
             block, cG = self._cF[self._jsl], self._cG[usl]  # (u, k, b), (u, 1, b)
             self.Z = Z = self._Zbuf[: block.size].reshape(block.shape)
             # copy, then scale one u at a time: a single broadcast product makes

@@ -52,8 +52,8 @@ from .lattice import (
     inner,
     modulate,
     norm2,
+    overlap,
     phase_matrix,
-    shift_array,
     signal_from_block,
     translate,
 )
@@ -175,8 +175,7 @@ def _random_signal(env: Environment, rng, half: bool = False) -> Signal:
     K, n = env.lattice.K, env.lattice.n
     block = np.zeros((2 * K + 1,) * n, dtype=np.complex128)
     r = K // 2 if half else K
-    sl = tuple(slice(K - r, K + r + 1) for _ in range(n))
-    block[sl] = _crandn(rng, (2 * r + 1,) * n)
+    block[overlap((0,) * n, r, K)[1]] = _crandn(rng, (2 * r + 1,) * n)
     return signal_from_block(env.lattice, block)
 
 
@@ -335,12 +334,13 @@ def _tf_shift(env, rng):
 
 @_trialwise
 def _chk_covariance(env, rng, t):
-    n = env.lattice.n
+    n, R = env.lattice.n, 2 * env.lattice.K
     f, tau, jnu, shifted = _tf_shift(env, rng)
     g = env.window
     A = np.abs(stft(shifted, g, env.torus).values)
-    B = np.abs(stft(f, g, env.torus).values)
-    B = shift_array(B, tau + (0,) * n)  # lattice shift with zero fill
+    src, dst = overlap(tau, R, R)  # lattice shift of [-R, R]^n by tau, zero fill
+    B = np.zeros_like(A)
+    B[dst] = np.abs(stft(f, g, env.torus).values)[src]
     B = np.roll(B, jnu, axis=tuple(range(n, 2 * n)))  # torus shift is cyclic
     scale = max(float(A.max()), _TINY)
     return [_eq_margin(float(np.abs(A - B).max()), 0.0, scale)]

@@ -56,7 +56,8 @@ __all__ = [
     "young_from_dict",
 ]
 
-EQ5_BREAK = math.exp(-1.5)  # convexity of -t^2 log t fails beyond this point
+EQ5_LOG_BREAK = -1.5  # ln of the point beyond which -t^2 log t is not convex
+EQ5_BREAK = math.exp(EQ5_LOG_BREAK)
 EQ5_TAIL = math.exp(-3.0) / 2.0  # constant making the quadratic tail C^1
 
 # probe grid of the one validation pass: 0, then a log grid over 15 decades
@@ -210,9 +211,9 @@ def _probed(phi: YoungFunction) -> YoungFunction:
 
 
 def power(p: float) -> YoungFunction:
-    """Phi(t) = t^p, p >= 1 (use quasi_young for p < 1)."""
-    if not p >= 1:
-        raise DomainError("power kind needs p >= 1; wrap smaller orders with quasi_young")
+    """Phi(t) = t^p, finite p >= 1 (use quasi_young for p < 1)."""
+    if not 1 <= p < math.inf:
+        raise DomainError("power kind needs a finite p >= 1; wrap smaller orders with quasi_young")
     return YoungFunction("power", p=float(p))
 
 

@@ -172,6 +172,28 @@ def test_young_inline_json(tmp_path, capsys):
             assert len(err.encode()) < 1024, (phi[:20], psi[:20])
 
 
+def test_power_needs_a_finite_exponent(tmp_path, capsys):
+    # Phi(t) = t^inf is no Young function, in any of the token syntaxes
+    sig = tmp_path / "f.json"
+    run(capsys, "gen", "--kind", "gaussian-signal", "--seed", "4", "--out", str(sig))
+    for phi in ("power:inf", '{"kind": "power", "p": 1e400}', "quasi:0.5:power:inf"):
+        code, _, err = run(capsys, "norm", "--space", "lphi", "--input", str(sig), "--phi", phi)
+        assert code == 2 and err.startswith("error: ") and "finite" in err, phi
+
+
+def test_locop_apply_refuses_a_too_high_symbol_degree(tmp_path, capsys):
+    # deg sigma + 2K = 12 + 4 > M - 1 = 12: one refusal, named for the synthesis
+    sym, sig = tmp_path / "s.json", tmp_path / "f.json"
+    run(capsys, "gen", "--kind", "trig-symbol", "--seed", "2", "--K", "2", "--out", str(sym))
+    run(capsys, "gen", "--kind", "gaussian-signal", "--seed", "3", "--K", "2", "--out", str(sig))
+    obj = json.loads(sym.read_text())
+    obj["degree_bound"] = 12
+    sym.write_text(json.dumps(obj))
+    code, _, err = run(capsys, "locop", "--symbol", str(sym), "--apply", str(sig), "--out", str(tmp_path / "o.json"))
+    assert code == 3
+    assert "operator synthesis not exactly integrable: degree 16 exceeds M-1 = 12" in err
+
+
 def test_locop_apply_and_kernel(tmp_path, capsys):
     sym = tmp_path / "s.json"
     sig = tmp_path / "f.json"

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import pathlib
 import re
 
@@ -17,7 +18,7 @@ from tflocal import (
     norm2,
     translate,
 )
-from tflocal.lattice import block_slices, delta_signal, signal_from_block, zero_signal
+from tflocal.lattice import block_slices, delta_signal, overlap, signal_from_block, zero_signal
 from tflocal.verify import Environment, _random_signal, trial_rng
 
 
@@ -175,3 +176,34 @@ def test_block_slices():
     assert block_slices(spec, (1, 0), radius=5) == (slice(2, 13), slice(1, 12))
     with pytest.raises(RangeError):
         block_slices(spec, (0, 5))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_overlap_brute_force(n):
+    # membership oracle from explicit index grids: block index i <-> point
+    # m - r + i, range index k <-> point k - R; full, partial and empty cases
+    for r, R in itertools.product(range(3), range(3)):
+        span = R + r + 2
+        for m in itertools.product(range(-span, span + 1), repeat=n):
+            bsl, rsl = overlap(m, r, R)
+            assert all(s.start >= 0 and s.stop >= s.start for s in bsl + rsl), (m, r, R)
+            block = np.indices((2 * r + 1,) * n).reshape(n, -1).T
+            pts = block + np.array(m) - r
+            inside = np.all(np.abs(pts) <= R, axis=1)
+            want_b = np.zeros((2 * r + 1,) * n, dtype=bool)
+            want_b[tuple(block[inside].T)] = True
+            want_r = np.zeros((2 * R + 1,) * n, dtype=bool)
+            want_r[tuple((pts[inside] + R).T)] = True
+            got_b = np.zeros_like(want_b)
+            got_b[bsl] = True
+            got_r = np.zeros_like(want_r)
+            got_r[rsl] = True
+            assert np.array_equal(got_b, want_b) and np.array_equal(got_r, want_r), (m, r, R)
+            # the two sides pair the same points, in the same order
+            ids = np.arange(want_b.size).reshape(want_b.shape)
+            placed = np.full(want_r.shape, -1)
+            placed[rsl] = ids[bsl]
+            where = placed >= 0
+            assert np.array_equal(
+                np.argwhere(where) - R, block[placed[where]] + np.array(m) - r
+            ), (m, r, R)

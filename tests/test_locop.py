@@ -73,6 +73,23 @@ def test_weak_pairing_consistency(env):
     assert abs(wp_self - norm2(out) ** 2) <= 1e-12 * norm2(out) ** 2
 
 
+def test_one_exactness_check_per_operator_call(env, monkeypatch):
+    # apply_operator checks its synthesis degree once; weak_pairing sums the
+    # samples as given and checks none
+    calls = []
+    check = TorusGrid.require_exact
+    monkeypatch.setattr(TorusGrid, "require_exact", lambda self, *a: calls.append(a) or check(self, *a))
+    rng = trial_rng(45, "one-check", 0)
+    sigma = _trig_symbol(env, rng)
+    f, h = _random_signal(env, rng), _random_signal(env, rng)
+    apply_operator(sigma, env.window, env.window2, f)
+    K = env.lattice.K
+    assert calls == [(sigma.degree_bound + 2 * K, "operator synthesis")]
+    calls.clear()
+    weak_pairing(sigma, env.window, env.window2, f, h)
+    assert calls == []
+
+
 def test_weak_pairing_orthogonal_identity_case(env):
     g = env.window
     sigma = _constant_symbol(env)
@@ -292,7 +309,7 @@ def direct_kernel_oracle(sigma, g1, g2):
             w = tuple(c / torus.M for c in j)
             a2 = gabor_atom(g2, m, w).values.ravel()
             a1 = gabor_atom(g1, m, w).values.ravel()
-            s = torus.weight * sigma.values[sigma.m_index(m) + j]
+            s = torus.weight * sigma.values[tuple(c + sigma.m_radius for c in m) + j]
             K += s * np.outer(a2, np.conj(a1))
     return K
 
@@ -333,7 +350,7 @@ def test_kernel_matches_direct_oracle(env, grid):
             want = complex(np.conj(av) @ Kgg @ av)
         else:
             want = inner(apply_operator(sigma, g, g, a), a)
-        got = st.values[sigma.m_index(m) + j]
+        got = st.values[tuple(c + R for c in m) + j]
         assert abs(got - want) <= 1e-13 * max(abs(want), norm2(g) ** 2), (m, j)
 
 

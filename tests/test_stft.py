@@ -79,7 +79,7 @@ def direct_adjoint_oracle(F, g):
             gk = g.values[tuple(c + C for c in km)]
             for j in np.ndindex(torus.shape):
                 phase = np.exp(2j * np.pi * sum(a * b for a, b in zip(j, k)) / torus.M)
-                acc += F.values[F.m_index(m) + j] * phase * gk
+                acc += F.values[tuple(c + F.m_radius for c in m) + j] * phase * gk
         out[tuple(c + C for c in k)] = acc / torus.M**n
     return out
 
@@ -270,12 +270,9 @@ _EXACTNESS_SITES = {
     "coefficient extraction": (
         6, lambda over: field_coefficients(_ones_field(_K1, 7 - over, 1, 3))
     ),
-    # deg sigma + deg V = 4 + K on M = 5, as V = stft(f, g) has degree K = over
-    "product field": (
-        5,
-        lambda over: apply_operator(
-            _ones_field(LatticeSpec(1, over), 5, 0, 4), *[delta_signal(LatticeSpec(1, over))] * 3
-        ),
+    # deg sigma + 2K = 3 + 2 on M = 6 - over
+    "operator synthesis": (
+        5, lambda over: apply_operator(_ones_field(_K1, 6 - over, 0, 3), *[delta_signal(_K1)] * 3)
     ),
     # deg F + K = 2 + 1 on M = 4 - over
     "synthesis integral": (

@@ -38,6 +38,9 @@ def test_power_eval():
         power(2)(-1.0)
     with pytest.raises(DomainError):
         power(0.5)  # not convex; use quasi_young
+    for p in (math.inf, math.nan):  # Phi(2) = inf is no Young function
+        with pytest.raises(DomainError, match="finite p >= 1"):
+            power(p)
 
 
 def test_eq5_values():
