@@ -14,7 +14,9 @@ exit code 1 comes with the ids of the checks that reported violations, any
 other code (3 is a numeric failure) with the first line of stderr.  The
 last line of output is killed/total.  A fault in the order of the lattice
 axes, such as N1, is an identity at n = 1, so the desk run cannot kill it;
-its description says so.
+its description says so.  E6 and E7 are phase faults of the second-level
+transform: the desk run sees that transform only through the p = 2 Moyal
+margin, which Parseval makes blind to them, so both survive it.
 """
 
 from __future__ import annotations
@@ -86,6 +88,12 @@ MUTANTS = (
     Mutant("N1", "overlap: axis order of m reversed (no-op at n = 1)", "lattice.py",
            "for a in map(int, m):",
            "for a in map(int, m[::-1]):"),
+    Mutant("E6", "_SymbolShifts: window coefficients not conjugated", "stft.py",
+           "np.conj(field_coefficients(G))",
+           "field_coefficients(G)"),
+    Mutant("E7", "_SymbolShifts.slab: xi phase sign flipped", "stft.py",
+           "phase_matrix(M, -Rf, Rf, -1, n)",
+           "phase_matrix(M, -Rf, Rf, 1, n)"),
 )
 
 

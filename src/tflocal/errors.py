@@ -6,8 +6,9 @@ exit with 3.  A MemoryError (a request too large for the machine) also
 exits with 2, never with 1, which means "verification violations".
 
 `integer`, `number` and `fmt17` read and write the scalars of files,
-configs and reports.  They live here, with no import from the package, so
-that every module can use them without an import cycle.
+configs and reports, and `_check_exponent` checks an L^p exponent.  They
+live here, with no import from the package, so that every module can use
+them without an import cycle.
 """
 
 import numbers
@@ -60,3 +61,10 @@ def number(value, what: str) -> float:
     if not abs(value) <= sys.float_info.max:  # nan, inf, or an int too large for a float
         raise UsageError(f"{what} must be finite, got {reprlib.repr(value)}")
     return float(value)
+
+
+def _check_exponent(p: float) -> float:
+    """An L^p exponent: p >= 1 or p = +inf (this rejects nan and -inf)."""
+    if not p >= 1:
+        raise DomainError(f"exponent p must be >= 1 or inf, got {p!r}")
+    return float(p)

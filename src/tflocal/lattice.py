@@ -312,9 +312,9 @@ def zero_signal(spec: LatticeSpec) -> Signal:
     return Signal(spec, np.zeros(spec.shape, dtype=np.complex128))
 
 
-def delta_signal(spec: LatticeSpec, at=0) -> Signal:
-    """Kronecker delta at the given lattice point."""
-    pos = _as_vector(at, spec.n, "position")
+def delta_signal(spec: LatticeSpec, at=None) -> Signal:
+    """Kronecker delta at the given lattice point, the origin by default."""
+    pos = (0,) * spec.n if at is None else _as_vector(at, spec.n, "position")
     v = np.zeros(spec.shape, dtype=np.complex128)
     v[tuple(int(c) + spec.C for c in pos)] = 1.0
     return Signal(spec, v)

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, PrecisionError, RangeError
+from .errors import DomainError, PrecisionError, RangeError, _check_exponent
 from .lattice import (
     LatticeSpec,
     PhaseSpaceField,
@@ -29,7 +29,6 @@ from .lattice import (
     overlap,
     phase_matrix,
 )
-from .orlicz import _check_exponent
 from .stft import _stft_values, _synthesis_values, stft
 
 __all__ = [
@@ -140,12 +139,6 @@ def weak_pairing(
     return complex(torus.weight * prod.sum())
 
 
-def _conj_field(F: PhaseSpaceField) -> PhaseSpaceField:
-    return PhaseSpaceField(
-        F.spec, F.torus, F.m_radius, np.conj(F.values), degree_bound=F.degree_bound
-    )
-
-
 @lru_cache(maxsize=None)
 def _difference_index(n: int, K: int) -> np.ndarray:
     """idx[u, v] = flat index of u - v + 2K in [0, 4K]^n, for u, v in [-K, K]^n.
@@ -207,7 +200,7 @@ def kernel(sigma: PhaseSpaceField, g1: Signal, g2: Signal) -> OperatorKernel:
 
 def adjoint_kernel(sigma: PhaseSpaceField, g1: Signal, g2: Signal) -> OperatorKernel:
     """Kernel of the adjoint operator: conjugate the symbol and swap windows."""
-    return kernel(_conj_field(sigma), g2, g1)
+    return kernel(replace(sigma, values=np.conj(sigma.values)), g2, g1)
 
 
 def spectrum(K: OperatorKernel, ps=(1.0, 2.0, math.inf)) -> SpectralSummary:

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_exponent
 from .lattice import (
     LatticeSpec,
     PhaseSpaceField,
@@ -31,14 +31,8 @@ from .lattice import (
     norm2,
     phase_matrix,
 )
-from .orlicz import (
-    _check_exponent,
-    field_lp_norm,
-    mixed_norm,
-    mixed_norm_swapped,
-    orlicz_norm,
-)
-from .stft import _SymbolShifts, _symbol_freq_radius, stft
+from .orlicz import field_lp_norm, mixed_norm, mixed_norm_swapped, orlicz_norm
+from .stft import _SymbolShifts, stft
 from .young import YoungFunction
 
 __all__ = [
@@ -94,17 +88,12 @@ def _fejer_values(M: int, degree: int) -> np.ndarray:
 def symbol_window(lattice: LatticeSpec, torus: TorusGrid) -> PhaseSpaceField:
     """Phase-space window: lattice Gaussian times a degree-floor(M/4) Fejer kernel."""
     degree = torus.M // 4
-    prof = np.exp(
-        -math.pi * (np.arange(-lattice.K, lattice.K + 1) ** 2) / max(lattice.K / 2.0, 0.5)
-    )
-    lat = reduce(np.multiply.outer, [prof] * lattice.n)
+    g = window_signal(WindowSpec(normalization="none"), lattice)
+    lat = g.values[lattice.admissible_slices()].real
     tor = reduce(np.multiply.outer, [_fejer_values(torus.M, degree)] * torus.n)
     vals = np.multiply.outer(lat, tor).astype(np.complex128)
     scale = math.sqrt(torus.weight * float((np.abs(vals) ** 2).sum()))
-    field = PhaseSpaceField(
-        lattice, torus, lattice.K, vals / scale, degree_bound=degree
-    )
-    return field
+    return PhaseSpaceField(lattice, torus, lattice.K, vals / scale, degree_bound=degree)
 
 
 def _as_window(g0, lattice: LatticeSpec) -> Signal:
@@ -150,33 +139,35 @@ def symbol_modulation_norm(
     """M^p norm of a symbol via the second-level transform.
 
     The measure is counting on both lattice-type axes and quadrature on both
-    torus-type axes.  The norm streams over the lattice shifts m of
-    `stft._SymbolShifts` and never holds the whole transform, so it runs at
-    n = 2.  At p = 2 it makes no slab at all: each m adds its slab's sum of
-    |.|^2, which Parseval gives from m's coefficient product
-    (`slab_energy`).  Other p make each m's slab and reduce it by |.|,
-    power and sum (max for p = inf), holding one slab.  The exponent and
-    the transform's input checks run before the first m.  A non-finite
-    entry makes its m's part non-finite, so only then is the slab made (at
-    p = 2) and scanned entry by entry: a non-finite entry raises
-    DomainError, while finite entries whose |.|^p overflows give inf.  At
-    p = 2 an entry can only be non-finite once some |Z|^2 has overflowed,
-    so that scan misses nothing.
+    torus-type axes.  The norm streams over the (Z, j) pairs that
+    `stft._SymbolShifts` yields, one per lattice shift m, and never holds
+    the whole transform, so it runs at n = 2.  At p = 2 it makes no slab at
+    all: each m adds its slab's sum of |.|^2, which Parseval gives from m's
+    coefficient product Z (`slab_energy(Z)`).  Other p make each m's slab,
+    `slab(Z, j)`, and reduce it by |.|, power and sum (max for p = inf),
+    holding one slab.  The exponent is checked first, then the transform's
+    inputs, when `_SymbolShifts` is built, all before the first m.  A
+    non-finite entry makes its m's part non-finite, so only then is the
+    slab scanned entry by entry (and, at p = 2, made): a non-finite entry
+    raises DomainError, while finite entries whose |.|^p overflows give
+    inf.  At p = 2 an entry can only be non-finite once some |Z|^2 has
+    overflowed, so that scan misses nothing.
     """
     p = _check_exponent(p)
-    shifts = _SymbolShifts(sigma, G0, _symbol_freq_radius(sigma, G0))
+    shifts = _SymbolShifts(sigma, G0)
     a = None
     acc = 0.0
-    for _ in shifts:
+    for Z, j in shifts:
         if p == 2:
-            part = shifts.slab_energy()
+            part = shifts.slab_energy(Z)
         else:
-            a = np.abs(shifts.slab(), out=a)
+            slab = shifts.slab(Z, j)
+            a = np.abs(slab, out=a)
             if p != 1 and not np.isinf(p):
                 np.power(a, p, out=a)
             part = float(a.max() if np.isinf(p) else a.sum())
         if not np.isfinite(part):
-            _check_finite(shifts.slab(), "transform")
+            _check_finite(shifts.slab(Z, j) if p == 2 else slab, "transform")
         acc = max(acc, part) if np.isinf(p) else acc + part
     if np.isinf(p):
         return acc

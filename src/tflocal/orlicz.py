@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, PrecisionError, RangeError
+from .errors import DomainError, PrecisionError, RangeError, _check_exponent
 from .lattice import PhaseSpaceField, coefficients_to_values, field_coefficients, overlap
 from .young import EQ5_LOG_BREAK, EQ5_TAIL, YoungFunction
 
@@ -308,13 +308,6 @@ def mixed_norm_swapped(
     """Inner Luxemburg over the torus per lattice point (phi2), outer over the lattice (phi1)."""
     v = [_field_abs(F)]
     return float(_mixed_norms(v, F.torus.weight, [phi1], [phi2], swapped=True)[0])
-
-
-def _check_exponent(p: float) -> float:
-    """An L^p exponent: p >= 1 or p = +inf (this rejects nan and -inf)."""
-    if not p >= 1:
-        raise DomainError(f"exponent p must be >= 1 or inf, got {p!r}")
-    return float(p)
 
 
 def field_lp_norm(F: PhaseSpaceField, p: float) -> float:

@@ -34,23 +34,26 @@ that is one product of coefficients Z(u, k, b) = cF(m+u, k+b) conj(cG(u, b)),
 one matmul from b to omega and one from u to xi, with u in the window's
 lattice radius R trimmed per axis to the j = m + u in F's lattice range:
 the two sides of `lattice.overlap(m, R, R_f)`.
-One private class, `_SymbolShifts`, runs the loop over m in a fixed order
-and makes each m's product; from it, `slab()` makes the (xi, k, omega) slab
-by the two matmuls.  `stft_symbol` stacks the slabs into the full array,
-while the symbol norm at p != 2 reduces each slab as it arrives and so
-never holds more than one slab (1/(2(R_f+R)+1)^n of the transform).
+One private class, `_SymbolShifts`, owns this transform: building it checks
+the inputs and sizes D and the shift radius, and iterating it runs the loop
+over m in a fixed order, yielding each m's product Z with the slices j of
+F's range that its u reach.  `slab(Z, j)` makes the (xi, k, omega) slab by
+the two matmuls; it keeps no state per shift.  `stft_symbol` stacks the
+slabs into the full array, while the symbol norm at p != 2 reduces each
+slab as it arrives and so never holds more than one slab
+(1/(2(R_f+R)+1)^n of the transform).
 
 The slab of m is the 2n-dimensional DFT of Z over (j mod M, b), so by
 Parseval its sum of |.|^2 is M^{2n} times that of Z summed over u by residue
 j mod M: a discrete form of Moyal's identity (Groechenig, Foundations of
-Time-Frequency Analysis, 2001, 3.2).  `slab_energy()` takes it from Z alone,
-and the M^2 symbol norm makes no slab at all.
+Time-Frequency Analysis, 2001, 3.2).  `slab_energy(Z)` takes it from Z
+alone, and the M^2 symbol norm makes no slab at all.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -166,7 +169,7 @@ class SymbolTransform:
     torus: TorusGrid
     m_radius: int
     freq_radius: int
-    values: np.ndarray
+    values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=np.complex128)
@@ -179,33 +182,33 @@ class SymbolTransform:
             _check_finite(slab, "transform")
 
 
-def _symbol_freq_radius(F: PhaseSpaceField, G: PhaseSpaceField) -> int:
-    """Check the second-level transform's inputs; return its k radius D = deg F + deg G."""
-    if F.torus != G.torus or F.spec != G.spec:
-        raise DomainError("field and window must share lattice and torus grids")
-    if G.m_radius > F.spec.K:
-        raise DomainError("window must be admissible in the lattice direction")
-    D = F.degree_bound + G.degree_bound
-    F.torus.require_exact(2 * D, "eta integral")
-    return D
-
-
 class _SymbolShifts:
-    """The second-level transform, one lattice shift m at a time.
+    """The second-level transform of F against the phase-space window G.
 
-    Iterating runs the one loop over m, in C order of [-Rm, Rm]^n, and
-    writes m's coefficient product over the trimmed u (module docstring)
-    into `Z`, shape (u) + (2D+1,)*n + (2 deg G + 1,)*n.  `slab()` makes m's
-    (xi, k, omega) slab, shape (M^n, (2D+1)^n, M^n), from it;
-    `slab_energy()` gives that slab's sum of |.|^2 without making it.  Each
-    buffer is reused by the next m, and the slab buffers are allocated by
-    the first `slab()`.  The inputs must have passed `_symbol_freq_radius`;
-    nothing here checks finiteness, which each consumer does.
+    Building it checks the inputs: shared grids, a window admissible in the
+    lattice direction, then the eta integral (2D <= M - 1).  It exposes the
+    k radius D = deg F + deg G and the lattice-shift radius Rm.  Iterating
+    runs the one loop over m, in C order of [-Rm, Rm]^n, and yields
+    (Z, j): m's coefficient product over the trimmed u (module docstring),
+    shape (u) + (2D+1,)*n + (2 deg G + 1,)*n, and the slices of F's lattice
+    range that those u reach.  `slab(Z, j)` makes m's (xi, k, omega) slab,
+    shape (M^n, (2D+1)^n, M^n); `slab_energy(Z)` gives that slab's sum of
+    |.|^2 without making it.  Both read only their arguments: nothing is
+    kept per shift.  Z and the slab live in buffers that the next m
+    reuses; the slab buffers are allocated by the first `slab`.  Nothing
+    here checks finiteness, which each consumer does.
     """
 
-    def __init__(self, F: PhaseSpaceField, G: PhaseSpaceField, D: int):
+    def __init__(self, F: PhaseSpaceField, G: PhaseSpaceField):
+        if F.torus != G.torus or F.spec != G.spec:
+            raise DomainError("field and window must share lattice and torus grids")
+        if G.m_radius > F.spec.K:
+            raise DomainError("window must be admissible in the lattice direction")
+        self.D = D = F.degree_bound + G.degree_bound
+        F.torus.require_exact(2 * D, "eta integral")
         n, M = F.spec.n, F.torus.M
         Rf, Rg, dG = F.m_radius, G.m_radius, G.degree_bound
+        self.Rm = Rf + Rg
         self._n, self._M, self._Rf, self._Rg, self._dG = n, M, Rf, Rg, dG
         self._Dk, self._Bn = (2 * D + 1) ** n, (2 * dG + 1) ** n
         # cF(j, k + b) for every k in [-D, D]^n and b in [-dG, dG]^n: windows of
@@ -214,28 +217,25 @@ class _SymbolShifts:
         self._cF = sliding_window_view(cF, (2 * dG + 1,) * n, axis=tuple(range(n, 2 * n)))
         self._cG = np.expand_dims(np.conj(field_coefficients(G)), tuple(range(n, 2 * n)))
         self._Zbuf = np.empty((2 * Rg + 1) ** n * self._Dk * self._Bn, dtype=np.complex128)
-        self._slab_bufs = self._slab = self._jsl = self.Z = None
+        self._slab_bufs = None
 
     def __iter__(self):
-        n, Rf, Rg = self._n, self._Rf, self._Rg
-        for m in itertools.product(range(-Rf - Rg, Rf + Rg + 1), repeat=n):
+        n, Rg, Rm = self._n, self._Rg, self.Rm
+        for m in itertools.product(range(-Rm, Rm + 1), repeat=n):
             # the part of the window block u in [-Rg, Rg]^n whose j = m + u
             # lies in F's lattice range
-            usl, self._jsl = overlap(m, Rg, Rf)
-            block, cG = self._cF[self._jsl], self._cG[usl]  # (u, k, b), (u, 1, b)
-            self.Z = Z = self._Zbuf[: block.size].reshape(block.shape)
+            usl, jsl = overlap(m, Rg, self._Rf)
+            block, cG = self._cF[jsl], self._cG[usl]  # (u, k, b), (u, 1, b)
+            Z = self._Zbuf[: block.size].reshape(block.shape)
             # copy, then scale one u at a time: a single broadcast product makes
             # numpy buffer its strided operands (0.8 of Z's size at n=1, K=8)
             np.copyto(Z, block)
             for Zu, cGu in zip(Z.reshape((-1,) + Z.shape[n:]), cG.reshape((-1,) + cG.shape[n:])):
                 Zu *= cGu
-            self._slab = None
-            yield m
+            yield Z, jsl
 
-    def slab(self) -> np.ndarray:
-        """The current m's (xi, k, omega) slab, made once per m."""
-        if self._slab is not None:
-            return self._slab
+    def slab(self, Z: np.ndarray, j: tuple) -> np.ndarray:
+        """The (xi, k, omega) slab of the product Z whose u reach F's range at j."""
         n, M, Dk, Bn = self._n, self._M, self._Dk, self._Bn
         Mn = M**n
         if self._slab_bufs is None:
@@ -247,22 +247,21 @@ class _SymbolShifts:
                 np.empty((Mn, Dk, Mn), dtype=np.complex128),
             )
         Eb, Pj, T, slab = self._slab_bufs
-        U = self.Z.size // (Dk * Bn)
+        U = Z.size // (Dk * Bn)
         Tm = T[: U * Dk * Mn].reshape(U * Dk, Mn)
-        np.matmul(self.Z.reshape(U * Dk, Bn), Eb, out=Tm)  # (u, k, omega)
+        np.matmul(Z.reshape(U * Dk, Bn), Eb, out=Tm)  # (u, k, omega)
         # u -> xi with the phases of j = m + u: (xi, u) @ (u, k omega)
-        Pm = Pj[(slice(None),) + self._jsl].reshape(Mn, U)
+        Pm = Pj[(slice(None),) + j].reshape(Mn, U)
         np.matmul(Pm, Tm.reshape(U, Dk * Mn), out=slab.reshape(Mn, Dk * Mn))
-        self._slab = slab
         return slab
 
-    def slab_energy(self) -> float:
-        """Sum of |.|^2 over the current m's slab, by Parseval on Z (module docstring).
+    def slab_energy(self, Z: np.ndarray) -> float:
+        """Sum of |.|^2 over Z's slab, by Parseval on Z (module docstring).
 
         The fold by j mod M is the identity unless a trimmed u-axis is
         longer than M; b needs none, as 2 deg G + 1 <= 2D + 1 <= M.
         """
-        Z, M = self.Z, self._M
+        M = self._M
         for ax in range(self._n):
             L = Z.shape[ax]
             if L > M:
@@ -284,12 +283,10 @@ def stft_symbol(F: PhaseSpaceField, G: PhaseSpaceField) -> SymbolTransform:
     the one array of the transform's size, while `symbol_modulation_norm`
     reduces them one at a time and never holds more than one slab.
     """
-    D = _symbol_freq_radius(F, G)
-    spec, n, M = F.spec, F.spec.n, F.torus.M
-    Rm = F.m_radius + G.m_radius
+    shifts = _SymbolShifts(F, G)
+    n, M, D, Rm = F.spec.n, F.torus.M, shifts.D, shifts.Rm
     out = np.empty(((2 * Rm + 1) ** n, M**n, M**n, (2 * D + 1) ** n), dtype=np.complex128)
-    shifts = _SymbolShifts(F, G, D)
-    for i, _ in enumerate(shifts):
-        out[i] = shifts.slab().transpose(2, 0, 1)
+    for i, (Z, j) in enumerate(shifts):
+        out[i] = shifts.slab(Z, j).transpose(2, 0, 1)
     shaped = out.reshape((2 * Rm + 1,) * n + (M,) * (2 * n) + (2 * D + 1,) * n)
-    return SymbolTransform(spec, F.torus, Rm, D, shaped)
+    return SymbolTransform(F.spec, F.torus, Rm, D, shaped)

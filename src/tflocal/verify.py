@@ -36,7 +36,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, partial, reduce
 from typing import Callable, Optional
 
@@ -673,14 +673,7 @@ def _chk_adjoint_identity(env, rng, t):
     B = adjoint_kernel(sigma, g1, g2).matrix
     scale = max(float(np.abs(A).max()), 1.0)
     m1 = _eq_margin(float(np.abs(A - B).max()), 0.0, scale)
-    real_sigma = PhaseSpaceField(
-        sigma.spec,
-        sigma.torus,
-        sigma.m_radius,
-        sigma.values.real.astype(np.complex128),
-        degree_bound=sigma.degree_bound,
-    )
-    H = kernel(real_sigma, g1, g1)
+    H = kernel(replace(sigma, values=sigma.values.real), g1, g1)
     m2 = _eq_margin(H.hermitian_defect(), 0.0, max(float(np.abs(H.matrix).max()), 1.0))
     return [m1, m2]
 
@@ -756,16 +749,7 @@ def _chk_s1_general(env, rng, t):
         np.maximum(sigma.values.imag, 0.0),
         np.maximum(-sigma.values.imag, 0.0),
     ]
-    fields = [
-        PhaseSpaceField(
-            sigma.spec,
-            sigma.torus,
-            sigma.m_radius,
-            pv.astype(np.complex128),
-            degree_bound=env.torus.M - 1,
-        )
-        for pv in parts
-    ]
+    fields = [replace(sigma, values=pv, degree_bound=env.torus.M - 1) for pv in parts]
     # the four nonnegative parts, then sigma itself against four times its mass
     return [
         _le_margin(spectrum(kernel(F, g1, g2)).schatten[1.0], c * field_lp_norm(F, 1.0) * gmax2)

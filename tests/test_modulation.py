@@ -45,6 +45,16 @@ def test_window_builders(env):
         WindowSpec("mystery")
 
 
+def test_delta_windows_at_n2():
+    # a delta sits at the origin by default in every dimension, so the
+    # kronecker window, the K = 0 gaussian and the K = 0 symbol window exist at n = 2
+    for K, kind in ((0, "gaussian"), (1, "kronecker")):
+        lat = LatticeSpec(2, K)
+        d = window_signal(WindowSpec(kind), lat)
+        assert d.values[lat.C, lat.C] == 1.0 and np.count_nonzero(d.values) == 1
+    assert symbol_window(LatticeSpec(2, 0), TorusGrid(2, 5)).values.shape == (1, 1, 5, 5)
+
+
 def test_m2_equals_l2(env):
     rng = trial_rng(31, "m2", 0)
     f = _random_signal(env, rng)

@@ -29,7 +29,7 @@ from tflocal.lattice import (
 )
 from tflocal.locop import apply_operator
 from tflocal.orlicz import field_lp_norm
-from tflocal.stft import SymbolTransform, _stft_values
+from tflocal.stft import SymbolTransform, _stft_values, _SymbolShifts
 from tflocal.verify import (
     Environment,
     _crandn,
@@ -431,6 +431,22 @@ def test_symbol_transform_validation(small_env):
         SymbolTransform(lat, tor, T.m_radius, T.freq_radius, bad)
 
 
+def test_symbol_shifts_keep_no_state_per_shift(small_env):
+    # slab(Z, j) reads only its arguments: iterating binds no attribute, and
+    # the first slab allocates the one set of slab buffers that every m reuses
+    F, G = _trig_symbol(small_env, trial_rng(34, "shift-state", 0)), small_env.G0
+    shifts = _SymbolShifts(F, G)
+    assert (shifts.D, shifts.Rm) == (F.degree_bound + G.degree_bound, F.m_radius + G.m_radius)
+    before = dict(vars(shifts), _slab_bufs=None)
+    for i, (Z, j) in enumerate(shifts):
+        slab = shifts.slab(Z, j)
+        if i == 0:
+            before["_slab_bufs"] = shifts._slab_bufs
+        assert vars(shifts).keys() == before.keys()
+        assert all(getattr(shifts, k) is v for k, v in before.items()), i
+        assert slab is before["_slab_bufs"][-1]
+
+
 def test_symbol_transform_plancherel_2d():
     env2 = Environment(LatticeSpec(2, 1, 3), TorusGrid(2, 7))
     lat, tor = env2.lattice, env2.torus
@@ -466,7 +482,8 @@ def test_symbol_transform_matches_direct_oracle(lat, tor):
     F, windows = _symbol_oracle_inputs(lat, tor)
     for G in windows:
         T = stft_symbol(F, G)
-        assert _rel_err(T.values, direct_symbol_oracle(F, G, T.freq_radius)) <= 1e-12
+        err = float(_rel_err(T.values, direct_symbol_oracle(F, G, T.freq_radius)))
+        assert err <= 1e-12
 
 
 @pytest.mark.parametrize("lat,tor", ORACLE_GRIDS)
@@ -508,7 +525,8 @@ def test_symbol_transform_at_the_edges_of_the_coefficient_window(lat, tor, inter
     for dF, dG in [(0, h), (h, 0), interior]:
         F, G = field(2 * lat.K, dF), field(lat.K, dG)
         want = direct_symbol_oracle(F, G, dF + dG)
-        assert _rel_err(stft_symbol(F, G).values, want) <= 1e-12, (dF, dG)
+        err = float(_rel_err(stft_symbol(F, G).values, want))
+        assert err <= 1e-12, (dF, dG)
         a = np.abs(want)
         for p in (1.0, 2.0, math.inf):
             norm = a.max() if p == math.inf else (w * (a**p).sum()) ** (1 / p)
