@@ -94,6 +94,15 @@ MUTANTS = (
     Mutant("E7", "_SymbolShifts.slab: xi phase sign flipped", "stft.py",
            "phase_matrix(M, -Rf, Rf, -1, n)",
            "phase_matrix(M, -Rf, Rf, 1, n)"),
+    Mutant("E3", "kernel: g1 and g2 swapped in the block", "locop.py",
+           "G = _local(g2)[:, None] * np.conj(_local(g1))[None, :]",
+           "G = _local(g1)[:, None] * np.conj(_local(g2))[None, :]"),
+    Mutant("E9", "apply_operator: symbol conjugated", "locop.py",
+           "prod = sigma.values * _crop(V.values, sigma)",
+           "prod = np.conj(sigma.values) * _crop(V.values, sigma)"),
+    Mutant("E10", "kernel: symbol phase sign flipped", "locop.py",
+           "P = phase_matrix(torus.M, -2 * R, 2 * R, 1, n)",
+           "P = phase_matrix(torus.M, -2 * R, 2 * R, -1, n)"),
 )
 
 

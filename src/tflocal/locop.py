@@ -5,7 +5,9 @@ synthesizes with g2.  On the truncation it is a dense matrix, the sum over
 lattice shifts m of diag(T_m g2) C_m diag(conj T_m g1) with the Toeplitz
 matrix C_m(k, l) = c_m(k - l).  Each term lives on the (2K+1)^n block
 around m, so the kernel is assembled one small block per m, in a fixed
-order, and is reproducible bit for bit.  Spectral data comes from a dense
+order, and is reproducible bit for bit.  Every operator path sums one
+integrand of degree deg sigma + 2K (the product's deg sigma + K and the
+atoms' K) and refuses it, once, above M - 1.  Spectral data comes from a dense
 SVD; every singular value is kept (thresholding would corrupt trace norms).
 """
 
@@ -88,6 +90,7 @@ class SpectralSummary:
 
 
 def _check_operator_inputs(sigma: PhaseSpaceField, g1: Signal, g2: Signal) -> None:
+    """Windows, lattice range and integrand degree: checked once on every operator path."""
     spec = sigma.spec
     if g1.spec != spec or g2.spec != spec:
         raise DomainError("windows must live on the symbol's lattice")
@@ -97,6 +100,7 @@ def _check_operator_inputs(sigma: PhaseSpaceField, g1: Signal, g2: Signal) -> No
         raise RangeError(
             "symbol lattice radius exceeds 2K; atoms would leave the computation box"
         )
+    sigma.torus.require_exact(sigma.degree_bound + 2 * spec.K, "operator synthesis")
 
 
 def _crop(V: np.ndarray, sigma: PhaseSpaceField) -> np.ndarray:
@@ -107,16 +111,10 @@ def _crop(V: np.ndarray, sigma: PhaseSpaceField) -> np.ndarray:
 def apply_operator(
     sigma: PhaseSpaceField, g1: Signal, g2: Signal, f: Signal
 ) -> Signal:
-    """Apply the localization operator: synthesize(sigma * analyze(f)).
-
-    The synthesis integrand has degree deg sigma + 2K (the product's
-    deg sigma + K and the atoms' K).  That one degree is checked, after the
-    analysis has checked f and g1 and before the synthesis.
-    """
+    """Apply the localization operator: synthesize(sigma * analyze(f))."""
     _check_operator_inputs(sigma, g1, g2)
     spec, torus = sigma.spec, sigma.torus
     V = stft(f, g1, torus)
-    torus.require_exact(sigma.degree_bound + 2 * spec.K, "operator synthesis")
     prod = sigma.values * _crop(V.values, sigma)
     return Signal(spec, _synthesis_values(prod, g2.values, spec, torus, sigma.m_radius))
 
@@ -176,8 +174,7 @@ def kernel(sigma: PhaseSpaceField, g1: Signal, g2: Signal) -> OperatorKernel:
     One matmul gives c_m(d) = (1/M^n) sum_j sigma(m, j) e^{2 pi i d.j/M} for
     every m and every d in [-2K, 2K]^n.  Each shift m then adds the block
     g2(u) c_m(u - v) conj(g1(v)) at rows and columns m + [-K, K]^n, in a
-    fixed order of m.  It refuses no degree: the sum is taken over the
-    samples as given, whatever sigma.degree_bound declares.
+    fixed order of m.
     """
     _check_operator_inputs(sigma, g1, g2)
     spec, torus = sigma.spec, sigma.torus
@@ -231,7 +228,6 @@ def sigma_tilde(sigma: PhaseSpaceField, g: Signal) -> PhaseSpaceField:
     diagonals u - v = d gives q_m(d), and one matmul with the phases
     e^{-2 pi i d.j/M} gives every node j at once.
     """
-    _check_operator_inputs(sigma, g, g)
     if g.is_zero():
         raise DomainError("window must be non-zero")
     spec, torus = sigma.spec, sigma.torus

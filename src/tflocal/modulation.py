@@ -60,6 +60,8 @@ class WindowSpec:
             raise DomainError(f"unknown window kind {self.kind!r}")
         if self.normalization not in ("l2", "none"):
             raise DomainError("window normalization must be 'l2' or 'none'")
+        if self.width is not None and not 0 < self.width < math.inf:
+            raise DomainError("gaussian window width must be positive and finite")
 
 
 def window_signal(spec: WindowSpec, lattice: LatticeSpec) -> Signal:
@@ -68,8 +70,6 @@ def window_signal(spec: WindowSpec, lattice: LatticeSpec) -> Signal:
         g = delta_signal(lattice)
     else:
         width = spec.width if spec.width is not None else lattice.K / 2.0
-        if width <= 0:
-            raise DomainError("gaussian window width must be positive")
         v = np.zeros(lattice.shape, dtype=np.complex128)
         prof = np.exp(-math.pi * (np.arange(-lattice.K, lattice.K + 1) ** 2) / width)
         v[lattice.admissible_slices()] = reduce(np.multiply.outer, [prof] * lattice.n)

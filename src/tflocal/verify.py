@@ -739,22 +739,11 @@ def _chk_s1_positive(env, rng, t):
 
 @_trialwise
 def _chk_s1_general(env, rng, t):
+    """S1 <= |sigma|_1 |g1| |g2|: L sums rank-one terms of trace norm w |sigma| |g1| |g2|."""
     sigma = _trig_symbol(env, rng)
-    g1 = _random_signal(env, rng)
-    g2 = _random_signal(env, rng)
-    gmax2 = max(norm2(g1), norm2(g2)) ** 2
-    parts = [
-        np.maximum(sigma.values.real, 0.0),
-        np.maximum(-sigma.values.real, 0.0),
-        np.maximum(sigma.values.imag, 0.0),
-        np.maximum(-sigma.values.imag, 0.0),
-    ]
-    fields = [replace(sigma, values=pv, degree_bound=env.torus.M - 1) for pv in parts]
-    # the four nonnegative parts, then sigma itself against four times its mass
-    return [
-        _le_margin(spectrum(kernel(F, g1, g2)).schatten[1.0], c * field_lp_norm(F, 1.0) * gmax2)
-        for F, c in zip([*fields, sigma], (1.0, 1.0, 1.0, 1.0, 4.0))
-    ]
+    g1, g2 = _random_signal(env, rng), _random_signal(env, rng)
+    S1 = spectrum(kernel(sigma, g1, g2)).schatten[1.0]
+    return [_le_margin(S1, field_lp_norm(sigma, 1.0) * norm2(g1) * norm2(g2))]
 
 
 _SCH_PS = (1.0, 1.5, 2.0, 3.0, math.inf)
@@ -762,12 +751,15 @@ _SCH_PS = (1.0, 1.5, 2.0, 3.0, math.inf)
 
 @_trialwise
 def _chk_schatten_logconvexity(env, rng, t):
+    """S_p between S1 and S_inf, and S_p <= |sigma|_p |g1| |g2| at p = 1.5, 2, 3."""
     sigma = _trig_symbol(env, rng)
-    g1 = _random_signal(env, rng)
-    g2 = _random_signal(env, rng)
+    g1, g2 = _random_signal(env, rng), _random_signal(env, rng)
     sch = spectrum(kernel(sigma, g1, g2), _SCH_PS).schatten
-    S1, Sinf = sch[1.0], sch[math.inf]
-    return [_le_margin(sch[p], S1 ** (1.0 / p) * Sinf ** (1.0 - 1.0 / p)) for p in _SCH_PS]
+    S1, Sinf, gg = sch[1.0], sch[math.inf], norm2(g1) * norm2(g2)
+    return [
+        *(_le_margin(sch[p], S1 ** (1.0 / p) * Sinf ** (1.0 - 1.0 / p)) for p in _SCH_PS),
+        *(_le_margin(sch[p], field_lp_norm(sigma, p) * gg) for p in _SCH_PS[1:-1]),
+    ]
 
 
 @_trialwise

@@ -182,16 +182,22 @@ def test_power_needs_a_finite_exponent(tmp_path, capsys):
 
 
 def test_locop_apply_refuses_a_too_high_symbol_degree(tmp_path, capsys):
-    # deg sigma + 2K = 12 + 4 > M - 1 = 12: one refusal, named for the synthesis
+    # deg sigma + 2K = 12 + 4 > M - 1 = 12: one refusal, named for the synthesis,
+    # on every command that builds the operator
     sym, sig = tmp_path / "s.json", tmp_path / "f.json"
     run(capsys, "gen", "--kind", "trig-symbol", "--seed", "2", "--K", "2", "--out", str(sym))
     run(capsys, "gen", "--kind", "gaussian-signal", "--seed", "3", "--K", "2", "--out", str(sig))
     obj = json.loads(sym.read_text())
     obj["degree_bound"] = 12
     sym.write_text(json.dumps(obj))
-    code, _, err = run(capsys, "locop", "--symbol", str(sym), "--apply", str(sig), "--out", str(tmp_path / "o.json"))
-    assert code == 3
-    assert "operator synthesis not exactly integrable: degree 16 exceeds M-1 = 12" in err
+    for argv in (
+        ("locop", "--symbol", str(sym), "--apply", str(sig), "--out", str(tmp_path / "o.json")),
+        ("locop", "--symbol", str(sym), "--export-kernel", str(tmp_path / "k.json")),
+        ("spectrum", "--symbol", str(sym)),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 3, argv
+        assert "operator synthesis not exactly integrable: degree 16 exceeds M-1 = 12" in err, argv
 
 
 def test_locop_apply_and_kernel(tmp_path, capsys):
@@ -251,18 +257,18 @@ def test_locop_apply_and_kernel(tmp_path, capsys):
 
 def test_numeric_failure_exit_code(tmp_path, capsys, monkeypatch):
     # a symbol declaring the full grid degree makes the synthesis refuse
-    sym = tmp_path / "s.json"
+    sym, high = tmp_path / "s.json", tmp_path / "high.json"
     run(capsys, "gen", "--kind", "trig-symbol", "--seed", "2", "--out", str(sym))
     obj = json.loads(sym.read_text())
     obj["degree_bound"] = obj["M"] - 1
-    sym.write_text(json.dumps(obj))
+    high.write_text(json.dumps(obj))
     sig = tmp_path / "f.json"
     run(capsys, "gen", "--kind", "gaussian-signal", "--seed", "3", "--out", str(sig))
     code, _, err = run(
         capsys,
         "locop",
         "--symbol",
-        str(sym),
+        str(high),
         "--apply",
         str(sig),
         "--out",
@@ -270,13 +276,14 @@ def test_numeric_failure_exit_code(tmp_path, capsys, monkeypatch):
     )
     assert code == 3
     assert "numeric failure" in err
-    # an SVD failure is a numeric failure although LinAlgError is a ValueError
+    # an SVD failure is a numeric failure although LinAlgError is a ValueError;
+    # the symbol as generated passes the kernel's checks, so the SVD runs
     def fail(*args):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(cli, "spectrum", fail)
     code, _, err = run(capsys, "spectrum", "--symbol", str(sym))
-    assert code == 3 and err.startswith("numeric failure: ")
+    assert code == 3 and err.startswith("numeric failure: ") and "SVD did not converge" in err
 
 
 def test_locop_apply_with_stored_radius(tmp_path, capsys):
@@ -325,6 +332,10 @@ def test_malformed_number_tokens(tmp_path, capsys):
         ("norm", "--space", "symbol-M-inf", "--input", str(sym)),
         ("norm", "--space", "symbol-M0.5", "--input", str(sym)),
         ("spectrum", "--symbol", str(sym), "--ps", "1,-inf"),
+        # gaussian widths that are not positive and finite, refused also at
+        # K = 0, where the window is the delta whatever its width
+        *(("gen", "--kind", "window", "--window", f"gaussian:{w}", "--K", K)
+          for w in ("-1", "0", "inf", "nan") for K in ("0", "1")),
     ):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
@@ -410,6 +421,7 @@ def test_verify_bad_config(tmp_path, capsys):
         {"torus": {"n": 1}},
         {"window": {"path": "w.json"}},
         {"window": {"kind": "file"}},
+        {"lattice": {"K": 0}, "window": {"width": -1}},
         {"lattice": [1, 2]},
         {"lattice": {"K": 2.9}},
         {"lattice": {"K": True}},

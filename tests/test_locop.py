@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -74,20 +75,26 @@ def test_weak_pairing_consistency(env):
 
 
 def test_one_exactness_check_per_operator_call(env, monkeypatch):
-    # apply_operator checks its synthesis degree once; weak_pairing sums the
-    # samples as given and checks none
+    # every public operator path checks the integrand degree deg sigma + 2K
+    # exactly once, adjoint_kernel and sigma_tilde through kernel
     calls = []
     check = TorusGrid.require_exact
     monkeypatch.setattr(TorusGrid, "require_exact", lambda self, *a: calls.append(a) or check(self, *a))
     rng = trial_rng(45, "one-check", 0)
     sigma = _trig_symbol(env, rng)
+    g1, g2 = env.window, env.window2
     f, h = _random_signal(env, rng), _random_signal(env, rng)
-    apply_operator(sigma, env.window, env.window2, f)
-    K = env.lattice.K
-    assert calls == [(sigma.degree_bound + 2 * K, "operator synthesis")]
-    calls.clear()
-    weak_pairing(sigma, env.window, env.window2, f, h)
-    assert calls == []
+    one = [(sigma.degree_bound + 2 * env.lattice.K, "operator synthesis")]
+    for call in (
+        lambda: apply_operator(sigma, g1, g2, f),
+        lambda: kernel(sigma, g1, g2),
+        lambda: adjoint_kernel(sigma, g1, g2),
+        lambda: weak_pairing(sigma, g1, g2, f, h),
+        lambda: sigma_tilde(sigma, g1),
+    ):
+        calls.clear()
+        call()
+        assert calls == one
 
 
 def test_weak_pairing_orthogonal_identity_case(env):
@@ -157,13 +164,7 @@ def test_adjoint_kernel(env):
     assert np.abs(A.conj().T - B).max() <= 1e-12
 
     g = env.window
-    real_sig = PhaseSpaceField(
-        sigma.spec,
-        sigma.torus,
-        sigma.m_radius,
-        np.abs(sigma.values).astype(complex),
-        degree_bound=env.torus.M - 1,
-    )
+    real_sig = replace(sigma, values=sigma.values.real.astype(complex))
     K1 = kernel(real_sig, g, g).matrix
     K2 = adjoint_kernel(real_sig, g, g).matrix
     assert np.abs(K1 - K2).max() <= 1e-12

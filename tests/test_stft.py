@@ -27,7 +27,7 @@ from tflocal.lattice import (
     field_coefficients,
     phase_matrix,
 )
-from tflocal.locop import apply_operator
+from tflocal.locop import apply_operator, kernel, sigma_tilde, weak_pairing
 from tflocal.orlicz import field_lp_norm
 from tflocal.stft import SymbolTransform, _stft_values, _SymbolShifts
 from tflocal.verify import (
@@ -292,6 +292,25 @@ def test_exactness_rule_at_its_boundary(site):
     msg = f"^{site} not exactly integrable: degree {d} exceeds M-1 = {d - 1}$"
     with pytest.raises(PrecisionError, match=msg):
         call(1)
+
+
+# the operator paths other than apply_operator, each given (sigma, g)
+_OPERATOR_PATHS = {
+    "kernel": lambda F, g: kernel(F, g, g),
+    "weak_pairing": lambda F, g: weak_pairing(F, g, g, g, g),
+    "sigma_tilde": sigma_tilde,
+}
+
+
+@pytest.mark.parametrize("path", list(_OPERATOR_PATHS))
+def test_every_operator_path_at_the_synthesis_boundary(path):
+    # the same rule as apply_operator's: deg sigma + 2K = 3 + 2 is summed on
+    # M = 6 and refused on M = 5
+    g = delta_signal(_K1)
+    _OPERATOR_PATHS[path](_ones_field(_K1, 6, 0, 3), g)
+    msg = "^operator synthesis not exactly integrable: degree 5 exceeds M-1 = 4$"
+    with pytest.raises(PrecisionError, match=msg):
+        _OPERATOR_PATHS[path](_ones_field(_K1, 5, 0, 3), g)
 
 
 def test_invert_examples(env):
