@@ -103,6 +103,18 @@ MUTANTS = (
     Mutant("E10", "kernel: symbol phase sign flipped", "locop.py",
            "P = phase_matrix(torus.M, -2 * R, 2 * R, 1, n)",
            "P = phase_matrix(torus.M, -2 * R, 2 * R, -1, n)"),
+    Mutant("E1", "stft analysis: phase of m sign flipped", "stft.py",
+           "out *= phase_matrix(torus.M, -R, R, -1, n)",
+           "out *= phase_matrix(torus.M, -R, R, 1, n)"),
+    Mutant("E2", "_synthesis_values: weight x1.001", "stft.py",
+           "coef = (coef @ phase_matrix(M, -K, K, 1, n).T) * torus.weight",
+           "coef = (coef @ phase_matrix(M, -K, K, 1, n).T) * torus.weight * 1.001"),
+    Mutant("E5", "weak_pairing: Vh not conjugated", "locop.py",
+           "np.conj(_crop(Vh, sigma))",
+           "_crop(Vh, sigma)"),
+    Mutant("E8", "field_coefficients: weight x(1 + 1e-9)", "lattice.py",
+           "coef *= F.torus.weight",
+           "coef *= F.torus.weight * (1 + 1e-9)"),
 )
 
 

@@ -60,6 +60,8 @@ class WindowSpec:
             raise DomainError(f"unknown window kind {self.kind!r}")
         if self.normalization not in ("l2", "none"):
             raise DomainError("window normalization must be 'l2' or 'none'")
+        if self.width is not None and self.kind != "gaussian":
+            raise DomainError(f"a {self.kind} window takes no width")
         if self.width is not None and not 0 < self.width < math.inf:
             raise DomainError("gaussian window width must be positive and finite")
 

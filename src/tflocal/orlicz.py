@@ -7,12 +7,12 @@ because Young functions are unbounded.  One solver, `_lux_batched`,
 computes every Luxemburg norm here and checks its inputs (a finite Phi, a
 positive finite weight, finite values).  Each b it returns satisfies the
 certificate G(b(1+eps)) <= 1 <= G(b(1-eps)), eps = 1e-12, and does not
-depend on the rows solved with it.  power(p) and eq5 take a closed-form
-root (for eq5, a Newton solve on the head/tail segment that prefix sums of
-the sorted row locate), kept where two direct modular evaluations certify
-it.  Every other row goes to `_lux_illinois`, which narrows a bracket with
-Illinois regula-falsi steps on log G against log b (Dowell and Jarratt,
-BIT 11, 1971) and raises PrecisionError when its pass caps run out.
+depend on the rows solved with it.  One rule gives it: a row takes its
+kind's direct root where two modular evaluations certify it, and is
+bisected on log b from the ends of the double range otherwise, with
+PrecisionError when the pass cap runs out.  power(p) has a closed form,
+eq5 and a table on a log grid a Newton solve, and quasi(B, p) the root of
+B on v^p to the power 1/p.
 
 Mixed norms take an inner Luxemburg norm along the lattice axes per torus
 node and an outer one across the torus (or the other way round for the
@@ -105,32 +105,79 @@ def _eq5_roots(va: np.ndarray, peak: np.ndarray, weight: float) -> np.ndarray:
     return peak * np.exp(root)
 
 
-def _closed_roots(va: np.ndarray, peak: np.ndarray, weight: float, phi: YoungFunction):
-    """Candidate norms of the rows of va, whose maxima `peak` are positive.
+def _table_roots(va: np.ndarray, peak: np.ndarray, weight: float, psi: YoungFunction) -> np.ndarray:
+    """The Luxemburg norm of each row under a table on a log grid, by Newton's method in s = 1/b.
 
-    power(p) and eq5 have a closed-form root; every other kind returns None.
+    In units of the row's peak, u = v/peak, G(s) = w sum_i psi(s u_i).  On
+    segment j, psi(t) = m_j t + c_j, so G is linear in s while no s u_i
+    changes segment, and a Newton step is that line's root,
+    (1/w - sum_i c_j) / sum_i m_j u_i, from one segment lookup.  When psi is
+    convex, so is G, and Jensen's inequality G(s) >= w N psi(s mean(u)) puts
+    s = psi^{-1}(1/(wN)) / mean(u) at or above the root: the steps from there
+    fall monotonically and stop on the root's own piece.  A row stops at its
+    first step that does not decrease s, so its bits do not depend on its
+    batch-mates.  The result is a candidate: the caller certifies it.
+    """
+    xs, ys, grid = psi.xs, psi.ys, psi.grid
+    rows, n = va.shape
+    u = va / peak[:, None]
+    y = 1.0 / (weight * n)
+    x = np.interp(y, ys, xs) if y <= ys[-1] else xs[-1] + (y - ys[-1]) / grid.slopes[-1]
+    s = x * n / u.sum(axis=1)
+    c = ys - grid.slopes * xs
+    live = np.arange(rows)
+    for _ in range(100):  # a cap only: rows stop within a few steps
+        ul = u[live]
+        j = grid.segment(ul * s[live, None])
+        m = grid.slopes[j]
+        step = (1.0 / weight - c[j].sum(axis=1)) / (ul * m).sum(axis=1)
+        down = step < s[live]
+        live = live[down]
+        if live.size == 0:
+            break
+        s[live] = step[down]
+    return peak / s
+
+
+def _direct_roots(va: np.ndarray, peak: np.ndarray, weight: float, phi: YoungFunction):
+    """Candidate norms of the rows of va, whose maxima `peak` are positive, or None.
+
+    G under quasi(B, p) at b is G under B at b^p on the values v^p, so a
+    quasi row takes B's root on v^p to the power 1/p, and nested quasi
+    functions flatten.  A table off a log grid, or a quasi function over
+    one, returns None.
     """
     if phi.kind == "power":
-        return peak * (weight * phi._eval(va / peak[:, None]).sum(axis=1)) ** (1.0 / phi.p)
+        return peak * _modular(va, peak, weight, phi) ** (1.0 / phi.p)
     if phi.kind == "eq5":
         return _eq5_roots(va, peak, weight)
+    if phi.kind == "table" and phi.grid is not None:
+        return _table_roots(va, peak, weight, phi)
+    if phi.kind == "quasi":
+        b = _direct_roots(va**phi.p, peak**phi.p, weight, phi.base)
+        return None if b is None else b ** (1.0 / phi.p)
     return None
+
+
+def _modular(va: np.ndarray, b: np.ndarray, weight: float, phi: YoungFunction) -> np.ndarray:
+    """G(b) = w sum_i Phi(v_i / b) of each row of va at its own b."""
+    return weight * phi._eval(va / b[:, None]).sum(axis=1)
 
 
 def _certified(va: np.ndarray, b: np.ndarray, weight: float, phi: YoungFunction) -> np.ndarray:
     """Rows whose b satisfies G(b(1+eps)) <= 1 <= G(b(1-eps)), eps = _REL_TOL."""
-    up = weight * phi._eval(va / (b * (1.0 + _REL_TOL))[:, None]).sum(axis=1)
-    dn = weight * phi._eval(va / (b * (1.0 - _REL_TOL))[:, None]).sum(axis=1)
+    up = _modular(va, b * (1.0 + _REL_TOL), weight, phi)
+    dn = _modular(va, b * (1.0 - _REL_TOL), weight, phi)
     return (up <= 1.0) & (1.0 <= dn)
 
 
 def _lux_batched(v: np.ndarray, weight: float, phi: YoungFunction) -> np.ndarray:
     """Luxemburg norm of each row of v (shape (batch, N), nonnegative).
 
-    Rows whose maximum is 0 have norm 0.  For power and eq5, each other row
-    first takes its closed-form root, kept if it passes the certificate;
-    rows that fail, and all rows of other kinds, go to `_lux_illinois`.  A
-    non-finite Phi, weight or input raises DomainError.
+    Rows whose maximum is 0 have norm 0.  Each other row first takes its
+    direct root, kept if it passes the certificate; rows that fail, and all
+    rows of a kind without one, go to `_lux_bisect`.  A non-finite Phi,
+    weight or input raises DomainError.
     """
     if not phi.finite:
         raise DomainError("Luxemburg norms require a finite Young function")
@@ -143,109 +190,52 @@ def _lux_batched(v: np.ndarray, weight: float, phi: YoungFunction) -> np.ndarray
     rows = np.flatnonzero(peak > 0)
     if rows.size == 0:
         return out
-    va, peak = v[rows], peak[rows]
+    va = v[rows]
     with np.errstate(all="ignore"):
-        b = _closed_roots(va, peak, weight, phi)
+        b = _direct_roots(va, peak[rows], weight, phi)
         if b is not None:
             ok = _certified(va, b, weight, phi)
             out[rows[ok]] = b[ok]
             if ok.all():
                 return out
-            rows, va, peak = rows[~ok], va[~ok], peak[~ok]
-        out[rows] = _lux_illinois(va, peak, weight, phi)
+            rows, va = rows[~ok], va[~ok]
+        out[rows] = _lux_bisect(va, weight, phi)
     return out
 
 
-def _lux_illinois(va: np.ndarray, peak: np.ndarray, weight: float, phi: YoungFunction) -> np.ndarray:
-    """Luxemburg norm of each row of va, whose maxima `peak` are positive, by bracketing.
+_BISECT_PASSES = 64
 
-    Invariant per row: G(hi) <= 1 < G(lo), with G(0) read as +infinity, and
-    lo and hi only move to probes at which G was evaluated.  The doubling
-    loop (at most 200 passes) sets lo to each rejected probe before it
-    doubles hi.  The narrowing loop (at most 280 passes) then probes each
-    live row once per pass:
-    - at the regula-falsi root of log G against log b through the two ends
-      once lo > 0; log G is linear in log b for power(p), so one such step
-      is exact;
-    - with the stored log G of an end kept twice in a row halved (Illinois);
-    - at hi G(hi) for the first probe while lo = 0.  b G(b) does not
-      increase with b when Phi(t)/t does not decrease (convex Phi), so this
-      probe is then at or below the root and moves lo (it is the root for
-      power(1)); for a concave Phi it lies above the root and moves hi;
-    - at the lesser of hi G(hi) and hi/2 for every later probe while lo = 0,
-      so reaching lo > 0 takes no more passes than bisection from 0 does,
-      while a probe the clamp below pulled up can still drop by 4e12 a pass;
-    - at the arithmetic midpoint instead when an end's log G or the guess
-      is not finite (G(hi) = 0 where Phi vanishes near 0);
-    - clamped into [lo + d, hi - d], d = 0.25e-12 hi, so that a converged
-      guess closes the bracket within a probe or two.
-    A row stops being probed once hi - lo <= 0.5e-12 hi and returns hi, so
-    its result does not depend on the other rows.  An exhausted cap raises
+
+def _lux_bisect(va: np.ndarray, weight: float, phi: YoungFunction) -> np.ndarray:
+    """Luxemburg norm of each row of va, whose maxima are positive, by bisection on log b.
+
+    Every row starts from the ends of the double range, lo = 5e-324 and
+    hi = 1.8e308, where G(lo) > 1 >= G(hi) must hold, else PrecisionError.
+    Each pass probes each live row at the geometric mean of its ends and
+    moves the end on the probe's side.  A row stops once hi - lo <= 0.5e-12
+    hi and returns hi, so its result does not depend on the other rows; from
+    the double range that takes 52 passes.  An exhausted cap raises
     PrecisionError.  Runs under the caller's errstate.
     """
-    out = np.empty(va.shape[0])
-    rows = np.arange(va.shape[0])
-
-    def modular(x, b):
-        return weight * phi._eval(x / b[:, None]).sum(axis=1)
-
-    lo = np.zeros(rows.size)
-    ylo = np.full(rows.size, np.inf)  # log G(lo)
-    hi = weight * va.sum(axis=1) + peak
-    yhi = np.empty(rows.size)  # log G(hi)
-    grow = np.arange(rows.size)
-    for _ in range(200):
-        if grow.size == rows.size:  # every row still doubles: no copies
-            yhi[:] = np.log(modular(va, hi))
-        else:
-            yhi[grow] = np.log(modular(va[grow], hi[grow]))
-        grow = grow[yhi[grow] > 0.0]
-        if grow.size == 0:
-            break
-        lo[grow], ylo[grow] = hi[grow], yhi[grow]
-        hi[grow] *= 2.0
-    else:
-        raise PrecisionError("Luxemburg upper bracket not found in 200 doublings")
-    side = np.zeros(rows.size)  # +1: hi moved last, -1: lo moved last
-    for _ in range(280):
+    lo = np.full(len(va), np.finfo(np.float64).smallest_subnormal)
+    hi = np.full(len(va), np.finfo(np.float64).max)
+    g_lo, g_hi = (_modular(va, b, weight, phi) for b in (lo, hi))
+    if not ((g_lo > 1.0).all() and (g_hi <= 1.0).all()):
+        raise PrecisionError("Luxemburg norm lies outside the double range")
+    out = np.empty(len(va))
+    rows = np.arange(len(va))
+    for _ in range(_BISECT_PASSES):
         done = hi - lo <= 0.5 * _REL_TOL * hi
         if done.any():
             out[rows[done]] = hi[done]
             if done.all():
                 return out
-            live = ~done
-            rows, va, lo, ylo, hi, yhi, side = (
-                a[live] for a in (rows, va, lo, ylo, hi, yhi, side)
-            )
-        zero = lo == 0.0
-        anyzero = zero.any()
-        ends = ylo - yhi  # finite exactly where both ends' log G are
-        slope = np.log(hi / lo) / ends
-        if anyzero:
-            np.copyto(slope, 1.0, where=zero)
-        mid = hi * np.exp(yhi * slope)
-        if anyzero:
-            # while lo = 0, a concave Phi puts hi G(hi) above the root, so
-            # after the first probe take at most the midpoint
-            np.minimum(mid, 0.5 * hi, out=mid, where=zero & (side != 0))
-            np.copyto(ends, yhi, where=zero)  # at lo = 0 only log G(hi) is read
-        guess = np.isfinite(mid)
-        guess &= np.isfinite(ends)
-        if not guess.all():
-            np.copyto(mid, 0.5 * (lo + hi), where=~guess)
-        d = 0.25 * _REL_TOL * hi
-        np.maximum(mid, lo + d, out=mid)
-        np.minimum(mid, hi - d, out=mid)
-        y = np.log(modular(va, mid))
-        ok = y <= 0.0
-        step = np.where(ok, 1.0, -1.0)
-        halve = np.where(step == side, 0.5, 1.0)
-        side = step
-        ylo = np.where(ok, halve * ylo, y)
-        yhi = np.where(ok, y, halve * yhi)
-        lo = np.where(ok, lo, mid)
-        hi = np.where(ok, mid, hi)
-    raise PrecisionError("Luxemburg bracket did not narrow in 280 passes")
+            rows, va, lo, hi = (a[~done] for a in (rows, va, lo, hi))
+        mid = np.sqrt(lo) * np.sqrt(hi)
+        below = _modular(va, mid, weight, phi) > 1.0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    raise PrecisionError(f"Luxemburg bracket did not narrow in {_BISECT_PASSES} passes")
 
 
 def luxemburg(values, weight: float, phi: YoungFunction) -> float:

@@ -740,7 +740,8 @@ def _chk_s1_positive(env, rng, t):
 @_trialwise
 def _chk_s1_general(env, rng, t):
     """S1 <= |sigma|_1 |g1| |g2|: L sums rank-one terms of trace norm w |sigma| |g1| |g2|."""
-    sigma = _trig_symbol(env, rng)
+    # the bound is far tighter on indicator symbols than on trig ones
+    sigma = _indicator_symbol(env, rng) if t % 2 else _trig_symbol(env, rng)
     g1, g2 = _random_signal(env, rng), _random_signal(env, rng)
     S1 = spectrum(kernel(sigma, g1, g2)).schatten[1.0]
     return [_le_margin(S1, field_lp_norm(sigma, 1.0) * norm2(g1) * norm2(g2))]

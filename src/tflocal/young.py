@@ -92,6 +92,19 @@ class _LogGrid(NamedTuple):
     upper: np.ndarray
     slopes: np.ndarray
 
+    def segment(self, t: np.ndarray) -> np.ndarray:
+        """The segment j of each t: x_j <= t < x_{j+1}, or `top` past the last node."""
+        # below x1 every argument is in segment 0, so log(max(t, x1)) never sees
+        # 0 and the floor is never negative; fmin also sends NaN to the last one
+        u = np.maximum(t, self.upper[0], out=np.empty(t.shape))
+        np.log(u, out=u)
+        u *= self.scale
+        u += self.lead
+        np.fmin(u, self.top, out=u)
+        j = u.astype(np.intp)
+        j += t >= self.upper[j]
+        return j
+
 
 def _log_grid(xs: np.ndarray, ys: np.ndarray) -> Optional[_LogGrid]:
     """The O(1) lookup of a table with log-uniform positive nodes, else None.
@@ -130,15 +143,7 @@ def _eval_table(xs: np.ndarray, ys: np.ndarray, grid: Optional[_LogGrid], t: np.
         with np.errstate(over="ignore", invalid="ignore"):
             ext = ys[-1] + slope * (t - xs[-1])
         return np.where(t > xs[-1], ext, out)
-    # below x1 every argument is in segment 0, so log(max(t, x1)) never sees
-    # 0 and the floor is never negative; fmin also sends NaN to the last one
-    u = np.maximum(t, xs[1], out=np.empty(t.shape))
-    np.log(u, out=u)
-    u *= grid.scale
-    u += grid.lead
-    np.fmin(u, grid.top, out=u)
-    j = u.astype(np.intp)
-    j += t >= grid.upper[j]
+    j = grid.segment(t)
     out = t - xs[j]
     out *= grid.slopes[j]
     out += ys[j]

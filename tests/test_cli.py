@@ -422,6 +422,7 @@ def test_verify_bad_config(tmp_path, capsys):
         {"window": {"path": "w.json"}},
         {"window": {"kind": "file"}},
         {"lattice": {"K": 0}, "window": {"width": -1}},
+        {"window": {"kind": "kronecker", "width": 2}},
         {"lattice": [1, 2]},
         {"lattice": {"K": 2.9}},
         {"lattice": {"K": True}},

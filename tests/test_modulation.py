@@ -43,6 +43,9 @@ def test_window_builders(env):
     assert np.allclose(tiny.values, delta_signal(LatticeSpec(1, 0, 1)).values)
     with pytest.raises(DomainError):
         WindowSpec("mystery")
+    # a width is read only by the gaussian, so the delta refuses one
+    with pytest.raises(DomainError, match="kronecker window takes no width"):
+        WindowSpec("kronecker", width=2.0)
 
 
 def test_delta_windows_at_n2():

@@ -88,9 +88,8 @@ def test_luxemburg_bracket_property(env, monkeypatch):
     for phi in (power(1.5), power(3), eq5(), psi, quasi):
         v = np.abs(rng.standard_normal(40)) + 0.01
         _assert_bracket(v[None], 1.0, phi, [luxemburg(v, 1.0, phi)])
-    # Phi vanishes on [0, 1], so G(hi) = 0 at the first upper end: log G is
-    # not finite there and the step falls back to the midpoint; the norm is
-    # 0.375, where 3 Phi(0.5 / b) = 1
+    # Phi vanishes on [0, 1] and the nodes are off a log grid, so the row is
+    # bisected; the norm is 0.375, where 3 Phi(0.5 / b) = 1
     flat = table([0, 1, 2, 3], [0, 0, 1, 3])
     v = np.array([0.5, 0.5, 0.5])
     b = luxemburg(v, 1.0, flat)
@@ -117,10 +116,10 @@ def test_luxemburg_bracket_property(env, monkeypatch):
 
 
 def test_luxemburg_evaluation_budget(monkeypatch):
-    # power and eq5 take a closed-form root and its two-sided certificate
-    # (power sums its modular once more to form the root); the others take
-    # one doubling probe and then the clamped Illinois step, 8-12 modular
-    # evaluations; bisection to the same 1e-12 bracket took 44-46
+    # power, eq5 and the psi table take a direct root and its two-sided
+    # certificate (power sums its modular once more to form the root; the
+    # Newton roots evaluate no Young function); bisection from the ends of
+    # the double range to the same 1e-12 bracket takes 54 evaluations
     calls = []
     evaluate = YoungFunction._eval
 
@@ -135,10 +134,8 @@ def test_luxemburg_evaluation_budget(monkeypatch):
         calls.clear()
         luxemburg(v, 1.0, phi)
         assert 0 < len(calls) <= (3 if phi.kind in ("power", "eq5") else 12), (phi.kind, len(calls))
-    # t^0.05 is concave: hi G(hi) lies above the root and G(hi) < 1 at the
-    # first upper end, so lo stays 0 until a probe at or below hi/2 is
-    # rejected; repeating hi G(hi) would creep down as 2^(0.95^k) and hit the
-    # pass cap.  The norm of four ones at weight 1/4 is 1.
+    # t^0.05 is concave, and a quasi row takes its base's root on v^p; the
+    # norm of four ones at weight 1/4 is 1
     for a in (0.05, 0.2):
         calls.clear()
         assert luxemburg(np.ones(4), 0.25, quasi_young(power(1), a)) == pytest.approx(1.0, rel=1e-12)
@@ -154,9 +151,11 @@ def _solver_kinds():
         eq5(),
         conjugate_table(eq5()),
         quasi_young(eq5(), 0.75),
-        # concave near the root, where hi G(hi) overshoots it
+        # concave, solved through the base
         quasi_young(power(1), 0.05),
         quasi_young(power(2), 0.3),
+        # off a log grid, so every row is bisected
+        table([0, 1, 2, 3], [0, 0, 1, 3]),
     )
 
 
@@ -218,15 +217,15 @@ def test_luxemburg_cross_oracle():
 
 
 def _spy_fallback(monkeypatch):
-    """Record (kind, rows) of every solve that reaches the Illinois bracket."""
+    """Record (kind, rows) of every solve that reaches the bisection."""
     fallback = []
-    illinois = orlicz._lux_illinois
+    bisect = orlicz._lux_bisect
 
-    def spy(va, peak, weight, phi):
+    def spy(va, weight, phi):
         fallback.append((phi.kind, len(va)))
-        return illinois(va, peak, weight, phi)
+        return bisect(va, weight, phi)
 
-    monkeypatch.setattr(orlicz, "_lux_illinois", spy)
+    monkeypatch.setattr(orlicz, "_lux_bisect", spy)
     return fallback
 
 
@@ -264,18 +263,38 @@ def test_luxemburg_closed_form_edge_cases(monkeypatch, name, v, weights):
     assert fallback == [], name
 
 
+def test_quasi_rows_take_their_base_root(monkeypatch):
+    # G under quasi(B, p) at b is G under B at b^p on v^p, so every row takes
+    # B's root and certifies at the quasi row, nested quasi functions too
+    fallback = _spy_fallback(monkeypatch)
+    rng = trial_rng(20, "lux-quasi", 0)
+    v = np.abs(rng.standard_normal((4, 30))) * rng.uniform(0.01, 50.0, (4, 1))
+    v[1, :25] = 0.0
+    bases = (power(1), power(2), eq5(), conjugate_table(eq5()))
+    for base in bases + (quasi_young(eq5(), 0.5),):
+        for p in (0.05, 0.3, 0.75):
+            phi = quasi_young(base, p)
+            for weight in (1.0, 1.0 / v.shape[1]):
+                norms = orlicz._lux_batched(v, weight, phi)
+                for row, b in zip(v, norms):
+                    want = lux_oracle(row, weight, phi)
+                    assert abs(b - want) <= 1e-11 * want, (base.kind, p, weight)
+    assert fallback == []
+
+
 @pytest.mark.parametrize("skew", [1.0 + 1e-9, math.nan])
 def test_luxemburg_certificate_guards_the_closed_form(monkeypatch, skew):
-    # closed-form roots 1e-9 too large, or NaN, fail the certificate on
-    # every row; those rows get the bits of the bracket run on them alone,
-    # and a batch still evaluates each row as often as its single solve
+    # direct roots 1e-9 too large, or NaN, fail the certificate on every
+    # row; those rows get the bits of the bisection run on them alone, and a
+    # batch still evaluates each row as often as its single solve (a quasi
+    # row's root is skewed through its base too)
     rng = trial_rng(18, "lux-certificate", 0)
     v = np.abs(rng.standard_normal((6, 30))) * rng.uniform(0.01, 50.0, (6, 1))
     v[2] = 0.0
     v[4, 1:] = 0.0
     live = v.max(axis=1) > 0
-    closed, illinois = orlicz._closed_roots, orlicz._lux_illinois
-    monkeypatch.setattr(orlicz, "_closed_roots", lambda va, peak, w, phi: skew * closed(va, peak, w, phi))
+    direct, bisect = orlicz._direct_roots, orlicz._lux_bisect
+    monkeypatch.setattr(orlicz, "_direct_roots", lambda va, peak, w, phi: skew * direct(va, peak, w, phi))
     fallback = _spy_fallback(monkeypatch)
     sizes = []
     evaluate = YoungFunction._eval
@@ -285,7 +304,7 @@ def test_luxemburg_certificate_guards_the_closed_form(monkeypatch, skew):
         return evaluate(self, t)
 
     monkeypatch.setattr(YoungFunction, "_eval", counting)
-    for phi in (power(1), power(2.5), eq5()):
+    for phi in (power(1), power(2.5), eq5(), conjugate_table(eq5()), quasi_young(eq5(), 0.75)):
         for weight in (1.0, 1.0 / v.shape[1]):
             fallback.clear()
             sizes.clear()
@@ -293,7 +312,7 @@ def test_luxemburg_certificate_guards_the_closed_form(monkeypatch, skew):
             work = sum(sizes)
             assert fallback == [(phi.kind, live.sum())], (phi.kind, weight)
             with np.errstate(all="ignore"):
-                alone = illinois(v[live], v[live].max(axis=1), weight, phi)
+                alone = bisect(v[live], weight, phi)
             assert norms[live].tolist() == alone.tolist(), (phi.kind, weight)
             assert not norms[~live].any()
             sizes.clear()
@@ -311,20 +330,23 @@ def test_luxemburg_rejects_bad_input():
 
 
 def test_luxemburg_tiny_norm_and_pass_cap(monkeypatch):
-    # the norm is 6e-300, a factor 5e299 below the first upper end 3: the
-    # clamped step certifies it where bisection would need about 1,000 passes
+    # the norm is 6e-300: the closed form certifies it, and so does the
+    # bisection, whose ends span the double range
     v = np.array([1.0, 2.0, 3.0])
     b = luxemburg(v, 1e-300, power(1))
     assert abs(b - 6e-300) <= 1e-12 * 6e-300
-    _assert_bracket(v[None], 1e-300, power(1), [b])
+    with np.errstate(all="ignore"):
+        bisected = orlicz._lux_bisect(v[None], 1e-300, power(1))
+    for norm in (b, bisected[0]):
+        _assert_bracket(v[None], 1e-300, power(1), [norm])
     # with no tolerance no bracket can close, so the cap must raise; an exact
-    # closed-form root would certify at zero width, so power and eq5 rows
-    # are sent to the bracket by a candidate that fails
+    # direct root would certify at zero width, so power, eq5 and quasi rows
+    # are sent to the bisection by a candidate that fails
     monkeypatch.setattr(orlicz, "_REL_TOL", 0.0)
-    monkeypatch.setattr(orlicz, "_closed_roots", lambda va, peak, weight, phi: np.full(len(va), np.nan))
+    monkeypatch.setattr(orlicz, "_direct_roots", lambda va, peak, weight, phi: np.full(len(va), np.nan))
     flat = table([0, 1, 2, 3], [0, 0, 1, 3])
     for phi in (power(2), eq5(), flat, quasi_young(eq5(), 0.75)):
-        with pytest.raises(PrecisionError, match="280 passes"):
+        with pytest.raises(PrecisionError, match="64 passes"):
             luxemburg(v, 1.0, phi)
 
 

@@ -180,9 +180,9 @@ _STACKED = (
 )
 GOLDEN_STACKED = """\
 {"id": "holder_lattice_power", "trials": 40, "violations": 0, "worst_margin": 0.12378482217783143, "seed": 20240801, "elapsed": 0, "tier": "holder-constant-1"}
-{"id": "holder_lattice_conjugate", "trials": 40, "violations": 0, "worst_margin": 0.1912874669460288, "seed": 20240801, "elapsed": 0, "tier": "holder-constant-2"}
+{"id": "holder_lattice_conjugate", "trials": 40, "violations": 0, "worst_margin": 0.19128746694602855, "seed": 20240801, "elapsed": 0, "tier": "holder-constant-2"}
 {"id": "holder_mixed_power", "trials": 40, "violations": 0, "worst_margin": 0.19455233489350757, "seed": 20240801, "elapsed": 0, "tier": "holder-constant-1"}
-{"id": "holder_mixed_conjugate", "trials": 40, "violations": 0, "worst_margin": 0.27560239656997093, "seed": 20240801, "elapsed": 0, "tier": "holder-constant-2"}
+{"id": "holder_mixed_conjugate", "trials": 40, "violations": 0, "worst_margin": 0.27560239656987484, "seed": 20240801, "elapsed": 0, "tier": "holder-constant-2"}
 {"id": "convolution_mixed_power", "trials": 40, "violations": 0, "worst_margin": 0.93866297404944654, "seed": 20240801, "elapsed": 0, "tier": null}
 {"id": "convolution_mixed_orlicz", "trials": 40, "violations": 0, "worst_margin": 0.93300479858194374, "seed": 20240801, "elapsed": 0, "tier": null}
 {"id": "convolution_product", "trials": 40, "violations": 0, "worst_margin": 0.93838626848322704, "seed": 20240801, "elapsed": 0, "tier": null}
@@ -219,19 +219,19 @@ def test_stacked_checks_solve_once_per_young_function(env, monkeypatch):
 
 
 def test_desk_checks_solve_power_and_eq5_in_closed_form(env, monkeypatch):
-    # every power and eq5 row of the desk checks certifies its closed-form
-    # root; only the psi table goes to the Illinois bracket
-    kinds = set()
-    illinois = orlicz._lux_illinois
+    # every power, eq5 and psi-table row of the desk checks certifies its
+    # direct root, so no row reaches the bisection
+    fallback = []
+    bisect = orlicz._lux_bisect
 
-    def spy(va, peak, weight, phi):
-        kinds.add(phi.kind)
-        return illinois(va, peak, weight, phi)
+    def spy(va, weight, phi):
+        fallback.append((phi.kind, len(va)))
+        return bisect(va, weight, phi)
 
-    monkeypatch.setattr(orlicz, "_lux_illinois", spy)
+    monkeypatch.setattr(orlicz, "_lux_bisect", spy)
     results = run_suite([CheckSpec(cid, trials=3) for cid in REGISTRY], env)
     assert all(r.violations == 0 for r in results)
-    assert kinds == {"table"}
+    assert fallback == []
 
 
 # the three norm-axiom checks at their registry trial counts, as solving
@@ -256,7 +256,7 @@ def test_axiom_checks_report_is_part_free(env, monkeypatch, held):
 GOLDEN_SUMMARY = """\
 {"id": "inclusion_chain_flanks", "trials": 1, "violations": 0, "worst_margin": 0, "seed": 20240801, "elapsed": 0, "tier": "C_left=0.73575888234288456;C_right=0.5"}
 {"id": "window_robustness", "trials": 5, "violations": 0, "worst_margin": 0, "seed": 20240801, "elapsed": 0, "tier": "R=1.0026638675501447"}
-{"id": "mphi_boundedness", "trials": 3, "violations": 0, "worst_margin": -1.2406967789963575e-15, "seed": 20240801, "elapsed": 0, "tier": "kappa=0.0032236001488743543;cov=0.092701487362455343"}
+{"id": "mphi_boundedness", "trials": 3, "violations": 0, "worst_margin": -1.2406967789963575e-15, "seed": 20240801, "elapsed": 0, "tier": "kappa=0.0032236001488751601;cov=0.092701487362455343"}
 """
 
 
