@@ -14,9 +14,13 @@ exit code 1 comes with the ids of the checks that reported violations, any
 other code (3 is a numeric failure) with the first line of stderr.  The
 last line of output is killed/total.  A fault in the order of the lattice
 axes, such as N1, is an identity at n = 1, so the desk run cannot kill it;
-its description says so.  E6 and E7 are phase faults of the second-level
-transform: the desk run sees that transform only through the p = 2 Moyal
-margin, which Parseval makes blind to them, so both survive it.
+its description says so.  E6, E7 and E11 are phase faults of the
+second-level transform, to which Parseval makes the p = 2 Moyal margin
+blind.  The desk run kills them by `mphi_boundedness`'s drawn transform
+entry, compared with its defining sum once for the rank-one symbol window
+and once for an odd random window, which take the two paths of
+`_SymbolShifts.slab`.  E6 is an identity on the symbol window, whose
+coefficients are real and even, and E11 reaches only the rank-one path.
 """
 
 from __future__ import annotations
@@ -94,6 +98,9 @@ MUTANTS = (
     Mutant("E7", "_SymbolShifts.slab: xi phase sign flipped", "stft.py",
            "phase_matrix(M, -Rf, Rf, -1, n)",
            "phase_matrix(M, -Rf, Rf, 1, n)"),
+    Mutant("E11", "_SymbolShifts rank-one H: omega phase sign flipped", "stft.py",
+           "np.matmul((self._cF[jj] * c).reshape(Dk, Bn), Eb, out=H[jj])",
+           "np.matmul((self._cF[jj] * c).reshape(Dk, Bn), Eb.conj(), out=H[jj])"),
     Mutant("E3", "kernel: g1 and g2 swapped in the block", "locop.py",
            "G = _local(g2)[:, None] * np.conj(_local(g1))[None, :]",
            "G = _local(g1)[:, None] * np.conj(_local(g2))[None, :]"),

@@ -141,13 +141,18 @@ def symbol_modulation_norm(
     """M^p norm of a symbol via the second-level transform.
 
     The measure is counting on both lattice-type axes and quadrature on both
-    torus-type axes.  The norm streams over the (Z, j) pairs that
+    torus-type axes.  The norm streams over the overlaps (u, j) that
     `stft._SymbolShifts` yields, one per lattice shift m, and never holds
     the whole transform, so it runs at n = 2.  At p = 2 it makes no slab at
     all: each m adds its slab's sum of |.|^2, which Parseval gives from m's
-    coefficient product Z (`slab_energy(Z)`).  Other p make each m's slab,
-    `slab(Z, j)`, and reduce it by |.|, power and sum (max for p = inf),
-    holding one slab.  The exponent is checked first, then the transform's
+    coefficient product Z (`slab_energy(u, j)`).  Other p make each m's
+    slab, `slab(u, j)`, and reduce it by |.|, power and sum (max for
+    p = inf), holding one slab.  For a rank-one window, such as
+    `symbol_window`, a slab is one matmul against a table H made with the
+    first slab (the `stft` module docstring); any other window makes it by
+    two.  |.| is taken a quarter of the slab's xi rows at a time, into a
+    buffer of an eighth of the slab's bytes, which offsets H's memory.
+    The exponent is checked first, then the transform's
     inputs, when `_SymbolShifts` is built, all before the first m.  A
     non-finite entry makes its m's part non-finite, so only then is the
     slab scanned entry by entry (and, at p = 2, made): a non-finite entry
@@ -159,17 +164,22 @@ def symbol_modulation_norm(
     shifts = _SymbolShifts(sigma, G0)
     a = None
     acc = 0.0
-    for Z, j in shifts:
+    for u, j in shifts:
         if p == 2:
-            part = shifts.slab_energy(Z)
+            part = shifts.slab_energy(u, j)
         else:
-            slab = shifts.slab(Z, j)
-            a = np.abs(slab, out=a)
-            if p != 1 and not np.isinf(p):
-                np.power(a, p, out=a)
-            part = float(a.max() if np.isinf(p) else a.sum())
+            slab = shifts.slab(u, j)
+            if a is None:
+                a = np.empty((-(-len(slab) // 4),) + slab.shape[1:])
+            parts = []
+            for rows in np.array_split(slab, min(4, len(slab))):
+                b = np.abs(rows, out=a[: len(rows)])
+                if p != 1 and not np.isinf(p):
+                    np.power(b, p, out=b)
+                parts.append(b.max() if np.isinf(p) else b.sum())
+            part = float(np.max(parts) if np.isinf(p) else np.sum(parts))
         if not np.isfinite(part):
-            _check_finite(shifts.slab(Z, j) if p == 2 else slab, "transform")
+            _check_finite(shifts.slab(u, j) if p == 2 else slab, "transform")
         acc = max(acc, part) if np.isinf(p) else acc + part
     if np.isinf(p):
         return acc

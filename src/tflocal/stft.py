@@ -34,25 +34,41 @@ that is one product of coefficients Z(u, k, b) = cF(m+u, k+b) conj(cG(u, b)),
 one matmul from b to omega and one from u to xi, with u in the window's
 lattice radius R trimmed per axis to the j = m + u in F's lattice range:
 the two sides of `lattice.overlap(m, R, R_f)`.
+
+A tensor-product window, conj(cG(u, b)) = a(u) c(b), makes the b sum
+separate (Groechenig, Foundations of Time-Frequency Analysis, 2001, ch. 3):
+T(u, k, omega) = a(u) H(m+u, k, omega) with
+
+    H(j, k, omega) = sum_b cF(j, k+b) c(b) e^{2 pi i b.omega},
+
+which does not depend on m.  So H is made once over F's whole lattice
+range, and each m's slab is one matmul: the phases of j = m + u times a(u),
+from u to xi, against H's rows j.  Every window the package builds is such
+a product (`symbol_window` is a lattice Gaussian times a Fejer kernel); the
+choice is made from the window's coefficients, which must be rank one to
+within a rounding bound, and any other window takes the Z path.
+
 One private class, `_SymbolShifts`, owns this transform: building it checks
-the inputs and sizes D and the shift radius, and iterating it runs the loop
-over m in a fixed order, yielding each m's product Z with the slices j of
-F's range that its u reach.  `slab(Z, j)` makes the (xi, k, omega) slab by
-the two matmuls; it keeps no state per shift.  `stft_symbol` stacks the
-slabs into the full array, while the symbol norm at p != 2 reduces each
-slab as it arrives and so never holds more than one slab
-(1/(2(R_f+R)+1)^n of the transform).
+the inputs, sizes D and the shift radius, and certifies the window's rank,
+and iterating it runs the loop over m in a fixed order, yielding each m's
+overlap (u, j).  `slab(u, j)` makes the (xi, k, omega) slab by either path;
+it keeps no state per shift.  `stft_symbol` stacks the slabs into the full
+array, while the symbol norm at p != 2 reduces each slab as it arrives and
+so never holds more than one slab (1/(2(R_f+R)+1)^n of the transform) and,
+for a rank-one window, H ((2 R_f + 1)^n / M^n times one slab's size).
 
 The slab of m is the 2n-dimensional DFT of Z over (j mod M, b), so by
 Parseval its sum of |.|^2 is M^{2n} times that of Z summed over u by residue
 j mod M: a discrete form of Moyal's identity (Groechenig, Foundations of
-Time-Frequency Analysis, 2001, 3.2).  `slab_energy(Z)` takes it from Z
-alone, and the M^2 symbol norm makes no slab at all.
+Time-Frequency Analysis, 2001, 3.2).  `slab_energy(u, j)` takes it from Z
+alone, for either kind of window, and the M^2 symbol norm makes no slab at
+all.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -182,21 +198,51 @@ class SymbolTransform:
             _check_finite(slab, "transform")
 
 
+def _rank_one(W: np.ndarray, n: int, M: int):
+    """Factors (a, c) with W(u, b) = a(u) c(b) up to rounding, or None.
+
+    u and b have n axes each.  At W's largest entry (u0, b0),
+    a = W[:, b0] / W[u0, b0] and c = W[u0, :].
+    W is rank one when max|W - a c| <= 4 M^n u max|W|, u = 2^-53: each
+    coefficient is a quadrature sum of M^n terms, whose rounding error is
+    about M^n u (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, 3.1), and 4 is headroom.  `symbol_window` leaves a residual of at
+    most 5.5 * 2^-52 at every scale of the ladder; a window that is not a tensor
+    product leaves O(1).  A zero or non-finite W is not certified.
+    """
+    shape = W.shape
+    W = W.reshape(math.prod(shape[:n]), -1)
+    u0, b0 = np.unravel_index(np.argmax(np.abs(W)), W.shape)
+    top = W[u0, b0]
+    if not 0 < abs(top) < math.inf:
+        return None
+    a, c = W[:, b0] / top, W[u0]
+    if not np.abs(W - np.multiply.outer(a, c)).max() <= 4 * M**n * 2.0**-53 * abs(top):
+        return None
+    return a.reshape(shape[:n]), c.reshape(shape[n:])
+
+
 class _SymbolShifts:
     """The second-level transform of F against the phase-space window G.
 
     Building it checks the inputs: shared grids, a window admissible in the
     lattice direction, then the eta integral (2D <= M - 1).  It exposes the
-    k radius D = deg F + deg G and the lattice-shift radius Rm.  Iterating
-    runs the one loop over m, in C order of [-Rm, Rm]^n, and yields
-    (Z, j): m's coefficient product over the trimmed u (module docstring),
-    shape (u) + (2D+1,)*n + (2 deg G + 1,)*n, and the slices of F's lattice
-    range that those u reach.  `slab(Z, j)` makes m's (xi, k, omega) slab,
-    shape (M^n, (2D+1)^n, M^n); `slab_energy(Z)` gives that slab's sum of
-    |.|^2 without making it.  Both read only their arguments: nothing is
-    kept per shift.  Z and the slab live in buffers that the next m
-    reuses; the slab buffers are allocated by the first `slab`.  Nothing
-    here checks finiteness, which each consumer does.
+    k radius D = deg F + deg G and the lattice-shift radius Rm, and
+    certifies whether G's coefficients are rank one (`_rank_one`).
+    Iterating runs the one loop over m, in C order of [-Rm, Rm]^n, and
+    yields m's overlap (u, j): the slices of the window range that the
+    trimmed u take and of F's lattice range that j = m + u reach.
+    `slab(u, j)` makes m's (xi, k, omega) slab, shape (M^n, (2D+1)^n, M^n);
+    `slab_energy(u, j)` gives that slab's sum of |.|^2 without making it,
+    from m's coefficient product Z (module docstring), shape (u) +
+    (2D+1,)*n + (2 deg G + 1,)*n.  A general window's slab is made from Z
+    by the two matmuls.  A rank-one window's slab is one matmul from the
+    table H, which the first slab makes over all of F's range.  Both read
+    only their arguments and nothing is kept per shift: Z, the slab and its
+    (u, k, omega) rows live in buffers that the next m reuses.  The first Z
+    makes Z's buffer and the first `slab` makes the slab buffers and H, so
+    a path allocates only what it uses.  Nothing here checks finiteness,
+    which each consumer does.
     """
 
     def __init__(self, F: PhaseSpaceField, G: PhaseSpaceField):
@@ -215,53 +261,74 @@ class _SymbolShifts:
         # width 2 dG + 1 over F's coefficients padded by 2 dG zeros per side
         cF = np.pad(field_coefficients(F), ((0, 0),) * n + ((2 * dG, 2 * dG),) * n)
         self._cF = sliding_window_view(cF, (2 * dG + 1,) * n, axis=tuple(range(n, 2 * n)))
-        self._cG = np.expand_dims(np.conj(field_coefficients(G)), tuple(range(n, 2 * n)))
-        self._Zbuf = np.empty((2 * Rg + 1) ** n * self._Dk * self._Bn, dtype=np.complex128)
-        self._slab_bufs = None
+        cG = np.conj(field_coefficients(G))
+        self._cG = np.expand_dims(cG, tuple(range(n, 2 * n)))
+        self._factors = _rank_one(cG, n, M)
+        self._Zbuf = self._slab_bufs = None
 
     def __iter__(self):
-        n, Rg, Rm = self._n, self._Rg, self.Rm
-        for m in itertools.product(range(-Rm, Rm + 1), repeat=n):
-            # the part of the window block u in [-Rg, Rg]^n whose j = m + u
-            # lies in F's lattice range
-            usl, jsl = overlap(m, Rg, self._Rf)
-            block, cG = self._cF[jsl], self._cG[usl]  # (u, k, b), (u, 1, b)
-            Z = self._Zbuf[: block.size].reshape(block.shape)
-            # copy, then scale one u at a time: a single broadcast product makes
-            # numpy buffer its strided operands (0.8 of Z's size at n=1, K=8)
-            np.copyto(Z, block)
-            for Zu, cGu in zip(Z.reshape((-1,) + Z.shape[n:]), cG.reshape((-1,) + cG.shape[n:])):
-                Zu *= cGu
-            yield Z, jsl
+        Rg, Rf, Rm = self._Rg, self._Rf, self.Rm
+        for m in itertools.product(range(-Rm, Rm + 1), repeat=self._n):
+            yield overlap(m, Rg, Rf)
 
-    def slab(self, Z: np.ndarray, j: tuple) -> np.ndarray:
-        """The (xi, k, omega) slab of the product Z whose u reach F's range at j."""
+    def _product(self, u: tuple, j: tuple) -> np.ndarray:
+        """m's coefficient product Z(u, k, b) = cF(m+u, k+b) conj(cG(u, b))."""
+        block, cG = self._cF[j], self._cG[u]  # (u, k, b), (u, 1, b)
+        if self._Zbuf is None:  # sized for Z at its largest, all u in [-Rg, Rg]^n
+            self._Zbuf = np.empty(self._cG.size * self._Dk, dtype=np.complex128)
+        Z = self._Zbuf[: block.size].reshape(block.shape)
+        # copy, then scale one u at a time: a single broadcast product makes
+        # numpy buffer its strided operands (0.8 of Z's size at n=1, K=8)
+        np.copyto(Z, block)
+        n = self._n
+        for Zu, cGu in zip(Z.reshape((-1,) + Z.shape[n:]), cG.reshape((-1,) + cG.shape[n:])):
+            Zu *= cGu
+        return Z
+
+    def slab(self, u: tuple, j: tuple) -> np.ndarray:
+        """The (xi, k, omega) slab of the shift m whose overlap is (u, j)."""
         n, M, Dk, Bn = self._n, self._M, self._Dk, self._Bn
         Mn = M**n
         if self._slab_bufs is None:
             Rf, Rg, dG = self._Rf, self._Rg, self._dG
+            Eb = phase_matrix(M, -dG, dG, 1, n)  # b -> omega
+            H = None
+            if self._factors is not None:
+                # H(j, k, omega) = sum_b cF(j, k+b) c(b) e^{2 pi i b.omega} over F's range
+                c = self._factors[1]
+                H = np.empty((2 * Rf + 1,) * n + (Dk, Mn), dtype=np.complex128)
+                for jj in np.ndindex(H.shape[:n]):
+                    np.matmul((self._cF[jj] * c).reshape(Dk, Bn), Eb, out=H[jj])
             self._slab_bufs = (
-                phase_matrix(M, -dG, dG, 1, n),  # b -> omega
+                Eb,
                 phase_matrix(M, -Rf, Rf, -1, n).T.reshape((Mn,) + (2 * Rf + 1,) * n),  # (xi, j)
-                np.empty((2 * Rg + 1) ** n * Dk * Mn, dtype=np.complex128),
+                H,
+                # the general path's (u, k, omega) rows
+                np.empty((2 * Rg + 1) ** n * Dk * Mn, dtype=np.complex128) if H is None else None,
                 np.empty((Mn, Dk, Mn), dtype=np.complex128),
             )
-        Eb, Pj, T, slab = self._slab_bufs
-        U = Z.size // (Dk * Bn)
-        Tm = T[: U * Dk * Mn].reshape(U * Dk, Mn)
-        np.matmul(Z.reshape(U * Dk, Bn), Eb, out=Tm)  # (u, k, omega)
-        # u -> xi with the phases of j = m + u: (xi, u) @ (u, k omega)
-        Pm = Pj[(slice(None),) + j].reshape(Mn, U)
-        np.matmul(Pm, Tm.reshape(U, Dk * Mn), out=slab.reshape(Mn, Dk * Mn))
+        Eb, Pj, H, T, slab = self._slab_bufs
+        Pm = Pj[(slice(None),) + j].reshape(Mn, -1)  # the phases of j = m + u
+        U = Pm.shape[1]
+        if H is None:
+            Tm = T[: U * Dk * Mn].reshape(U, Dk * Mn)
+            np.matmul(self._product(u, j).reshape(U * Dk, Bn), Eb, out=Tm.reshape(U * Dk, Mn))
+        else:
+            # T(u, k, omega) = a(u) H(m + u, k, omega): a goes into the phases;
+            # j's rows of H are a view at n = 1 and a copy at n >= 2
+            Pm = Pm * self._factors[0][u].reshape(U)
+            Tm = H[j].reshape(U, Dk * Mn)
+        # u -> xi: (xi, u) @ (u, k omega)
+        np.matmul(Pm, Tm, out=slab.reshape(Mn, Dk * Mn))
         return slab
 
-    def slab_energy(self, Z: np.ndarray) -> float:
-        """Sum of |.|^2 over Z's slab, by Parseval on Z (module docstring).
+    def slab_energy(self, u: tuple, j: tuple) -> float:
+        """Sum of |.|^2 over m's slab, by Parseval on Z (module docstring).
 
         The fold by j mod M is the identity unless a trimmed u-axis is
         longer than M; b needs none, as 2 deg G + 1 <= 2D + 1 <= M.
         """
-        M = self._M
+        Z, M = self._product(u, j), self._M
         for ax in range(self._n):
             L = Z.shape[ax]
             if L > M:
@@ -286,7 +353,7 @@ def stft_symbol(F: PhaseSpaceField, G: PhaseSpaceField) -> SymbolTransform:
     shifts = _SymbolShifts(F, G)
     n, M, D, Rm = F.spec.n, F.torus.M, shifts.D, shifts.Rm
     out = np.empty(((2 * Rm + 1) ** n, M**n, M**n, (2 * D + 1) ** n), dtype=np.complex128)
-    for i, (Z, j) in enumerate(shifts):
-        out[i] = shifts.slab(Z, j).transpose(2, 0, 1)
+    for i, (u, j) in enumerate(shifts):
+        out[i] = shifts.slab(u, j).transpose(2, 0, 1)
     shaped = out.reshape((2 * Rm + 1,) * n + (M,) * (2 * n) + (2 * D + 1,) * n)
     return SymbolTransform(F.spec, F.torus, Rm, D, shaped)

@@ -83,7 +83,7 @@ from .orlicz import (
     holder_pairing,
     luxemburg,
 )
-from .stft import _stft_values, stft, invert
+from .stft import _stft_values, _SymbolShifts, stft, invert
 from .young import YoungFunction, conjugate_table, eq5, power
 
 __all__ = [
@@ -787,15 +787,59 @@ def _truncated_mphi(env, x: Signal) -> float:
     return luxemburg(vals, env.torus.weight, env.phi)
 
 
+def _odd_window(env: Environment, rng) -> PhaseSpaceField:
+    """Random phase-space window: neither a tensor product nor even in eta."""
+    K, n = env.lattice.K, env.lattice.n
+    d = max(1, K // 2)
+    coefs = _crandn(rng, (2 * K + 1,) * n + (2 * d + 1,) * n)
+    vals = coefficients_to_values(coefs, env.torus, d)
+    return PhaseSpaceField(env.lattice, env.torus, K, vals, degree_bound=d)
+
+
+def _symbol_entry_margin(sigma: PhaseSpaceField, G: PhaseSpaceField, rng) -> float:
+    """One drawn entry of sigma's second-level transform against G, two ways.
+
+    The entry (m, omega, xi, k) of `_SymbolShifts`' slab is compared with
+    the defining quadrature sum of `stft_symbol`'s docstring, taken from
+    sigma.values and G.values, relative to |sigma|_2 |G|_2, which bounds
+    every entry.  m is drawn from sigma's lattice range, so that the
+    window's centre u = 0 enters (a Gaussian window's rim makes entries
+    near |m| = Rm vanish to rounding), and omega and xi off the zero node
+    on every axis, where a conjugated window or a flipped phase would not
+    show.
+    """
+    shifts = _SymbolShifts(sigma, G)
+    n, M, D, Rm, R = sigma.spec.n, sigma.torus.M, shifts.D, shifts.Rm, sigma.m_radius
+    m = rng.integers(-R, R + 1, size=n)
+    w, xi = rng.integers(1, M, size=(2, n))
+    k = rng.integers(-D, D + 1, size=n)
+
+    def flat(idx, size):  # C-order index into a flattened cube of side `size`
+        return int(np.ravel_multi_index(idx, (size,) * n))
+
+    u, j = next(itertools.islice(shifts, flat(m + Rm, 2 * Rm + 1), None))
+    fast = complex(shifts.slab(u, j)[flat(xi, M), flat(k + D, 2 * D + 1), flat(w, M)])
+    # sum_j e^{-2 pi i j.xi} (1/M^n) sum_eta e^{-2 pi i eta.k} sigma(j, eta) conj(G(j-m, eta-omega))
+    Gw = np.roll(G.values, tuple(w), axis=tuple(range(n, 2 * n)))
+    prod = (sigma.values[j] * np.conj(Gw[u])).reshape(-1, M**n)
+    ej = phase_matrix(M, -R, R, -1, n)[:, flat(xi, M)].reshape((2 * R + 1,) * n)[j]
+    ek = phase_matrix(M, -D, D, -1, n)[flat(k + D, 2 * D + 1)]
+    direct = complex(ej.ravel() @ prod @ ek) / M**n
+    return _eq_margin(fast, direct, field_lp_norm(sigma, 2.0) * field_lp_norm(G, 2.0))
+
+
 def _chk_mphi(env, spec, trials):
     """M^Phi ratios |A f| / |f| of one operator A, drawn from the setup stream.
 
     The tier is kappa, the largest ratio over the symbol-M^1 bound on |A|,
     and cov, the ratios' coefficient of variation.  Trial 0 also carries the
-    hard operator-norm margins of A and the symbol's M^2 identity (Moyal's,
-    |V_G0 sigma|_2 = |sigma|_2 |G0|_2).
+    hard operator-norm margins of A, the symbol's M^2 identity (Moyal's,
+    |V_G0 sigma|_2 = |sigma|_2 |G0|_2), which Parseval makes blind to the
+    transform's phases, and one drawn transform entry against its defining
+    sum for G0 and for an odd random window (`_symbol_entry_margin`).
     """
-    sigma = _trig_symbol(env, trial_rng(spec.seed, spec.id + ":setup", 0))
+    setup = trial_rng(spec.seed, spec.id + ":setup", 0)
+    sigma = _trig_symbol(env, setup)
     g1, g2 = env.window, env.window2
     hard = (
         *_opnorm_margins(sigma, g1, g2),
@@ -803,6 +847,8 @@ def _chk_mphi(env, spec, trials):
             symbol_modulation_norm(sigma, env.G0, 2.0),
             field_lp_norm(sigma, 2.0) * field_lp_norm(env.G0, 2.0),
         ),
+        # one transform entry per path: G0 is rank one, the odd window is not
+        *(_symbol_entry_margin(sigma, G, setup) for G in (env.G0, _odd_window(env, setup))),
     )
     bound = (
         symbol_modulation_norm(sigma, env.G0, 1.0)

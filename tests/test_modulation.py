@@ -27,7 +27,7 @@ from tflocal import (
 )
 from tflocal.lattice import delta_signal
 from tflocal.orlicz import field_lp_norm, mixed_norm, mixed_norm_swapped
-from tflocal.stft import stft, stft_symbol
+from tflocal.stft import _SymbolShifts, stft, stft_symbol
 from tflocal.verify import _random_signal, _trig_symbol, trial_rng
 
 
@@ -177,6 +177,8 @@ def test_symbol_norm_raises_like_stft_symbol(small_env):
         (field(R, deg=4), field(lat.K, deg=3), PrecisionError),  # eta integral aliases
         (field(R, value=1e200), field(lat.K, value=1e200), DomainError),  # overflow
     ]
+    # the overflow case runs through the rank-one path: its window is constant
+    assert _SymbolShifts(*cases[-1][:2])._factors is not None
     for F_, G_, err in cases:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(err):
@@ -194,6 +196,7 @@ def test_symbol_norm_overflow_of_finite_entries_is_inf(small_env):
     R = 2 * lat.K
     vals = np.full((2 * R + 1, tor.M), 1e150, dtype=complex)
     sigma = PhaseSpaceField(lat, tor, R, vals, degree_bound=0)
+    assert _SymbolShifts(sigma, small_env.G0)._factors is not None  # the rank-one path
     assert np.isfinite(stft_symbol(sigma, small_env.G0).values).all()
     with np.errstate(over="ignore"):
         assert symbol_modulation_norm(sigma, small_env.G0, 3.0) == math.inf

@@ -29,10 +29,12 @@ from tflocal.lattice import (
 )
 from tflocal.locop import apply_operator, kernel, sigma_tilde, weak_pairing
 from tflocal.orlicz import field_lp_norm
-from tflocal.stft import SymbolTransform, _stft_values, _SymbolShifts
+from tflocal.modulation import symbol_window
+from tflocal.stft import SymbolTransform, _rank_one, _stft_values, _SymbolShifts
 from tflocal.verify import (
     Environment,
     _crandn,
+    _odd_window,
     _random_signal,
     _trig_symbol,
     trial_rng,
@@ -451,19 +453,27 @@ def test_symbol_transform_validation(small_env):
 
 
 def test_symbol_shifts_keep_no_state_per_shift(small_env):
-    # slab(Z, j) reads only its arguments: iterating binds no attribute, and
-    # the first slab allocates the one set of slab buffers that every m reuses
-    F, G = _trig_symbol(small_env, trial_rng(34, "shift-state", 0)), small_env.G0
-    shifts = _SymbolShifts(F, G)
-    assert (shifts.D, shifts.Rm) == (F.degree_bound + G.degree_bound, F.m_radius + G.m_radius)
-    before = dict(vars(shifts), _slab_bufs=None)
-    for i, (Z, j) in enumerate(shifts):
-        slab = shifts.slab(Z, j)
-        if i == 0:
-            before["_slab_bufs"] = shifts._slab_bufs
-        assert vars(shifts).keys() == before.keys()
-        assert all(getattr(shifts, k) is v for k, v in before.items()), i
-        assert slab is before["_slab_bufs"][-1]
+    # slab(u, j) reads only its arguments: iterating binds no attribute, and
+    # the first slab allocates the one set of slab buffers that every m
+    # reuses, with the table H of a rank-one window among them
+    F = _trig_symbol(small_env, trial_rng(34, "shift-state", 0))
+    windows = _symbol_oracle_inputs(small_env.lattice, small_env.torus)[1]
+    for rank_one, G in zip((True, False), windows):
+        shifts = _SymbolShifts(F, G)
+        assert (shifts.D, shifts.Rm) == (F.degree_bound + G.degree_bound, F.m_radius + G.m_radius)
+        assert (shifts._factors is not None) == rank_one
+        before = dict(vars(shifts), _slab_bufs=None, _Zbuf=None)
+        for i, (u, j) in enumerate(shifts):
+            slab = shifts.slab(u, j)
+            if i == 0:
+                before["_slab_bufs"] = bufs = shifts._slab_bufs
+                before["_Zbuf"] = shifts._Zbuf  # the rank-one path makes no Z
+                H = bufs[2]
+                assert (H is not None) == rank_one == (shifts._Zbuf is None)
+            assert vars(shifts).keys() == before.keys()
+            assert all(getattr(shifts, k) is v for k, v in before.items()), (rank_one, i)
+            assert shifts._slab_bufs[2] is H
+            assert slab is before["_slab_bufs"][-1]
 
 
 def test_symbol_transform_plancherel_2d():
@@ -488,12 +498,7 @@ def _symbol_oracle_inputs(lat, tor):
     F = _trig_symbol(envx, rng)
     # the symbol window is even in the torus variable; a random window is not,
     # so it also tells the torus shift G(u, eta - omega) from G(u, omega - eta)
-    d = max(1, lat.K // 2)
-    coefs = _crandn(rng, (2 * lat.K + 1,) * lat.n + (2 * d + 1,) * lat.n)
-    odd = PhaseSpaceField(
-        lat, tor, lat.K, coefficients_to_values(coefs, tor, d), degree_bound=d
-    )
-    return F, (envx.G0, odd)
+    return F, (envx.G0, _odd_window(envx, rng))
 
 
 @pytest.mark.parametrize("lat,tor", ORACLE_GRIDS)
@@ -516,6 +521,55 @@ def test_symbol_norm_matches_direct_oracle(lat, tor):
             want = a.max() if p == math.inf else (w * (a**p).sum()) ** (1 / p)
             got = symbol_modulation_norm(F, G, p)
             assert abs(got - want) <= 1e-12 * want, p
+
+
+# the scale ladder: n=1, K in {8, 16, 32} and n=2, K in {2, 4}, with M = 6K + 1
+LADDER = [(1, 8), (1, 16), (1, 32), (2, 2), (2, 4)]
+
+
+def _window_factors(G):
+    return _rank_one(np.conj(field_coefficients(G)), G.spec.n, G.torus.M)
+
+
+@pytest.mark.parametrize("n,K", LADDER)
+def test_symbol_window_is_certified_rank_one(n, K):
+    lat, tor = LatticeSpec(n, K), TorusGrid(n, 6 * K + 1)
+    G = symbol_window(lat, tor)
+    a, c = _window_factors(G)
+    assert a.shape == (2 * K + 1,) * n and c.shape == (2 * G.degree_bound + 1,) * n
+    W = np.conj(field_coefficients(G))
+    # the certificate accepts 4 M^n 2^-53; the symbol window stays under 16 * 2^-52
+    assert np.abs(W - np.multiply.outer(a, c)).max() <= 16 * 2.0**-52 * np.abs(W).max()
+
+
+def test_windows_that_are_not_rank_one_are_not_certified(env):
+    _, (G0, odd) = _symbol_oracle_inputs(env.lattice, env.torus)
+    assert _window_factors(G0) is not None
+    assert _window_factors(odd) is None
+    # G0 plus a rank-two term of relative size 1e-6
+    rng = trial_rng(42, "rank-two", 0)
+    xy = np.multiply.outer(_crandn(rng, G0.values.shape[:1]), _crandn(rng, G0.values.shape[1:]))
+    near = G0.values + xy * (1e-6 * np.abs(G0.values).max() / np.abs(xy).max())
+    G = PhaseSpaceField(G0.spec, G0.torus, G0.m_radius, near, degree_bound=G0.degree_bound)
+    assert _window_factors(G) is None
+    # zero and non-finite coefficients take the general path
+    for fill in (0.0, np.inf, np.nan):
+        assert _rank_one(np.full((3, 5), fill, dtype=complex), 1, env.torus.M) is None, fill
+
+
+@pytest.mark.parametrize("lat,tor", ORACLE_GRIDS)
+def test_rank_one_path_matches_the_general_path(lat, tor):
+    # the same shifts with the certificate's factors dropped take the path
+    # through the coefficient product Z; every slab agrees to 1e-12 of its own size
+    F, (G0, _) = _symbol_oracle_inputs(lat, tor)
+    fast, general = _SymbolShifts(F, G0), _SymbolShifts(F, G0)
+    assert fast._factors is not None
+    general._factors = None
+    for i, (u, j) in enumerate(fast):
+        want = general.slab(u, j)
+        assert general._slab_bufs[2] is None
+        err = float(_rel_err(fast.slab(u, j), want))
+        assert err <= 1e-12, (i, err)
 
 
 # one interior (deg F, deg G) pair with deg G > deg F per small grid, then
