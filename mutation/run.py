@@ -21,6 +21,10 @@ entry, compared with its defining sum once for the rank-one symbol window
 and once for an odd random window, which take the two paths of
 `_SymbolShifts.slab`.  E6 is an identity on the symbol window, whose
 coefficients are real and even, and E11 reaches only the rank-one path.
+M12 and M13 are killed by `luxemburg_power_reduction`: the first by the
+table lookup compared with interpolation through the nodes, the second by
+the quasi reduction identity, whose base is eq5 because for a power base
+the fault is an identity.
 """
 
 from __future__ import annotations
@@ -89,6 +93,12 @@ MUTANTS = (
     Mutant("M11", "holder_pairing x0.999", "orlicz.py",
            "return float(F.torus.weight * np.abs(F.values * G.values).sum())",
            "return 0.999 * float(F.torus.weight * np.abs(F.values * G.values).sum())"),
+    Mutant("M12", "table lookup: segment never bumped", "young.py",
+           "j += t >= self.upper[j]",
+           "pass"),
+    Mutant("M13", "quasi: base(t)^p in place of base(t^p)", "young.py",
+           "return self.base._eval(t**self.p)",
+           "return self.base._eval(t) ** self.p"),
     Mutant("N1", "overlap: axis order of m reversed (no-op at n = 1)", "lattice.py",
            "for a in map(int, m):",
            "for a in map(int, m[::-1]):"),

@@ -7,12 +7,12 @@ because Young functions are unbounded.  One solver, `_lux_batched`,
 computes every Luxemburg norm here and checks its inputs (a finite Phi, a
 positive finite weight, finite values).  Each b it returns satisfies the
 certificate G(b(1+eps)) <= 1 <= G(b(1-eps)), eps = 1e-12, and does not
-depend on the rows solved with it.  One rule gives it: a row takes its
-kind's direct root where two modular evaluations certify it, and is
-bisected on log b from the ends of the double range otherwise, with
-PrecisionError when the pass cap runs out.  power(p) has a closed form,
-eq5 and a table on a log grid a Newton solve, and quasi(B, p) the root of
-B on v^p to the power 1/p.
+depend on the rows solved with it.  One rule gives it: every kind has a
+direct root, and a row keeps it where two modular evaluations certify it;
+a row that fails is bisected on log b from the ends of the double range,
+with PrecisionError when the pass cap runs out.  power(p) has a closed
+form, eq5 and a tabulated conjugate a Newton solve, and quasi(B, p) the
+root of B on v^p to the power 1/p.
 
 Mixed norms take an inner Luxemburg norm along the lattice axes per torus
 node and an outer one across the torus (or the other way round for the
@@ -106,7 +106,7 @@ def _eq5_roots(va: np.ndarray, peak: np.ndarray, weight: float) -> np.ndarray:
 
 
 def _table_roots(va: np.ndarray, peak: np.ndarray, weight: float, psi: YoungFunction) -> np.ndarray:
-    """The Luxemburg norm of each row under a table on a log grid, by Newton's method in s = 1/b.
+    """The Luxemburg norm of each row under a tabulated conjugate, by Newton's method in s = 1/b.
 
     In units of the row's peak, u = v/peak, G(s) = w sum_i psi(s u_i).  On
     segment j, psi(t) = m_j t + c_j, so G is linear in s while no s u_i
@@ -140,23 +140,21 @@ def _table_roots(va: np.ndarray, peak: np.ndarray, weight: float, psi: YoungFunc
 
 
 def _direct_roots(va: np.ndarray, peak: np.ndarray, weight: float, phi: YoungFunction):
-    """Candidate norms of the rows of va, whose maxima `peak` are positive, or None.
+    """Candidate norms of the rows of va, whose maxima `peak` are positive.
 
     G under quasi(B, p) at b is G under B at b^p on the values v^p, so a
     quasi row takes B's root on v^p to the power 1/p, and nested quasi
-    functions flatten.  A table off a log grid, or a quasi function over
-    one, returns None.
+    functions flatten.  An unknown kind raises DomainError.
     """
     if phi.kind == "power":
         return peak * _modular(va, peak, weight, phi) ** (1.0 / phi.p)
     if phi.kind == "eq5":
         return _eq5_roots(va, peak, weight)
-    if phi.kind == "table" and phi.grid is not None:
+    if phi.kind == "table":
         return _table_roots(va, peak, weight, phi)
     if phi.kind == "quasi":
-        b = _direct_roots(va**phi.p, peak**phi.p, weight, phi.base)
-        return None if b is None else b ** (1.0 / phi.p)
-    return None
+        return _direct_roots(va**phi.p, peak**phi.p, weight, phi.base) ** (1.0 / phi.p)
+    raise DomainError(f"unknown Young-function kind {phi.kind!r}")
 
 
 def _modular(va: np.ndarray, b: np.ndarray, weight: float, phi: YoungFunction) -> np.ndarray:
@@ -175,9 +173,8 @@ def _lux_batched(v: np.ndarray, weight: float, phi: YoungFunction) -> np.ndarray
     """Luxemburg norm of each row of v (shape (batch, N), nonnegative).
 
     Rows whose maximum is 0 have norm 0.  Each other row first takes its
-    direct root, kept if it passes the certificate; rows that fail, and all
-    rows of a kind without one, go to `_lux_bisect`.  A non-finite Phi,
-    weight or input raises DomainError.
+    direct root, kept if it passes the certificate; rows that fail go to
+    `_lux_bisect`.  A non-finite Phi, weight or input raises DomainError.
     """
     if not phi.finite:
         raise DomainError("Luxemburg norms require a finite Young function")
@@ -193,13 +190,10 @@ def _lux_batched(v: np.ndarray, weight: float, phi: YoungFunction) -> np.ndarray
     va = v[rows]
     with np.errstate(all="ignore"):
         b = _direct_roots(va, peak[rows], weight, phi)
-        if b is not None:
-            ok = _certified(va, b, weight, phi)
-            out[rows[ok]] = b[ok]
-            if ok.all():
-                return out
-            rows, va = rows[~ok], va[~ok]
-        out[rows] = _lux_bisect(va, weight, phi)
+        ok = _certified(va, b, weight, phi)
+        out[rows[ok]] = b[ok]
+        if not ok.all():
+            out[rows[~ok]] = _lux_bisect(va[~ok], weight, phi)
     return out
 
 

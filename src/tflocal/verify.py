@@ -84,7 +84,7 @@ from .orlicz import (
     luxemburg,
 )
 from .stft import _stft_values, _SymbolShifts, stft, invert
-from .young import YoungFunction, conjugate_table, eq5, power
+from .young import YoungFunction, conjugate_table, eq5, power, quasi_young
 
 __all__ = [
     "CheckSpec",
@@ -347,6 +347,7 @@ def _chk_covariance(env, rng, t):
 
 
 _LUX_PS = (1.0, 1.5, 2.0, 3.0)
+_QUASI_PS = (0.5, 0.75)
 
 
 @_trialwise
@@ -373,10 +374,29 @@ def _chk_power_reduction(env, rng, t):
             margins.append(_eq_margin(b, direct, scale=max(direct, _TINY)))
         if b > 0:
             eps = 1e-12
-            up = (weight * phi._eval(v / (b * (1 + eps)))).sum()
-            dn = (weight * phi._eval(v / (b * (1 - eps)))).sum()
+            args = (v / (b * (1 + eps)), v / (b * (1 - eps)))
+            vals = [phi._eval(x) for x in args]
+            up, dn = ((weight * y).sum() for y in vals)
             margins.append(0.0 if (up <= 1.0 <= dn) else -1.0)
+            if phi.kind == "table":
+                # the table's O(1) lookup against interpolation through its nodes
+                for x, y in zip(args, vals):
+                    ref = _interp_table(phi, x)
+                    margins.append(_eq_margin(float(np.abs(y - ref).max()), 0.0, scale=float(ref.max())))
+    # quasi(Phi, p) at b is Phi at b^p on v^p; eq5 as Phi, since for a power
+    # base base(t)^p and base(t^p) agree.  (t // 4) % 2 gives each p both inputs.
+    p = _QUASI_PS[(t // 4) % 2]
+    b = luxemburg(v, weight, quasi_young(env.phi, p))
+    via = luxemburg(v**p, weight, env.phi) ** (1.0 / p)
+    margins.append(_eq_margin(b, via, scale=max(via, _TINY)))
     return margins
+
+
+def _interp_table(psi: YoungFunction, t: np.ndarray) -> np.ndarray:
+    """np.interp through a table's nodes, extended past the last by its slope."""
+    xs, ys = psi.xs, psi.ys
+    slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+    return np.where(t > xs[-1], ys[-1] + slope * (t - xs[-1]), np.interp(t, xs, ys))
 
 
 _HOLDER_PS = (4.0 / 3.0, 1.5, 2.0, 3.0)

@@ -10,22 +10,21 @@ evaluable kinds are supported:
   axioms while keeping the small-argument behaviour, which is the regime all
   embedding arguments live in.
 * ``quasi``: Phi0(t) = base(t^p) with 0 < p <= 1 (order-p quasi-Young).
-* ``table``: piecewise-linear interpolation of sampled values, linearly
-  extended past the last node.  Used mainly for tabulated conjugates, whose
-  node values are lower bounds (see ``conjugate_table``).
+* ``table``: a tabulated conjugate Psi, built only by ``conjugate_table``:
+  piecewise-linear interpolation of its node values, linearly extended past
+  the last node.  The node values are lower bounds (see ``conjugate_table``).
 
-A table whose nodes after 0 are log-uniform, as ``conjugate_table`` builds
-them, finds the segment of an argument t in O(1) instead of by binary
-search: floor((log t - log x1)/h + 1/2), which is the segment itself or the
-one below it, then one exact comparison with the segment's upper node.  Its
-value is ``np.interp``'s formula slope_j (t - x_j) + y_j on that segment,
-with the per-segment slopes computed once by ``table``, so it returns the
-same bits as ``np.interp`` (and as the linear extension past the last node).
-Any other table uses ``np.interp``.
+A table's nodes after 0 are log-uniform, so it finds the segment of an
+argument t in O(1) instead of by binary search: floor((log t - log x1)/h +
+1/2), which is the segment itself or the one below it, then one exact
+comparison with the segment's upper node.  Its value is slope_j (t - x_j) +
+y_j on that segment, with the per-segment slopes computed once: numpy's
+``interp`` formula, so it returns the bits of ``interp`` through the nodes
+(and of the linear extension past the last node).
 
 Each function is validated once, by its builder.  ``power`` and ``eq5`` are
-valid by construction; ``quasi_young`` and ``table`` run one probe pass
-(Phi(0) = 0, Phi nondecreasing) that also sets ``finite``.
+valid by construction; ``quasi_young`` and ``conjugate_table`` run one probe
+pass (Phi(0) = 0, Phi nondecreasing) that also sets ``finite``.
 
 ``complementary`` computes the conjugate Psi(y) = sup_{x>=0} (x y - Phi(x))
 numerically; ``delta2_probe`` estimates a doubling constant on an interval.
@@ -48,11 +47,9 @@ __all__ = [
     "power",
     "eq5",
     "quasi_young",
-    "table",
     "complementary",
     "conjugate_table",
     "delta2_probe",
-    "young_to_dict",
     "young_from_dict",
 ]
 
@@ -106,16 +103,15 @@ class _LogGrid(NamedTuple):
         return j
 
 
-def _log_grid(xs: np.ndarray, ys: np.ndarray) -> Optional[_LogGrid]:
-    """The O(1) lookup of a table with log-uniform positive nodes, else None.
+def _log_grid(xs: np.ndarray, ys: np.ndarray) -> _LogGrid:
+    """The O(1) lookup of a table with nodes 0 < x1 < x2 < ... log-uniform after 0.
 
     Each node must sit within a quarter segment of its place, measured by
     the very formula the lookup evaluates, so the floor is never more than
-    one segment low nor above the segment; slopes must be finite, so that
-    the formula gives y_j exactly at x_j.
+    one segment low nor above the segment (the nodes then increase strictly);
+    slopes must be finite, so that the formula gives y_j exactly at x_j.
+    Else DomainError: the nodes cannot be placed in double precision.
     """
-    if xs.size < 3:
-        return None
     with np.errstate(all="ignore"):
         slopes = np.diff(ys) / np.diff(xs)
         logs = np.log(xs[1:])
@@ -123,7 +119,7 @@ def _log_grid(xs: np.ndarray, ys: np.ndarray) -> Optional[_LogGrid]:
         lead = 0.5 - logs[0] * scale
         place = logs * scale + lead - np.arange(0.5, xs.size - 1)
     if not (np.isfinite(slopes).all() and np.abs(place).max() <= 0.25):
-        return None
+        raise DomainError("conjugate grid nodes cannot be placed on a log grid in double precision")
     upper = np.append(xs[1:], np.nan)
     slopes = np.append(slopes, slopes[-1])
     upper.flags.writeable = False
@@ -131,18 +127,12 @@ def _log_grid(xs: np.ndarray, ys: np.ndarray) -> Optional[_LogGrid]:
     return _LogGrid(float(scale), float(lead), float(xs.size - 1), upper, slopes)
 
 
-def _eval_table(xs: np.ndarray, ys: np.ndarray, grid: Optional[_LogGrid], t: np.ndarray) -> np.ndarray:
-    """np.interp through the nodes, linearly extended past the last one.
+def _eval_table(xs: np.ndarray, ys: np.ndarray, grid: _LogGrid, t: np.ndarray) -> np.ndarray:
+    """Linear interpolation through the nodes, extended past the last one by its slope.
 
-    On a log grid, an overflow far past the last node warns unless the
-    caller's errstate says otherwise; ``__call__`` and the solvers set one.
+    An overflow far past the last node warns unless the caller's errstate
+    says otherwise; ``__call__`` and the solvers set one.
     """
-    if grid is None:
-        out = np.interp(t, xs, ys)
-        slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
-        with np.errstate(over="ignore", invalid="ignore"):
-            ext = ys[-1] + slope * (t - xs[-1])
-        return np.where(t > xs[-1], ext, out)
     j = grid.segment(t)
     out = t - xs[j]
     out *= grid.slopes[j]
@@ -154,12 +144,12 @@ def _eval_table(xs: np.ndarray, ys: np.ndarray, grid: Optional[_LogGrid], t: np.
 class YoungFunction:
     """Evaluable Young (or quasi-Young) function, validated once when built.
 
-    Make one with ``power``, ``eq5``, ``quasi_young`` or ``table``; the
-    builders check the axioms and set ``finite``, and nothing is probed again
-    afterwards.  A table's nodes ``xs`` and ``ys`` are read-only float64
+    Make one with ``power``, ``eq5``, ``quasi_young`` or ``conjugate_table``;
+    the builders check the axioms and set ``finite``, and nothing is probed
+    again afterwards.  A table's nodes ``xs`` and ``ys`` are read-only float64
     arrays: writing into them raises ValueError.  ``==`` and ``hash`` cover
     every field but ``finite`` and ``grid``, and compare table nodes by their
-    values; ``grid`` is the O(1) segment lookup of a log-uniform table.
+    values; ``grid`` is a table's O(1) segment lookup.
     """
 
     kind: str
@@ -236,27 +226,6 @@ def quasi_young(base: YoungFunction, p: float) -> YoungFunction:
     return _probed(YoungFunction("quasi", p=float(p), base=base))
 
 
-def table(xs, ys) -> YoungFunction:
-    """Piecewise-linear Young function through (xs, ys); xs[0] must be 0.
-
-    Its values are ``np.interp``'s, linearly extended past the last node.
-    When the nodes after 0 are log-uniform (with finite slopes), the table
-    keeps the constants and per-segment slopes of an O(1) segment lookup,
-    which returns the same bits; otherwise it binary-searches.
-    """
-    xs = np.array(xs, dtype=np.float64)
-    ys = np.array(ys, dtype=np.float64)
-    if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
-        raise DomainError("table needs matching one-dimensional xs/ys with at least two nodes")
-    if xs[0] != 0.0 or ys[0] != 0.0:
-        raise DomainError("table must start at (0, 0)")
-    if not np.all(np.diff(xs) > 0):
-        raise DomainError("table abscissae must be strictly increasing")
-    xs.flags.writeable = False
-    ys.flags.writeable = False
-    return _probed(YoungFunction("table", xs=xs, ys=ys, grid=_log_grid(xs, ys)))
-
-
 _BRACKET_CAP = 2.0**60
 
 
@@ -305,16 +274,19 @@ def conjugate_table(
     """Tabulate the numeric conjugate at 0 and on a log grid of `nodes` points.
 
     The grid runs from y_lo to y_hi, which need finite 0 < y_lo < y_hi, and
-    nodes must be an integer >= 2, else DomainError.  Its nodes after 0 are
-    log-uniform, so the table finds an argument's segment in O(1) (see
-    ``table``) and returns ``np.interp``'s values.  Each node value is
-    x* y - Phi(x*) at the ternary-search point x*, a *lower* bound on Psi(y)
-    (short of it by the search error).  Linear interpolation of a convex
-    function overestimates between nodes, so the table majorizes the true
-    conjugate between nodes only up to that error, and not at the nodes
-    themselves.  Young's inequality x y <= Phi(x) + Psi(y), which the
-    constant-2 Hoelder checks rely on, therefore holds for the table only up
-    to the same error; a certified upper bound is not computed here.
+    nodes must be an integer >= 2, else DomainError; so must ends too close
+    to place the nodes in double precision.  A non-finite node value raises
+    UnboundedError, as a bracket past the cap of ``complementary`` does.  The
+    table interpolates linearly between nodes, extends the last segment past
+    the last node, and finds an argument's segment in O(1) (see the module
+    docstring).  Each node value is x* y - Phi(x*) at the ternary-search
+    point x*, a *lower* bound on Psi(y) (short of it by the search error).
+    Linear interpolation of a convex function overestimates between nodes,
+    so the table majorizes the true conjugate between nodes only up to that
+    error, and not at the nodes themselves.  Young's inequality
+    x y <= Phi(x) + Psi(y), which the constant-2 Hoelder checks rely on,
+    therefore holds for the table only up to the same error; a certified
+    upper bound is not computed here.
     """
     if not 0 < y_lo < y_hi < math.inf:
         raise DomainError(f"conjugate grid needs finite 0 < y_lo < y_hi, got {y_lo!r}, {y_hi!r}")
@@ -322,7 +294,14 @@ def conjugate_table(
         raise DomainError(f"conjugate grid needs an integer nodes >= 2, got {nodes!r}")
     ys_grid = np.geomspace(y_lo, y_hi, nodes)
     vals = complementary(phi, ys_grid)
-    return table(np.concatenate(([0.0], ys_grid)), np.concatenate(([0.0], vals)))
+    if not np.isfinite(vals).all():
+        raise UnboundedError(f"conjugate overflows on the grid up to {y_hi!r}")
+    xs = np.concatenate(([0.0], ys_grid))
+    ys = np.concatenate(([0.0], vals))
+    grid = _log_grid(xs, ys)
+    xs.flags.writeable = False
+    ys.flags.writeable = False
+    return _probed(YoungFunction("table", xs=xs, ys=ys, grid=grid))
 
 
 def delta2_probe(phi: YoungFunction, r: float, samples: int = 256) -> float:
@@ -349,22 +328,14 @@ def delta2_probe(phi: YoungFunction, r: float, samples: int = 256) -> float:
     return float(np.max(num[ok] / den[ok]))
 
 
-def young_to_dict(phi: YoungFunction) -> dict:
-    """Serializable spec: {"kind": "power"|"eq5"|"quasi", "p"?, "base"?}."""
-    if phi.kind == "power":
-        return {"kind": "power", "p": phi.p}
-    if phi.kind == "eq5":
-        return {"kind": "eq5"}
-    if phi.kind == "quasi":
-        return {"kind": "quasi", "p": phi.p, "base": young_to_dict(phi.base)}
-    raise DomainError(f"kind {phi.kind!r} has no file representation")
-
-
 _SPEC_KEYS = {"eq5": {"kind"}, "power": {"kind", "p"}, "quasi": {"kind", "p", "base"}}
 
 
 def young_from_dict(spec: dict) -> YoungFunction:
-    """Inverse of young_to_dict: exactly the kind's keys; an error names the fault, not the spec."""
+    """The Young function of a JSON spec {"kind": "power"|"eq5"|"quasi", "p"?, "base"?}.
+
+    A spec holds exactly its kind's keys; an error names the fault, not the spec.
+    """
     kind = spec.get("kind") if isinstance(spec, dict) else None
     if not isinstance(kind, str) or spec.keys() != _SPEC_KEYS.get(kind):
         raise DomainError("Young-function spec must be {kind: eq5}, {kind: power, p} or {kind: quasi, p, base}")

@@ -24,7 +24,17 @@ from tflocal.verify import (
     _trig_symbol,
     trial_rng,
 )
-from tflocal.young import YoungFunction, conjugate_table, quasi_young, table
+from tflocal.young import YoungFunction, conjugate_table, quasi_young
+
+
+def _flat_conjugate():
+    """A tabulated conjugate that vanishes near 0 and is 2y - 1 on [1/2, 1].
+
+    It is Psi of the table through (1, 1/4), (2, 1) and (4, 4), whose first
+    slope is 1/4, so Psi(y) = 0 up to y = 1/4; past its last node, 1, it
+    extends with slope 3/2.
+    """
+    return conjugate_table(conjugate_table(power(2), 1.0, 4.0, nodes=3), 0.125, 1.0, nodes=4)
 
 
 def lux_oracle(vals, weight, phi, iters=200):
@@ -88,12 +98,11 @@ def test_luxemburg_bracket_property(env, monkeypatch):
     for phi in (power(1.5), power(3), eq5(), psi, quasi):
         v = np.abs(rng.standard_normal(40)) + 0.01
         _assert_bracket(v[None], 1.0, phi, [luxemburg(v, 1.0, phi)])
-    # Phi vanishes on [0, 1] and the nodes are off a log grid, so the row is
-    # bisected; the norm is 0.375, where 3 Phi(0.5 / b) = 1
-    flat = table([0, 1, 2, 3], [0, 0, 1, 3])
+    # a table that vanishes near 0: the norm is 0.9, where 3 Psi(0.5 / b) = 1
+    flat = _flat_conjugate()
     v = np.array([0.5, 0.5, 0.5])
     b = luxemburg(v, 1.0, flat)
-    assert abs(b - 0.375) <= 1e-12 * 0.375
+    assert abs(b - 0.9) <= 1e-12 * 0.9
     _assert_bracket(v[None], 1.0, flat, [b])
     # every row of every batched solve: the inner rows of both mixed norms
     # (one norm per torus node, resp. per lattice point) and the outer solve
@@ -154,8 +163,8 @@ def _solver_kinds():
         # concave, solved through the base
         quasi_young(power(1), 0.05),
         quasi_young(power(2), 0.3),
-        # off a log grid, so every row is bisected
-        table([0, 1, 2, 3], [0, 0, 1, 3]),
+        # a table that vanishes near 0
+        _flat_conjugate(),
     )
 
 
@@ -339,13 +348,19 @@ def test_luxemburg_tiny_norm_and_pass_cap(monkeypatch):
         bisected = orlicz._lux_bisect(v[None], 1e-300, power(1))
     for norm in (b, bisected[0]):
         _assert_bracket(v[None], 1e-300, power(1), [norm])
+    # under t^0.001 the root of 50 values lies past the double range: the
+    # direct root fails its certificate, and the bisection raises
+    fallback = _spy_fallback(monkeypatch)
+    fifty = np.abs(trial_rng(21, "lux-range", 0).standard_normal(50))
+    with pytest.raises(PrecisionError, match="double range"):
+        luxemburg(fifty, 1.0, quasi_young(power(1), 1e-3))
+    assert fallback == [("quasi", 1)]
     # with no tolerance no bracket can close, so the cap must raise; an exact
-    # direct root would certify at zero width, so power, eq5 and quasi rows
-    # are sent to the bisection by a candidate that fails
+    # direct root would certify at zero width, so every row is sent to the
+    # bisection by a candidate that fails
     monkeypatch.setattr(orlicz, "_REL_TOL", 0.0)
     monkeypatch.setattr(orlicz, "_direct_roots", lambda va, peak, weight, phi: np.full(len(va), np.nan))
-    flat = table([0, 1, 2, 3], [0, 0, 1, 3])
-    for phi in (power(2), eq5(), flat, quasi_young(eq5(), 0.75)):
+    for phi in (power(2), eq5(), _flat_conjugate(), quasi_young(eq5(), 0.75)):
         with pytest.raises(PrecisionError, match="64 passes"):
             luxemburg(v, 1.0, phi)
 

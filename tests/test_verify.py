@@ -15,7 +15,7 @@ from tflocal import (
     report_lines,
     run_suite,
 )
-from tflocal import orlicz, verify
+from tflocal import orlicz, verify, young
 from tflocal.cli import dispatch
 from tflocal.verify import (
     REGISTRY,
@@ -164,6 +164,31 @@ def test_power_reduction_catches_off_power_stacked_error(env, monkeypatch):
     monkeypatch.setattr(verify, "_lux_stack", skewed)
     (res,) = run_suite([spec], env)
     assert res.violations > 0
+
+
+def test_power_reduction_catches_table_lookup_and_quasi_faults(env, monkeypatch):
+    # a table lookup that never bumps its floor to the segment above, and a
+    # quasi function that takes base(t)^p: the certificate evaluates the same
+    # faulty function and passes, so only the comparison with interpolation
+    # through psi's nodes, resp. the quasi reduction identity, can see them
+    spec = CheckSpec(id="luxemburg_power_reduction", trials=4)
+    (clean,) = run_suite([spec], env)
+    assert clean.violations == 0
+
+    def unbumped(grid, t):
+        u = np.fmin(np.log(np.maximum(t, grid.upper[0])) * grid.scale + grid.lead, grid.top)
+        return u.astype(np.intp)
+
+    evaluate = young.YoungFunction._eval
+
+    def outer_power(phi, t):
+        return phi.base._eval(t) ** phi.p if phi.kind == "quasi" else evaluate(phi, t)
+
+    for cls, name, fault in ((young._LogGrid, "segment", unbumped), (young.YoungFunction, "_eval", outer_power)):
+        with monkeypatch.context() as m:
+            m.setattr(cls, name, fault)
+            (res,) = run_suite([spec], env)
+        assert res.violations > 0, name
 
 
 # the seven Hoelder and convolution checks that solve many trials' Luxemburg

@@ -15,7 +15,8 @@ from tflocal import (
     power,
     quasi_young,
 )
-from tflocal.young import EQ5_BREAK, EQ5_TAIL, table, young_from_dict, young_to_dict
+from tflocal.verify import _interp_table
+from tflocal.young import EQ5_BREAK, EQ5_TAIL, young_from_dict
 
 YSTAR = 2 * math.exp(-1.5)
 
@@ -157,28 +158,20 @@ def test_quasi_overflow_is_not_finite():
 
 
 def test_table_kind():
-    xs = (0.0, 1.0, 2.0, 4.0)
-    ys = (0.0, 1.0, 4.0, 16.0)
-    phi = table(xs, ys)
-    assert phi(1.0) == 1.0
-    assert phi(3.0) == 10.0  # linear between (2,4) and (4,16)
-    assert phi(5.0) == 22.0  # linear extension with the last slope
-    for xs, ys in (
-        ((0.0, 1.0, 2.0), (0.0, 1.0)),  # mismatched lengths
-        ((0.0,), (0.0,)),  # fewer than two nodes
-        ((0.5, 1.0), (0.0, 1.0)),  # first node not (0, 0)
-        ((0.0, 1.0), (0.5, 1.0)),
-        ((0.0, 1.0, 1.0), (0.0, 1.0, 2.0)),  # repeated abscissa
-        ((0.0, 2.0, 1.0), (0.0, 1.0, 2.0)),  # decreasing abscissae
-        (((0.0, 1.0), (2.0, 3.0)), ((0.0, 1.0), (2.0, 3.0))),  # 2-D
-    ):
-        with pytest.raises(DomainError):
-            table(xs, ys)
+    # the conjugate of t^2 is y^2/4, tabulated at 0, 1, 2 and 4
+    phi = conjugate_table(power(2), 1.0, 4.0, nodes=3)
+    assert phi.kind == "table" and phi.finite
+    assert phi.xs.tolist() == [0.0, 1.0, 2.0, 4.0]
+    assert phi.ys.tolist() == pytest.approx([0.0, 0.25, 1.0, 4.0], rel=1e-15)
+    assert phi(1.0) == phi.ys[1]
+    assert phi(3.0) == pytest.approx(2.5, rel=1e-15)  # linear between (2, 1) and (4, 4)
+    assert phi(5.0) == pytest.approx(5.5, rel=1e-15)  # linear extension with the last slope
     # equality and hashing compare the node values
-    assert table(xs=(0, 1), ys=(0, 2)) == table((0.0, 1.0), (0.0, 2.0))
-    assert hash(table((0, 1), (0, 2))) == hash(table((0.0, 1.0), (0.0, 2.0)))
-    assert table((0, 1), (0, 2)) != table((0, 1), (0, 3))
-    assert len({power(2), power(2), eq5(), phi}) == 3
+    again = conjugate_table(power(2), 1, 4, nodes=3)
+    assert again == phi and hash(again) == hash(phi)
+    assert phi != conjugate_table(power(2), 1.0, 4.0, nodes=4)
+    assert phi != conjugate_table(power(3), 1.0, 4.0, nodes=3)
+    assert len({power(2), power(2), eq5(), phi, again}) == 3
 
 
 def test_table_nodes_read_only_and_exact():
@@ -194,15 +187,6 @@ def test_table_nodes_read_only_and_exact():
     slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
     want = np.where(t > xs[-1], ys[-1] + slope * (t - xs[-1]), np.interp(t, xs, ys))
     assert np.array_equal(psi(t), want)
-
-
-def _interp_reference(psi, t):
-    """np.interp through the table's nodes, extended by the last slope."""
-    xs, ys = psi.xs, psi.ys
-    slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
-    with np.errstate(over="ignore"):
-        ext = ys[-1] + slope * (t - xs[-1])
-    return np.where(t > xs[-1], ext, np.interp(t, xs, ys))
 
 
 def _same_bits(a, b):
@@ -225,26 +209,29 @@ def test_log_grid_lookup_is_interp_bit_for_bit(phi):
         )
     )
     with np.errstate(over="ignore"):  # 1e300 overflows past the last node
-        assert _same_bits(psi._eval(t), _interp_reference(psi, t))
+        assert _same_bits(psi._eval(t), _interp_table(psi, t))
     grid = t[:300_000].reshape(600, 500)  # a 2-D argument keeps its shape
     got = psi(grid)
-    assert got.shape == grid.shape and _same_bits(got, _interp_reference(psi, grid))
+    assert got.shape == grid.shape and _same_bits(got, _interp_table(psi, grid))
     assert _same_bits(psi(float(xs[7])), psi.ys[7])
 
 
 def test_small_log_grid_and_other_tables():
     # the fewest nodes conjugate_table accepts still take the O(1) path
     psi = conjugate_table(power(2), 1e-3, 1e3, nodes=2)
-    assert psi.grid is not None
     t = np.concatenate((np.geomspace(1e-6, 1e6, 999), psi.xs, [0.0]))
-    assert _same_bits(psi._eval(t), _interp_reference(psi, t))
-    # nodes off a log-uniform grid keep np.interp, with the same values
-    hand = table((0.0, 1.0, 2.0, 5.0, 6.0), (0.0, 1.0, 3.0, 10.0, 13.0))
-    assert hand.grid is None
-    t = np.linspace(0.0, 8.0, 801)
-    assert _same_bits(hand._eval(t), _interp_reference(hand, t))
+    assert _same_bits(psi._eval(t), _interp_table(psi, t))
+    # so do ends one part in 1e12 apart, and a table that vanishes near 0:
+    # the conjugate of its table is 0 up to the first slope 1/4
+    for other in (
+        conjugate_table(power(2), 1.0, 1.0 + 1e-12, nodes=2048),
+        conjugate_table(conjugate_table(power(2), 1.0, 4.0, nodes=3), 0.125, 1.0, nodes=4),
+    ):
+        xs = other.xs
+        t = np.concatenate((np.linspace(0.0, 2 * xs[-1], 4001), xs, np.nextafter(xs[1:], 0.0)))
+        assert _same_bits(other._eval(t), _interp_table(other, t))
     # the lookup is derived data: equality and hashing ignore it, and it is read-only
-    again = table(psi.xs, psi.ys)
+    again = conjugate_table(power(2), 1e-3, 1e3, nodes=2)
     assert again == psi and hash(again) == hash(psi)
     for arr in (psi.grid.upper, psi.grid.slopes):
         with pytest.raises(ValueError):
@@ -264,11 +251,20 @@ def test_small_log_grid_and_other_tables():
         (1e-9, 1e9, 0),
         (1e-9, 1e9, 2.5),
         (1e-9, 1e9, True),
+        (1.0, 1.0 + 1e-13, 2048),  # ends too close to place the nodes
     ],
 )
 def test_conjugate_table_grid_validation(args):
     with pytest.raises(DomainError, match="conjugate grid"):
         conjugate_table(power(2), *args)
+
+
+def test_conjugate_table_refuses_non_finite_values():
+    # the conjugate of t^100 overflows near the top of the double range, where
+    # the probe grid of the validation pass does not reach
+    with pytest.raises(UnboundedError, match="overflows"):
+        conjugate_table(power(100), 1e-9, 1.7e308, 64)
+    assert conjugate_table(power(100), 1e-9, 1e300, 64).finite
 
 
 def test_non_finite_arguments_are_refused():
@@ -294,13 +290,15 @@ def test_conjugate_table_majorizes():
 
 def test_young_json_round_trip():
     specs = [
-        {"kind": "power", "p": 2.0},
-        {"kind": "eq5"},
-        {"kind": "quasi", "p": 0.5, "base": {"kind": "power", "p": 4.0}},
+        ({"kind": "power", "p": 2.0}, power(2)),
+        ({"kind": "power", "p": 3}, power(3.0)),
+        ({"kind": "eq5"}, eq5()),
+        ({"kind": "quasi", "p": 0.5, "base": {"kind": "power", "p": 4.0}}, quasi_young(power(4), 0.5)),
+        ({"kind": "quasi", "p": 1, "base": {"kind": "eq5"}}, eq5()),  # order 1 is the base
     ]
-    for s in specs:
+    for s, want in specs:
         phi = young_from_dict(s)
-        assert young_from_dict(young_to_dict(phi))(1.25) == phi(1.25)
+        assert phi == want and phi(1.25) == want(1.25)
     with pytest.raises(DomainError):
         young_from_dict({"kind": "mystery"})
     # a spec holds exactly its kind's keys: an extra key is never ignored
