@@ -24,7 +24,11 @@ coefficients are real and even, and E11 reaches only the rank-one path.
 M12 and M13 are killed by `luxemburg_power_reduction`: the first by the
 table lookup compared with interpolation through the nodes, the second by
 the quasi reduction identity, whose base is eq5 because for a power base
-the fault is an identity.
+the fault is an identity.  M6 is killed by the three convolution checks,
+each of which compares one drawn entry of F * G with its defining
+quadrature sum; a lower torus degree leaves the Young inequality intact.
+E12 is killed by `trace_sandwich`, which compares one drawn sigma_tilde
+entry, made by the phase-space convolution, with <L a, a> from the kernel.
 """
 
 from __future__ import annotations
@@ -126,6 +130,9 @@ MUTANTS = (
     Mutant("E2", "_synthesis_values: weight x1.001", "stft.py",
            "coef = (coef @ phase_matrix(M, -K, K, 1, n).T) * torus.weight",
            "coef = (coef @ phase_matrix(M, -K, K, 1, n).T) * torus.weight * 1.001"),
+    Mutant("E12", "sigma_tilde: lattice crop off by one", "locop.py",
+           "overlap((0,) * n, R, R + 2 * K)",
+           "overlap((1,) * n, R, R + 2 * K)"),
     Mutant("E5", "weak_pairing: Vh not conjugated", "locop.py",
            "np.conj(_crop(Vh, sigma))",
            "_crop(Vh, sigma)"),

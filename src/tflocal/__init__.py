@@ -68,7 +68,6 @@ from .young import (
     YoungFunction,
     complementary,
     conjugate_table,
-    delta2_probe,
     eq5,
     power,
     quasi_young,

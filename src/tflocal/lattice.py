@@ -17,12 +17,13 @@ The phases exp(+-2 pi i d.j/M) of that quadrature come from one place,
 uses it.  Its result is cached and read-only, so no caller can corrupt the
 phases another caller sees.  The maps between torus samples and torus
 Fourier coefficients, `field_coefficients` and `coefficients_to_values`,
-sit next to it.  Likewise every placement of a block m + [-r, r]^n in an
-array stored over a range [-R, R]^n comes from one place, `overlap`: the
-box position of an STFT or kernel block (`block_slices`), the admissible
-block, translation, the crop of a field to a smaller lattice radius and the
-second-level transform's trimmed window all read it, so the order of the
-lattice axes is decided there alone.
+sit next to it, and so does `_convolve`, the one phase-space convolution,
+which works on coefficients.  Likewise every placement of a block
+m + [-r, r]^n in an array stored over a range [-R, R]^n comes from one
+place, `overlap`: the box position of an STFT or kernel block
+(`block_slices`), the admissible block, translation, the crop of a field to
+a smaller lattice radius and the second-level transform's trimmed window
+all read it, so the order of the lattice axes is decided there alone.
 
 Array layout is lexicographic with the slowest axis first (NumPy C order),
 so serialized files are reproducible bit for bit.
@@ -155,6 +156,27 @@ def coefficients_to_values(coef: np.ndarray, torus: TorusGrid, deg: int) -> np.n
     lead = coef.shape[: coef.ndim - n]
     vals = coef.reshape(-1, (2 * deg + 1) ** n) @ phase_matrix(torus.M, -deg, deg, 1, n)
     return vals.reshape(lead + torus.shape)
+
+
+def _convolve(a: np.ndarray, b: np.ndarray, torus: TorusGrid, deg: int) -> np.ndarray:
+    """Torus coefficients on [-deg, deg]^n of sum_l int a(l, x) b(m - l, w - x) dx.
+
+    a and b hold lattice ranges on their first n axes and the grid on the
+    last n.  Nothing is checked: the caller keeps the integrand exact, and
+    maps the lattice points it keeps back with `coefficients_to_values`.
+    """
+    n, M = torus.n, torus.M
+    P = phase_matrix(M, -deg, deg, -1, n)
+    ca, cb = (
+        ((X.reshape(-1, M**n) @ P.T) * torus.weight).reshape(X.shape[:n] + (2 * deg + 1,) * n)
+        for X in (a, b)
+    )
+    Ra, Rb = a.shape[0] // 2, b.shape[0] // 2
+    out = np.zeros((2 * (Ra + Rb) + 1,) * n + cb.shape[n:], dtype=np.complex128)
+    for idx in np.ndindex(ca.shape[:n]):
+        window = overlap(tuple(i - Ra for i in idx), Rb, Ra + Rb)[1]
+        out[window] += ca[idx] * cb
+    return out
 
 
 @lru_cache(maxsize=None)

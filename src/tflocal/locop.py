@@ -7,8 +7,10 @@ matrix C_m(k, l) = c_m(k - l).  Each term lives on the (2K+1)^n block
 around m, so the kernel is assembled one small block per m, in a fixed
 order, and is reproducible bit for bit.  Every operator path sums one
 integrand of degree deg sigma + 2K (the product's deg sigma + K and the
-atoms' K) and refuses it, once, above M - 1.  Spectral data comes from a dense
-SVD; every singular value is kept (thresholding would corrupt trace norms).
+atoms' K) and refuses it, once, above M - 1.  The diagonal expectations
+are the Berezin transform sigma * |V_g g|^2, one phase-space convolution.
+Spectral data comes from a dense SVD; every singular value is kept
+(thresholding would corrupt trace norms).
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ from .lattice import (
     Signal,
     TorusGrid,
     _check_finite,
+    _convolve,
     block_slices,
+    coefficients_to_values,
     overlap,
     phase_matrix,
 )
@@ -151,18 +155,6 @@ def _difference_index(n: int, K: int) -> np.ndarray:
     return idx
 
 
-def _shift_blocks(sigma: PhaseSpaceField, matrix: np.ndarray):
-    """Views of matrix[B_m, B_m] for each lattice shift m of sigma, in order.
-
-    B_m holds the box rows of m + [-K, K]^n; the guard |m| <= 2K keeps it
-    inside [-C, C]^n.  Each view has shape (2K+1,) * 2n: row axes first.
-    """
-    t = matrix.reshape(sigma.spec.shape * 2)
-    for m in sigma.m_points():
-        sl = block_slices(sigma.spec, m)
-        yield t[sl + sl]
-
-
 def _local(g: Signal) -> np.ndarray:
     """The window on [-K, K]^n, flattened lexicographically."""
     return g.values[g.spec.admissible_slices()].ravel()
@@ -184,7 +176,10 @@ def kernel(sigma: PhaseSpaceField, g1: Signal, g2: Signal) -> OperatorKernel:
     G = _local(g2)[:, None] * np.conj(_local(g1))[None, :]
     idx = _difference_index(n, R)
     K = np.zeros((spec.side**n,) * 2, dtype=np.complex128)
-    for cm, block in zip(c, _shift_blocks(sigma, K)):
+    t = K.reshape(spec.shape * 2)  # row axes first
+    for cm, m in zip(c, sigma.m_points()):
+        sl = block_slices(spec, m)  # |m| <= 2K keeps m + [-K, K]^n inside the box
+        block = t[sl + sl]
         block += (G * cm[idx]).reshape(block.shape)
     prov = {
         "symbol": _content_id(sigma.values),
@@ -223,27 +218,16 @@ def spectrum(K: OperatorKernel, ps=(1.0, 2.0, math.inf)) -> SpectralSummary:
 def sigma_tilde(sigma: PhaseSpaceField, g: Signal) -> PhaseSpaceField:
     """Diagonal expectations <L atom, atom> over every phase-space grid point.
 
-    The atom at (m, j/M) lives on m + [-K, K]^n, so only the kernel block
-    K[B_m, B_m] enters.  Summing conj(g(u)) K[m+u, m+v] g(v) along the
-    diagonals u - v = d gives q_m(d), and one matmul with the phases
-    e^{-2 pi i d.j/M} gives every node j at once.
+    Covariance gives |<M_w T_m g, M_x T_l g>| = |V_g g(l - m, x - w)|, so they
+    are the Berezin transform sigma * |V_g g|^2 on sigma's lattice range, of
+    degree min(deg sigma, 2K): the operator check covers its extractions.
     """
     if g.is_zero():
         raise DomainError("window must be non-zero")
+    _check_operator_inputs(sigma, g, g)
     spec, torus = sigma.spec, sigma.torus
-    n, R = spec.n, spec.K
-    K = kernel(sigma, g, g).matrix
-    gl = _local(g)
-    G = np.conj(gl)[:, None] * gl[None, :]
-    idx = _difference_index(n, R).ravel()
-    D = (4 * R + 1) ** n
-    q = np.empty((math.prod(sigma.lattice_shape), D), dtype=np.complex128)
-    for qm, block in zip(q, _shift_blocks(sigma, K)):
-        Q = (G * block.reshape(G.shape)).ravel()
-        qm[:] = np.bincount(idx, Q.real, D) + 1j * np.bincount(idx, Q.imag, D)
-    vals = (q @ phase_matrix(torus.M, -2 * R, 2 * R, -1, n)).reshape(
-        sigma.lattice_shape + torus.shape
-    )
-    return PhaseSpaceField(
-        spec, torus, sigma.m_radius, vals, degree_bound=min(2 * spec.K, torus.M - 1)
-    )
+    n, K, R = spec.n, spec.K, sigma.m_radius
+    W = np.abs(_stft_values(g.values, g.values, spec, torus, 2 * K)) ** 2
+    d = min(sigma.degree_bound, 2 * K)
+    coef = _convolve(sigma.values, W, torus, d)[overlap((0,) * n, R, R + 2 * K)[1]]
+    return PhaseSpaceField(spec, torus, R, coefficients_to_values(coef, torus, d), degree_bound=d)

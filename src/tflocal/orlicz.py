@@ -19,9 +19,9 @@ node and an outer one across the torus (or the other way round for the
 swapped variant, where the inner torus norm uses the second Young function
 and the outer lattice norm the first).  One routine, `_mixed_norms`, takes a
 stack of fields and solves each of its two stages once per Young function;
-a single field is its one-field case.  Phase-space convolution works in
-torus-coefficient space, which is exact for the trigonometric polynomials
-these fields represent.
+a single field is its one-field case.  Phase-space convolution is
+`lattice._convolve` in torus-coefficient space, exact once the grid sums
+the integrand's degree deg F + deg G.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, PrecisionError, RangeError, _check_exponent
-from .lattice import PhaseSpaceField, coefficients_to_values, field_coefficients, overlap
+from .lattice import PhaseSpaceField, _convolve, coefficients_to_values
 from .young import EQ5_LOG_BREAK, EQ5_TAIL, YoungFunction
 
 __all__ = [
@@ -303,37 +303,20 @@ def field_lp_norm(F: PhaseSpaceField, p: float) -> float:
     return float((F.torus.weight * (a**p).sum()) ** (1.0 / p))
 
 
-def _lattice_convolve(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Full convolution along the first n axes, which hold lattice ranges [-R, R]^n."""
-    Ra, Rb = a.shape[0] // 2, b.shape[0] // 2
-    out = np.zeros((2 * (Ra + Rb) + 1,) * n + a.shape[n:], dtype=np.complex128)
-    for idx in np.ndindex(a.shape[:n]):
-        window = overlap(tuple(i - Ra for i in idx), Rb, Ra + Rb)[1]
-        out[window] += a[idx] * b
-    return out
-
-
 def convolve_phase_space(F: PhaseSpaceField, G: PhaseSpaceField) -> PhaseSpaceField:
     """Group convolution (F*G)(m,w) = sum_l int F(l,x) G(m-l, w-x) dx.
 
-    The torus direction multiplies Fourier coefficients (exact); the lattice
-    direction is dense convolution, giving output support radius
-    F.m_radius + G.m_radius and torus degree min(deg F, deg G).
+    The output has support radius F.m_radius + G.m_radius and torus degree
+    min(deg F, deg G); the integrand's degree deg F + deg G is checked once.
     """
     if F.torus != G.torus or F.spec != G.spec:
         raise DomainError("fields must share lattice and torus grids")
     r_out = F.m_radius + G.m_radius
     if r_out > 2 * F.spec.C:
         raise RangeError("convolution support would leave the doubled computation box")
+    F.torus.require_exact(F.degree_bound + G.degree_bound, "convolution integral")
     deg = min(F.degree_bound, G.degree_bound)
-    n = F.n
-    # each field's coefficients [-deg, deg]^n, out of the [-deg X, deg X]^n it holds
-    cf, cg = (
-        field_coefficients(X)[(slice(None),) * n + overlap((0,) * n, deg, X.degree_bound)[1]]
-        for X in (F, G)
-    )
-    conv = _lattice_convolve(cf, cg, n)
-    vals = coefficients_to_values(conv, F.torus, deg)
+    vals = coefficients_to_values(_convolve(F.values, G.values, F.torus, deg), F.torus, deg)
     return PhaseSpaceField(F.spec, F.torus, r_out, vals, degree_bound=deg)
 
 

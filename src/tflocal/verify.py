@@ -490,26 +490,47 @@ def _product_norms(fields, weight: float, phis) -> np.ndarray:
     return _lux_stack([a.ravel() for a in fields], weight, phis)
 
 
+def _convolution_entry_margin(F, G, H, rng) -> float:
+    """One drawn entry H(m, j) of H = F * G against w sum_l sum_x F(l, x) G(m - l, j - x).
+
+    (m, j) is drawn from H's lattice range and grid; |F|_1 max|G| bounds every entry.
+    """
+    n, M = F.n, F.torus.M
+    m = rng.integers(-H.m_radius, H.m_radius + 1, size=n)
+    j = rng.integers(0, M, size=n)
+    k = m - (np.indices(F.lattice_shape).reshape(n, -1).T - F.m_radius)  # m - l, l lexicographic
+    inside = (np.abs(k) <= G.m_radius).all(axis=1)
+    nodes = np.ix_(*((j[:, None] - np.arange(M)) % M))  # j - x per axis
+    Gk = G.values[tuple((k[inside] + G.m_radius).T)][(slice(None),) + nodes]
+    direct = np.sum(F.values.reshape((-1,) + F.torus.shape)[inside] * Gk)
+    entry = complex(H.values[tuple(m + H.m_radius) + tuple(j)])
+    scale = field_lp_norm(F, 1.0) * float(np.abs(G.values).max())
+    return _eq_margin(entry, F.torus.weight * direct, scale)
+
+
 @_in_parts(lambda env: sum(_field_values(env, r * env.lattice.K) for r in (2, 4)))  # G and F * G
 def _convolution(env, trials, young, norms):
     """|F * G| <= |F|_1 |G| in norms(fields, weight, *young functions), young(env, t) the trial's.
 
     norms is `_mixed_norms` with young(env, t) = (phi1, phi2), or
-    `_product_norms` with young(env, t) = (phi,).
+    `_product_norms` with young(env, t) = (phi,).  Each trial's margin is
+    also at most that of one drawn entry of F * G against its defining sum.
     """
-    l1, Hs, Gs, youngs = [], [], [], []
+    l1, Hs, Gs, youngs, entries = [], [], [], [], []
     for t, rng in trials:
         F = _trig_symbol(env, rng)
         G = _rank_one_symbol(env, rng) if t % 2 else _trig_symbol(env, rng)
+        H = convolve_phase_space(F, G)
         l1.append(field_lp_norm(F, 1.0))
-        Hs.append(_field_abs(convolve_phase_space(F, G)))
+        Hs.append(_field_abs(H))
         Gs.append(_field_abs(G))
         youngs.append(young(env, t))
+        entries.append(_convolution_entry_margin(F, G, H, rng))
     w = env.torus.weight
     phis = list(zip(*youngs))
     lhs = norms(Hs, w, *phis)
     rhs = np.array(l1) * norms(Gs, w, *phis)
-    return _le_trials(lhs, rhs)
+    return [min(a, b) for a, b in zip(_le_trials(lhs, rhs), entries)]
 
 
 def _mixed_convolution_powers(env, t):
@@ -785,11 +806,25 @@ def _chk_schatten_logconvexity(env, rng, t):
 
 @_trialwise
 def _chk_trace_sandwich(env, rng, t):
+    """|sigma_tilde|_1 <= |g|^2 S1, and one drawn sigma_tilde(m, j) against a^H K a.
+
+    a = M_{j/M} T_m g is the atom at the drawn point and K the kernel of
+    L(sigma, g, g), so the two sides come from the convolution and from the
+    kernel; max|sigma| |g|^4 bounds every entry.  m is drawn from sigma's
+    lattice range and j off the zero node on every axis.
+    """
     sigma = _nonneg_symbol(env, rng, t)
     g = env.window
-    lhs = field_lp_norm(sigma_tilde(sigma, g), 1.0)
-    rhs = norm2(g) ** 2 * spectrum(kernel(sigma, g, g)).schatten[1.0]
-    return [_le_margin(lhs, rhs)]
+    st = sigma_tilde(sigma, g)
+    K = kernel(sigma, g, g)
+    sandwich = _le_margin(field_lp_norm(st, 1.0), norm2(g) ** 2 * spectrum(K).schatten[1.0])
+    n, M, R = sigma.n, sigma.torus.M, sigma.m_radius
+    m = rng.integers(-R, R + 1, size=n)
+    j = rng.integers(1, M, size=n)
+    a = modulate(translate(g, m), j / M).values.ravel()
+    entry = complex(st.values[tuple(m + R) + tuple(j)])
+    scale = norm2(g) ** 4 * field_lp_norm(sigma, math.inf)
+    return [sandwich, _eq_margin(entry, np.vdot(a, K.matrix @ a), scale)]
 
 
 def _truncated_mphi(env, x: Signal) -> float:

@@ -27,8 +27,7 @@ valid by construction; ``quasi_young`` and ``conjugate_table`` run one probe
 pass (Phi(0) = 0, Phi nondecreasing) that also sets ``finite``.
 
 ``complementary`` computes the conjugate Psi(y) = sup_{x>=0} (x y - Phi(x))
-numerically; ``delta2_probe`` estimates a doubling constant on an interval.
-Both are heuristic certificates over finite grids, not proofs.
+numerically: a heuristic certificate over a finite grid, not a proof.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ __all__ = [
     "quasi_young",
     "complementary",
     "conjugate_table",
-    "delta2_probe",
     "young_from_dict",
 ]
 
@@ -302,30 +300,6 @@ def conjugate_table(
     xs.flags.writeable = False
     ys.flags.writeable = False
     return _probed(YoungFunction("table", xs=xs, ys=ys, grid=grid))
-
-
-def delta2_probe(phi: YoungFunction, r: float, samples: int = 256) -> float:
-    """Largest Phi(2x)/Phi(x) over a log grid in (0, r].
-
-    A finite return C certifies Phi(2x) <= C Phi(x) on the probed grid only;
-    this is a heuristic doubling certificate, not a proof.  Ratios 0/0 are
-    skipped; Phi(x) = 0 with Phi(2x) > 0 reports +inf.
-    """
-    if not 0 < r < math.inf:
-        raise DomainError("probe radius must be positive and finite")
-    if samples < 16:
-        raise DomainError("need at least 16 probe samples")
-    xs = np.geomspace(r * 1e-12, r, samples)
-    with np.errstate(all="ignore"):
-        num = phi._eval(2.0 * xs)
-        den = phi._eval(xs)
-    blowup = (den == 0) & (num > 0)
-    if np.any(blowup):
-        return float("inf")
-    ok = den > 0
-    if not np.any(ok):
-        return 0.0
-    return float(np.max(num[ok] / den[ok]))
 
 
 _SPEC_KEYS = {"eq5": {"kind"}, "power": {"kind", "p"}, "quasi": {"kind", "p", "base"}}

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,9 +6,11 @@ import pytest
 
 from tflocal import (
     DomainError,
+    LatticeSpec,
     PhaseSpaceField,
     PrecisionError,
     RangeError,
+    TorusGrid,
     convolve_phase_space,
     eq5,
     holder_pairing,
@@ -18,8 +21,10 @@ from tflocal import (
     power,
 )
 from tflocal import orlicz
+from tflocal.lattice import coefficients_to_values
 from tflocal.orlicz import field_lp_norm
 from tflocal.verify import (
+    _crandn,
     _rank_one_symbol,
     _trig_symbol,
     trial_rng,
@@ -525,6 +530,45 @@ def test_coefficient_alias_refusal(env):
     )
     with pytest.raises(PrecisionError):
         convolve_phase_space(F, F)
+
+
+def _direct_convolution(F, G):
+    """Loop evaluation of w sum_l sum_x F(l, x) G(m - l, w - x) at every (m, w)."""
+    n, M, RF, RG = F.n, F.torus.M, F.m_radius, G.m_radius
+    R = RF + RG
+    nodes = list(np.ndindex(F.torus.shape))
+    out = np.zeros((2 * R + 1,) * n + F.torus.shape, complex)
+    for m in itertools.product(range(-R, R + 1), repeat=n):
+        for l in itertools.product(range(-RF, RF + 1), repeat=n):
+            k = tuple(a - b for a, b in zip(m, l))
+            if max(map(abs, k)) > RG:
+                continue
+            for j in nodes:
+                for x in nodes:
+                    jx = tuple((a - b) % M for a, b in zip(j, x))
+                    Fv = F.values[tuple(a + RF for a in l) + x]
+                    Gv = G.values[tuple(a + RG for a in k) + jx]
+                    out[tuple(a + R for a in m) + j] += Fv * Gv
+    return out * F.torus.weight
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_convolution_of_an_exact_pair_matches_the_quadrature_sum(n):
+    # deg 3 * deg 1 on M = 5: the integrand's degree 4 = M - 1 is summed
+    # exactly, though 2 deg F = 6 exceeds M - 1
+    lat, tor = LatticeSpec(n, 1), TorusGrid(n, 5)
+    rng = trial_rng(47, "conv-exact-pair", n)
+
+    def field(deg):
+        coefs = _crandn(rng, (3,) * n + (2 * deg + 1,) * n)
+        vals = coefficients_to_values(coefs, tor, deg)
+        return PhaseSpaceField(lat, tor, 1, vals, degree_bound=deg)
+
+    F, G = field(3), field(1)
+    H = convolve_phase_space(F, G)
+    assert H.degree_bound == 1
+    direct = _direct_convolution(F, G)
+    assert np.abs(H.values - direct).max() <= 1e-13 * np.abs(direct).max()
 
 
 def test_holder_pairing_cases(env):

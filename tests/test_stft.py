@@ -28,7 +28,7 @@ from tflocal.lattice import (
     phase_matrix,
 )
 from tflocal.locop import apply_operator, kernel, sigma_tilde, weak_pairing
-from tflocal.orlicz import field_lp_norm
+from tflocal.orlicz import convolve_phase_space, field_lp_norm
 from tflocal.modulation import symbol_window
 from tflocal.stft import SymbolTransform, _rank_one, _stft_values, _SymbolShifts
 from tflocal.verify import (
@@ -282,6 +282,13 @@ _EXACTNESS_SITES = {
     ),
     # 2 (deg F + deg G) = 2 (1 + 1) on M = 5 - over
     "eta integral": (4, lambda over: stft_symbol(*[_ones_field(_K1, 5 - over, 1, 1)] * 2)),
+    # deg F + deg G = 3 + 1 on M = 5 - over
+    "convolution integral": (
+        4,
+        lambda over: convolve_phase_space(
+            _ones_field(_K1, 5 - over, 1, 3), _ones_field(_K1, 5 - over, 1, 1)
+        ),
+    ),
 }
 
 

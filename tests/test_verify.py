@@ -208,9 +208,9 @@ GOLDEN_STACKED = """\
 {"id": "holder_lattice_conjugate", "trials": 40, "violations": 0, "worst_margin": 0.19128746694602855, "seed": 20240801, "elapsed": 0, "tier": "holder-constant-2"}
 {"id": "holder_mixed_power", "trials": 40, "violations": 0, "worst_margin": 0.19455233489350757, "seed": 20240801, "elapsed": 0, "tier": "holder-constant-1"}
 {"id": "holder_mixed_conjugate", "trials": 40, "violations": 0, "worst_margin": 0.27560239656987484, "seed": 20240801, "elapsed": 0, "tier": "holder-constant-2"}
-{"id": "convolution_mixed_power", "trials": 40, "violations": 0, "worst_margin": 0.93866297404944654, "seed": 20240801, "elapsed": 0, "tier": null}
-{"id": "convolution_mixed_orlicz", "trials": 40, "violations": 0, "worst_margin": 0.93300479858194374, "seed": 20240801, "elapsed": 0, "tier": null}
-{"id": "convolution_product", "trials": 40, "violations": 0, "worst_margin": 0.93838626848322704, "seed": 20240801, "elapsed": 0, "tier": null}
+{"id": "convolution_mixed_power", "trials": 40, "violations": 0, "worst_margin": -1.1184126841495278e-16, "seed": 20240801, "elapsed": 0, "tier": null}
+{"id": "convolution_mixed_orlicz", "trials": 40, "violations": 0, "worst_margin": -1.1229509425432089e-16, "seed": 20240801, "elapsed": 0, "tier": null}
+{"id": "convolution_product", "trials": 40, "violations": 0, "worst_margin": -1.1917165747643366e-16, "seed": 20240801, "elapsed": 0, "tier": null}
 """
 
 

@@ -9,7 +9,6 @@ from tflocal import (
     UnboundedError,
     complementary,
     conjugate_table,
-    delta2_probe,
     eq5,
     luxemburg,
     power,
@@ -100,35 +99,6 @@ def test_biconjugation_lower_bound():
         second = complementary(psi, ts)
         orig = phi(ts)
         assert np.all(second <= orig * (1 + 1e-6) + 1e-9)
-
-
-def test_delta2_power_cases():
-    assert abs(delta2_probe(power(2), 1.0) - 4.0) <= 1e-12
-    assert abs(delta2_probe(power(1), 1.0) - 2.0) <= 1e-12
-    assert abs(delta2_probe(power(3), 0.5) - 8.0) <= 1e-12
-
-
-def test_delta2_eq5_ratio():
-    # Phi(2x)/Phi(x) = 4 log(2x)/log(x) on the head branch, which increases
-    # toward 4 as x -> 0, so the grid supremum sits at the smallest probe
-    # point and stays strictly below 4.
-    r = 0.1
-    got = delta2_probe(eq5(), r, samples=256)
-    xmin = r * 1e-12
-    expected = 4.0 * math.log(2 * xmin) / math.log(xmin)
-    assert abs(got - expected) <= 1e-12
-    assert got < 4.0
-    # certificate property on the probed grid
-    xs = np.geomspace(xmin, r, 256)
-    phi = eq5()
-    assert np.all(phi(2 * xs) <= got * phi(xs) * (1 + 1e-12))
-
-
-def test_delta2_validation():
-    with pytest.raises(DomainError):
-        delta2_probe(power(2), -1.0)
-    with pytest.raises(DomainError):
-        delta2_probe(power(2), 1.0, samples=4)
 
 
 def test_quasi_young():
@@ -275,9 +245,6 @@ def test_non_finite_arguments_are_refused():
     for bad in (math.nan, math.inf, -math.inf, np.array([0.5, math.nan])):
         with pytest.raises(DomainError):
             complementary(power(2), bad)
-    for bad in (math.inf, math.nan, 0.0):
-        with pytest.raises(DomainError):
-            delta2_probe(power(2), bad)
 
 
 def test_conjugate_table_majorizes():
