@@ -29,6 +29,10 @@ each of which compares one drawn entry of F * G with its defining
 quadrature sum; a lower torus degree leaves the Young inequality intact.
 E12 is killed by `trace_sandwich`, which compares one drawn sigma_tilde
 entry, made by the phase-space convolution, with <L a, a> from the kernel.
+E13 hands the stacked checks each other's norms.  Each is a bound or an
+identity of one trial's own norms, so another trial's norms break the
+lattice Hoelder, homogeneity and monotonicity checks; the mixed Hoelder,
+convolution and triangle bounds have slack enough to hold.
 """
 
 from __future__ import annotations
@@ -133,6 +137,9 @@ MUTANTS = (
     Mutant("E12", "sigma_tilde: lattice crop off by one", "locop.py",
            "overlap((0,) * n, R, R + 2 * K)",
            "overlap((1,) * n, R, R + 2 * K)"),
+    Mutant("E13", "stacked runner hands a part's norms to the wrong trials", "verify.py",
+           "out[idx] = got",
+           "out[idx] = got[::-1]"),
     Mutant("E5", "weak_pairing: Vh not conjugated", "locop.py",
            "np.conj(_crop(Vh, sigma))",
            "_crop(Vh, sigma)"),
@@ -181,7 +188,7 @@ def main() -> int:
         code, why = verify(m)
         killed += code != 0
         verdict = "survived" if code == 0 else f"killed by {why}" if code == 1 else f"killed, exit {code}: {why}"
-        print(f"{m.id:<4} {m.fault:<54} {verdict}", flush=True)
+        print(f"{m.id:<4} {m.fault:<56} {verdict}", flush=True)
     print(f"killed {killed}/{len(MUTANTS)}")
     return 0
 

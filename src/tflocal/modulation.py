@@ -192,18 +192,20 @@ class EmbeddingResult:
     C: float
 
 
-def embedding_condition(
-    phi_pair, psi_pair, x0: float, grid: int = 256
-) -> EmbeddingResult:
+_EMBEDDING_GRID = 256  # geometric nodes on [1e-8 x0, x0]
+
+
+def embedding_condition(phi_pair, psi_pair, x0: float) -> EmbeddingResult:
     """Grid certificate for Psi_i(x) <= C Phi_i(x) on (0, x0], i = 1, 2.
 
-    Returns the smallest grid-certified constant.  The condition is declared
-    failed when the ratio still grows at the small end of the grid, which is
-    how a divergence like -log x is detected.
+    Returns the smallest grid-certified constant over _EMBEDDING_GRID
+    geometric nodes.  The condition is declared failed when the ratio still
+    grows at the small end of the grid, which is how a divergence like
+    -log x is detected.
     """
     if not x0 > 0:
         raise DomainError("x0 must be positive")
-    xs = np.geomspace(x0 * 1e-8, x0, grid)
+    xs = np.geomspace(x0 * 1e-8, x0, _EMBEDDING_GRID)
     worst = 0.0
     holds = True
     for phi, psi in zip(phi_pair, psi_pair):

@@ -17,10 +17,11 @@ its (trial index, rng) pairs, and returns the worst margin of each trial, in
 trial order, with the check's tier: a fixed label, a summary of all trials,
 or None.  Per-trial randomness comes from a counter-based Philox stream
 keyed by (master seed, check id) with the trial index as the counter.  The
-stacked checks (Hoelder, convolution and norm axioms) solve the Luxemburg
-norms of many trials together, but each trial still draws from its own
-stream, and the solver's rows are independent, so every margin and report
-byte is the same as trial by trial, and identical across runs.
+stacked checks (Hoelder, convolution and norm axioms) are written for one
+trial, which draws from its own stream and requests the Luxemburg or mixed
+norms of its arrays; one runner, `_stacked`, solves the requests of a part
+of trials together.  The solver's rows are independent, so every margin
+and report byte is the same as trial by trial, and identical across runs.
 
 Serialized reports are JSON Lines with the fixed field set
 {"id","trials","violations","worst_margin","seed","elapsed","tier"}.  The
@@ -75,7 +76,6 @@ from .modulation import (
     window_signal,
 )
 from .orlicz import (
-    _field_abs,
     _lux_stack,
     _mixed_norms,
     convolve_phase_space,
@@ -271,11 +271,12 @@ def _le_margin(lhs: float, rhs: float, scale: Optional[float] = None) -> float:
 # check implementations
 #
 # Most checks are written for one trial, as fn(env, rng, t) -> margins, and
-# wrapped by `_trialwise`.  The stacked checks draw the trials of one
-# `_in_parts` part and solve their Luxemburg norms together; a registry row
-# binds its stacked driver's Young functions, constant and tier.  The checks
-# whose tier summarizes their trials own their loop.  Spectral checks read SVD
-# sums from `spectrum`, the routine behind `tflocal spectrum`.
+# wrapped by `_trialwise`.  The stacked checks are written for one trial too,
+# as fn(env, rng, t) -> (norm requests, finish), and wrapped by `_stacked`,
+# which solves the norms of a part of trials together; a registry row binds
+# its stacked driver's Young functions, constant and tier.  The checks whose
+# tier summarizes their trials own their loop.  Spectral checks read SVD sums
+# from `spectrum`, the routine behind `tflocal spectrum`.
 
 
 def _trialwise(fn):
@@ -406,73 +407,89 @@ def _conjugate_powers(p: float) -> tuple:
     return power(p), power(p / (p - 1.0))
 
 
-def _le_trials(lhs, rhs):
-    """One `_le_margin` per (lhs, rhs) pair, in trial order."""
-    return [_le_margin(float(a), float(b)) for a, b in zip(lhs, rhs)]
+_HELD_VALUES = 1 << 16  # a stacked part closes once its requests hold this many values: 512 kB
 
 
-_HELD_VALUES = 1 << 16  # values a stacked check holds at once: 512 kB
+def _solve(env, part):
+    """The margins of each trial (requests, finish) of a part, in trial order.
+
+    A request is (|array|, norm, young).  A "lattice" request is an array on
+    the lattice, counting measure, and young = (phi,).  The others are |F|
+    of a field, shaped as F.values, over the product measure: "product"
+    takes its Luxemburg norm under young = (phi,), "mixed" and "swapped"
+    its mixed norms under (phi1, phi2).  The part's requests of one norm and
+    shape are solved in one `_lux_stack` or `_mixed_norms` call, whose rows
+    are independent, so each norm has the bits of its request solved alone.
+    Each trial's finish gets its own requests' norms.
+    """
+    requests = [r for trial, _ in part for r in trial]
+    groups = {}
+    for i, (a, norm, _) in enumerate(requests):
+        groups.setdefault((norm, a.shape), []).append(i)
+    out = np.empty(len(requests))
+    w, T = env.torus.weight, env.torus.M**env.torus.n
+    for (norm, _), idx in groups.items():
+        arrays = [requests[i][0] for i in idx]
+        youngs = zip(*(requests[i][2] for i in idx))
+        if norm == "lattice":
+            got = _lux_stack(arrays, 1.0, *youngs)
+        elif norm == "product":
+            got = _lux_stack([a.ravel() for a in arrays], w, *youngs)
+        else:
+            got = _mixed_norms([a.reshape(-1, T) for a in arrays], w, *youngs, swapped=norm == "swapped")
+        out[idx] = got
+    norms = iter(out.tolist())
+    return [min(finish(*itertools.islice(norms, len(trial)))) for trial, finish in part]
 
 
-def _field_values(env, R: int) -> int:
-    """Values of a field of lattice radius R on the environment's torus."""
-    return (2 * R + 1) ** env.lattice.n * env.torus.M**env.torus.n
-
-
-def _in_parts(values_per_trial):
-    """The run form of a stacked check fn(env, part, **bindings) -> margins.
+def _stacked(fn):
+    """The run form of a stacked check fn(env, rng, t, **bindings) -> (requests, finish).
 
     The form is run(env, spec, trials, tier=None, **bindings) -> (margins,
     tier); a registry row binds the tier and the check's bindings with
-    `partial`.  The check runs on consecutive parts of its trials.  Each part
-    holds at most _HELD_VALUES values (and at least one trial), so a check's
-    memory does not grow with its trial count or field size: at n = 1, K = 8
-    a mixed-norm part is 13 to 20 trials, at n = 2, K = 2 one or two, and a
+    `partial`.  A trial's requests are `_solve`'s, and finish(*norms) takes
+    their norms and returns the trial's margins; it keeps only the scalars
+    those need, never the trial's fields.  Trials join a part until its
+    requested arrays hold _HELD_VALUES values, so a part holds less than
+    that plus one trial's, and each part is one `_solve`: at n = 1, K = 8 a
+    mixed-norm part is 14 to 21 trials, at n = 2, K = 2 two or three, and a
     lattice part over a thousand.
     """
 
-    def wrap(fn):
-        def run(env, spec, trials, tier=None, **bindings):
-            per = max(1, _HELD_VALUES // values_per_trial(env))
-            trials, margins = iter(trials), []
-            while part := list(itertools.islice(trials, per)):
-                margins += fn(env, part, **bindings)
-            return margins, tier
+    def run(env, spec, trials, tier=None, **bindings):
+        margins, part, held = [], [], 0
+        for t, rng in trials:
+            requests, finish = fn(env, rng, t, **bindings)
+            part.append((requests, finish))
+            held += sum(a.size for a, _, _ in requests)
+            if held >= _HELD_VALUES:
+                margins += _solve(env, part)
+                part, held = [], 0
+        return margins + _solve(env, part), tier
 
-        return run
-
-    return wrap
+    return run
 
 
-@_in_parts(lambda env: 2 * (2 * env.lattice.K + 1) ** env.lattice.n)  # f and g
-def _holder_lattice(env, trials, young, c=1.0):
+@_stacked
+def _holder_lattice(env, rng, t, young, c=1.0):
     """sum f g <= c |f|_phi |g|_psi on the lattice, young(env, t) = (phi, psi)."""
     size = (2 * env.lattice.K + 1) ** env.lattice.n
-    lhs, rows, phis = [], [], []
-    for t, rng in trials:
-        f = np.abs(_crandn(rng, (size,)))
-        g = np.abs(_crandn(rng, (size,)))
-        lhs.append(float((f * g).sum()))
-        rows += [f, g]
-        phis += young(env, t)
-    norm = _lux_stack(rows, 1.0, phis)
-    return _le_trials(lhs, c * norm[0::2] * norm[1::2])
+    f = np.abs(_crandn(rng, (size,)))
+    g = np.abs(_crandn(rng, (size,)))
+    lhs = float((f * g).sum())
+    phi, psi = young(env, t)
+    return [(f, "lattice", (phi,)), (g, "lattice", (psi,))], lambda a, b: [_le_margin(lhs, c * a * b)]
 
 
-@_in_parts(lambda env: 2 * _field_values(env, 2 * env.lattice.K))
-def _holder_mixed(env, trials, young, c=1.0):
-    """<|F|, |G|> <= c |F|_(phi1, phi2) |G|_(psi1, psi2), young(env, t) = (phi1, phi2, psi1, psi2)."""
-    lhs, fields, phi1s, phi2s = [], [], [], []
-    for t, rng in trials:
-        F = _trig_symbol(env, rng)
-        G = _trig_symbol(env, rng)
-        lhs.append(holder_pairing(F, G))
-        fields += [_field_abs(F), _field_abs(G)]
-        phi1, phi2, psi1, psi2 = young(env, t)
-        phi1s += [phi1, psi1]
-        phi2s += [phi2, psi2]
-    norm = _mixed_norms(fields, env.torus.weight, phi1s, phi2s)
-    return _le_trials(lhs, c * norm[0::2] * norm[1::2])
+@_stacked
+def _holder_mixed(env, rng, t, young, c=1.0):
+    """<|F|, |G|> <= c |F|_(phi1, phi2) |G|_(psi1, psi2), young(env, t) = ((phi1, phi2), (psi1, psi2))."""
+    F = _trig_symbol(env, rng)
+    G = _trig_symbol(env, rng)
+    lhs = holder_pairing(F, G)
+    phis, psis = young(env, t)
+    requests = [(np.abs(F.values), "mixed", phis), (np.abs(G.values), "mixed", psis)]
+    return requests, lambda a, b: [_le_margin(lhs, c * a * b)]
 
 
 def _lattice_holder_powers(env, t):
@@ -482,12 +499,7 @@ def _lattice_holder_powers(env, t):
 def _mixed_holder_powers(env, t):
     phi1, psi1 = _conjugate_powers(_HOLDER_PS[t % len(_HOLDER_PS)])
     phi2, psi2 = _conjugate_powers(_HOLDER_PS[(t // len(_HOLDER_PS)) % len(_HOLDER_PS)])
-    return phi1, phi2, psi1, psi2
-
-
-def _product_norms(fields, weight: float, phis) -> np.ndarray:
-    """Luxemburg norms of arrays |F| over the product measure, field b under phis[b]."""
-    return _lux_stack([a.ravel() for a in fields], weight, phis)
+    return (phi1, phi2), (psi1, psi2)
 
 
 def _convolution_entry_margin(F, G, H, rng) -> float:
@@ -508,29 +520,21 @@ def _convolution_entry_margin(F, G, H, rng) -> float:
     return _eq_margin(entry, F.torus.weight * direct, scale)
 
 
-@_in_parts(lambda env: sum(_field_values(env, r * env.lattice.K) for r in (2, 4)))  # G and F * G
-def _convolution(env, trials, young, norms):
-    """|F * G| <= |F|_1 |G| in norms(fields, weight, *young functions), young(env, t) the trial's.
+@_stacked
+def _convolution(env, rng, t, young, norm):
+    """|F * G| <= |F|_1 |G| in norm "mixed" or "product" under young(env, t).
 
-    norms is `_mixed_norms` with young(env, t) = (phi1, phi2), or
-    `_product_norms` with young(env, t) = (phi,).  Each trial's margin is
-    also at most that of one drawn entry of F * G against its defining sum.
+    The trial's margin is also at most that of one drawn entry of F * G
+    against its defining sum.
     """
-    l1, Hs, Gs, youngs, entries = [], [], [], [], []
-    for t, rng in trials:
-        F = _trig_symbol(env, rng)
-        G = _rank_one_symbol(env, rng) if t % 2 else _trig_symbol(env, rng)
-        H = convolve_phase_space(F, G)
-        l1.append(field_lp_norm(F, 1.0))
-        Hs.append(_field_abs(H))
-        Gs.append(_field_abs(G))
-        youngs.append(young(env, t))
-        entries.append(_convolution_entry_margin(F, G, H, rng))
-    w = env.torus.weight
-    phis = list(zip(*youngs))
-    lhs = norms(Hs, w, *phis)
-    rhs = np.array(l1) * norms(Gs, w, *phis)
-    return [min(a, b) for a, b in zip(_le_trials(lhs, rhs), entries)]
+    F = _trig_symbol(env, rng)
+    G = _rank_one_symbol(env, rng) if t % 2 else _trig_symbol(env, rng)
+    H = convolve_phase_space(F, G)
+    l1 = field_lp_norm(F, 1.0)
+    entry = _convolution_entry_margin(F, G, H, rng)
+    phis = young(env, t)
+    requests = [(np.abs(H.values), norm, phis), (np.abs(G.values), norm, phis)]
+    return requests, lambda h, g: [_le_margin(h, l1 * g), entry]
 
 
 def _mixed_convolution_powers(env, t):
@@ -539,76 +543,42 @@ def _mixed_convolution_powers(env, t):
     return power(p1), power(p2)
 
 
-def _every_field(norms, *phis, **kwargs):
-    """norms(fields, weight) with every field under the Young functions phis."""
-    return lambda fields, w: norms(fields, w, *([phi] * len(fields) for phi in phis), **kwargs)
-
-
-# the norm-axiom checks measure trial t's fields in norm _AXIOM_NORMS[t % 3]
+# the norm-axiom checks measure trial t's fields in the norm _AXIOM_NORMS[t % 3]
 _AXIOM_NORMS = (
-    _every_field(_product_norms, power(1.5)),
-    _every_field(_mixed_norms, power(2), power(3)),
-    _every_field(_mixed_norms, eq5(), power(2), swapped=True),
+    ("product", (power(1.5),)),
+    ("mixed", (power(2), power(3))),
+    ("swapped", (eq5(), power(2))),
 )
 
 
-def _axiom_norms(env, keys, fields):
-    """Norms of the fields |F| of one shape (L, T), field i in _AXIOM_NORMS[keys[i] % 3].
-
-    The fields of one norm are solved together.
-    """
-    out = np.empty(len(fields))
-    for s, norms in enumerate(_AXIOM_NORMS):
-        idx = [i for i, k in enumerate(keys) if k % 3 == s]
-        if idx:
-            out[idx] = norms([fields[i] for i in idx], env.torus.weight)
-    return out
+@_stacked
+def _homogeneity(env, rng, t):
+    """|c F| = |c| |F| in trial t's axiom norm."""
+    F = _trig_symbol(env, rng)
+    c = complex(_crandn(rng, ()) * 3)
+    r, norm = abs(c), _AXIOM_NORMS[t % 3]
+    requests = [(np.abs(c * F.values), *norm), (np.abs(F.values), *norm)]
+    return requests, lambda a, b: [_eq_margin(a, r * b, scale=max(r * b, _TINY))]
 
 
-def _abs_with(F, values):
-    """|values| of a field on F's grids, shaped as `_field_abs(F)`."""
-    return np.abs(values).reshape(-1, int(np.prod(F.torus.shape)))
+@_stacked
+def _triangle(env, rng, t):
+    """|F + G| <= |F| + |G| in trial t's axiom norm."""
+    F = _trig_symbol(env, rng)
+    G = _trig_symbol(env, rng)
+    norm = _AXIOM_NORMS[t % 3]
+    fields = (F.values + G.values, F.values, G.values)
+    return [(np.abs(v), *norm) for v in fields], lambda s, a, b: [_le_margin(s, a + b)]
 
 
-@_in_parts(lambda env: 2 * _field_values(env, 2 * env.lattice.K))  # c F and F
-def _homogeneity(env, trials):
-    """|c F| = |c| |F| in each trial's axiom norm."""
-    keys, fields, scale = [], [], []
-    for t, rng in trials:
-        F = _trig_symbol(env, rng)
-        c = complex(_crandn(rng, ()) * 3)
-        keys += [t, t]
-        fields += [_abs_with(F, c * F.values), _field_abs(F)]
-        scale.append(abs(c))
-    norm = _axiom_norms(env, keys, fields)
-    rhs = np.array(scale) * norm[1::2]
-    return [_eq_margin(float(a), float(b), scale=max(float(b), _TINY)) for a, b in zip(norm[0::2], rhs)]
-
-
-@_in_parts(lambda env: 3 * _field_values(env, 2 * env.lattice.K))  # F + G, F and G
-def _triangle(env, trials):
-    """|F + G| <= |F| + |G| in each trial's axiom norm."""
-    keys, fields = [], []
-    for t, rng in trials:
-        F = _trig_symbol(env, rng)
-        G = _trig_symbol(env, rng)
-        keys += [t, t, t]
-        fields += [_abs_with(F, F.values + G.values), _field_abs(F), _field_abs(G)]
-    norm = _axiom_norms(env, keys, fields)
-    return _le_trials(norm[0::3], norm[1::3] + norm[2::3])
-
-
-@_in_parts(lambda env: 2 * _field_values(env, 2 * env.lattice.K))  # u G and G
-def _monotonicity(env, trials):
-    """|u G| <= |G| for 0 <= u <= 1 pointwise, in each trial's axiom norm."""
-    keys, fields = [], []
-    for t, rng in trials:
-        G = _trig_symbol(env, rng)
-        u = rng.uniform(0.0, 1.0, size=G.values.shape)
-        keys += [t, t]
-        fields += [_abs_with(G, G.values * u), _field_abs(G)]
-    norm = _axiom_norms(env, keys, fields)
-    return [_le_margin(float(a), float(b), scale=max(float(b), _TINY)) for a, b in zip(norm[0::2], norm[1::2])]
+@_stacked
+def _monotonicity(env, rng, t):
+    """|u G| <= |G| for 0 <= u <= 1 pointwise, in trial t's axiom norm."""
+    G = _trig_symbol(env, rng)
+    u = rng.uniform(0.0, 1.0, size=G.values.shape)
+    norm = _AXIOM_NORMS[t % 3]
+    requests = [(np.abs(G.values * u), *norm), (np.abs(G.values), *norm)]
+    return requests, lambda a, b: [_le_margin(a, b, scale=max(b, _TINY))]
 
 
 _X0 = math.exp(-2.0)
@@ -957,15 +927,15 @@ _ROWS = (
     CheckDef("holder_mixed_power", "orlicz.holder_mixed", 500, 1e-9,
              partial(_holder_mixed, young=_mixed_holder_powers, tier="holder-constant-1")),
     CheckDef("holder_mixed_conjugate", "orlicz.holder_mixed", 500, 1e-9,
-             partial(_holder_mixed, young=lambda env, t: (env.phi, power(2), env.psi, power(2)),
+             partial(_holder_mixed, young=lambda env, t: ((env.phi, power(2)), (env.psi, power(2))),
                      c=2.0, tier="holder-constant-2")),
     CheckDef("convolution_mixed_power", "orlicz.convolution_young", 100, 1e-9,
-             partial(_convolution, young=_mixed_convolution_powers, norms=_mixed_norms)),
+             partial(_convolution, young=_mixed_convolution_powers, norm="mixed")),
     CheckDef("convolution_mixed_orlicz", "orlicz.convolution_young", 100, 1e-9,
-             partial(_convolution, young=lambda env, t: (env.phi, power(2)), norms=_mixed_norms)),
+             partial(_convolution, young=lambda env, t: (env.phi, power(2)), norm="mixed")),
     CheckDef("convolution_product", "orlicz.convolution_young", 100, 1e-9,
              partial(_convolution, young=lambda env, t: (env.phi if t % 2 else power(1.5),),
-                     norms=_product_norms)),
+                     norm="product")),
     CheckDef("embedding_criteria", "modulation.embedding_criteria", 1, 1e-9, _chk_embedding),
     CheckDef("inclusion_chain_flanks", "modulation.embedding_criteria", 1, 1e-9, _chk_inclusion_flanks),
     CheckDef("m2_identity", "modulation.m2_identity", 100, 1e-10, _chk_m2_identity),

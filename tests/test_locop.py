@@ -76,7 +76,8 @@ def test_weak_pairing_consistency(env):
 
 def test_one_exactness_check_per_operator_call(env, monkeypatch):
     # every public operator path checks the integrand degree deg sigma + 2K
-    # exactly once, adjoint_kernel and sigma_tilde through kernel
+    # exactly once: adjoint_kernel through kernel, sigma_tilde through
+    # _check_operator_inputs
     calls = []
     check = TorusGrid.require_exact
     monkeypatch.setattr(TorusGrid, "require_exact", lambda self, *a: calls.append(a) or check(self, *a))

@@ -217,8 +217,8 @@ GOLDEN_STACKED = """\
 @pytest.mark.parametrize("held", [1, 100, 10_000, None])
 def test_stacked_checks_report_is_part_free(env, monkeypatch, held):
     # held = 1 solves trial by trial; 100 splits the lattice checks into
-    # parts of two trials; 10,000 splits the mixed checks into parts of two
-    # or three; the default keeps 13 to 20 mixed trials per part
+    # parts of three trials; 10,000 splits the mixed checks into parts of
+    # three or four; the default keeps 14 to 21 mixed trials per part
     if held is not None:
         monkeypatch.setattr(verify, "_HELD_VALUES", held)
     results = run_suite([CheckSpec(cid, trials=40) for cid in _STACKED], env)
@@ -241,6 +241,53 @@ def test_stacked_checks_solve_once_per_young_function(env, monkeypatch):
         (res,) = run_suite([CheckSpec(cid, trials=20)], env)
         assert res.violations == 0
         assert 0 < len(calls) <= most, (cid, len(calls))
+
+
+def test_stacked_parts_close_at_the_held_bound(env, monkeypatch):
+    # trials join a part until its requests hold _HELD_VALUES values, so
+    # every part but the last reaches the bound and none passes it by a
+    # whole trial; each trial's two requests, F under (phi1, phi2) and G
+    # under the conjugate pair, reach one solve together and in trial order
+    held = 10_000
+    monkeypatch.setattr(verify, "_HELD_VALUES", held)
+    parts = []
+    solve = verify._solve
+
+    def recorded(env, part):
+        parts.append([requests for requests, _ in part])
+        return solve(env, part)
+
+    monkeypatch.setattr(verify, "_solve", recorded)
+    (res,) = run_suite([CheckSpec("holder_mixed_power", trials=40)], env)
+    assert report_lines([res]) == GOLDEN_STACKED.splitlines(keepends=True)[2]
+    trials = [trial for part in parts for trial in part]
+    assert [[young for _, _, young in trial] for trial in trials] == [
+        list(verify._mixed_holder_powers(env, t)) for t in range(40)
+    ]
+    per_trial = {sum(a.size for a, _, _ in trial) for trial in trials}
+    assert len(per_trial) == 1  # 3,234 values at the desk
+    sizes = [sum(a.size for trial in part for a, _, _ in trial) for part in parts]
+    assert len(parts) > 2
+    assert all(s >= held for s in sizes[:-1])
+    assert all(s < held + min(per_trial) for s in sizes)
+
+
+def test_stacked_finishers_keep_only_scalars(env, monkeypatch):
+    # a part keeps every trial's finish until it is solved, so a finish that
+    # closed over F, G or F * G would hold a part's fields alive twice
+    finishers = []
+    solve = verify._solve
+
+    def recorded(env, part):
+        finishers.extend(finish for _, finish in part)
+        return solve(env, part)
+
+    monkeypatch.setattr(verify, "_solve", recorded)
+    run_suite([CheckSpec(cid, trials=3) for cid in _STACKED + _AXIOMS], env)
+    assert len(finishers) == 3 * len(_STACKED + _AXIOMS)
+    for finish in finishers:
+        cells = [cell.cell_contents for cell in finish.__closure__ or ()]
+        assert all(isinstance(v, (int, float)) for v in cells), finish.__qualname__
 
 
 def test_desk_checks_solve_power_and_eq5_in_closed_form(env, monkeypatch):
