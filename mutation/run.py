@@ -68,8 +68,8 @@ MUTANTS = (
            "sch[p] = float(s[0]) if s.size else 0.0",
            "sch[p] = float(s[1]) if s.size else 0.0"),
     Mutant("M1", "eq5 head -t^2 log t x1.01", "young.py",
-           "head = -safe * safe * np.log(safe)",
-           "head = -1.01 * safe * safe * np.log(safe)"),
+           "head = s * s",
+           "head = 1.01 * s * s"),
     Mutant("M2", "luxemburg: non-power results x1.001", "orlicz.py",
            "return float(_lux_batched(v, weight, phi)[0])",
            "return float(_lux_batched(v, weight, phi)[0]) * (1.0 if phi.kind == 'power' else 1.001)"),

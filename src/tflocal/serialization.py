@@ -17,6 +17,11 @@ the digits out (fixed notation for -4 <= e < 17).  A value whose rounding
 that product cannot certify (a fraction within 2^-20 of 1/2, an exponent
 that does not settle, a value that is not finite) is written by `fmt17`
 instead.
+
+Every array reader goes through `_header`: keys and header values are read
+by json's scanstring and raw_decode, the list of [re, im] pairs by
+`_reader.pairs` in numpy, imported on the first read.  The doubles are
+json.loads's, bit for bit.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import functools
 import json
 import math
 from contextlib import contextmanager
+from json.decoder import WHITESPACE, scanstring
 
 import numpy as np
 
@@ -46,9 +52,11 @@ __all__ = [
 
 _CHUNK = 1 << 12  # values formatted at once, which bounds the temporaries
 _EMIN, _EMAX = -325, 309  # decimal exponents of doubles, with one to spare each side
-_TIE = 2.0**-20  # fractions this close to 1/2 go to fmt17
+_TIE = 2.0**-20  # fractions this close to 1/2 go to fmt17; the reader's certificate margin
 _SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitting constant
 _SCI = 21  # layout class of d.ddde+XX; class e + 4 is fixed notation, -4 <= e < 17
+
+_DECODER = json.JSONDecoder()
 
 
 def _split(a):
@@ -71,7 +79,9 @@ def _tables():
     - expo[e - _EMIN]: "e+XX" at bytes 2 to 6 of a word, 0 for fixed e;
     - lay[:, 17 class + nd - 1] for a text of nd significant digits: the
       masks that pick its 18 mantissa bytes from its digits (3 words), its
-      digits one byte on (3), a point (3), and its "0.000" prefix (1).
+      digits one byte on (3), a point (3), and its "0.000" prefix (1);
+    - the reader's masks: blocks[:, 25 a + b] the bytes [a, b) of a 24-byte
+      block (3 words), top[k] the top k bytes of a word.
     """
     hi, lo, b = [], [], []
     for e in range(_EMIN, _EMAX + 1):
@@ -115,7 +125,12 @@ def _tables():
     ]
     prefix = np.broadcast_to(np.array(prefix, np.uint64)[:, None, None], (22, 17, 1))
     lay = np.concatenate([*masks, prefix], axis=2).reshape(22 * 17, 10).T.copy()
-    return pow10, dig4, zeros4, np.array(expo, np.uint64), lay
+
+    a, b = np.arange(25)[:, None, None], np.arange(25)[None, :, None]
+    inside = (a <= c) & (c < b)
+    blocks = (0xFF * inside).astype(np.uint8).view("<u8").reshape(625, 3).T.copy()
+    top = np.array([2**64 - 2 ** (8 * max(8 - k, 0)) for k in range(25)], np.uint64)
+    return pow10, dig4, zeros4, np.array(expo, np.uint64), lay, blocks, top
 
 
 def _scaled(m, ex, e, pow10):
@@ -149,7 +164,7 @@ def _rows(x: np.ndarray) -> np.ndarray:
     Bytes 0, 1 and 31 are 0, for separators.  A negative zero is written
     "-0.0".  The row is built as 4 little-endian words.
     """
-    pow10, dig4, zeros4, expo, lay = _tables()
+    pow10, dig4, zeros4, expo, lay = _tables()[:5]
     neg = np.signbit(x)
     ax = np.abs(x)
     zero = ax == 0
@@ -239,23 +254,56 @@ def _reading(what: str):
         raise UsageError(f"malformed {what} file: {exc}") from exc
 
 
-def _header(text: str, C_optional: bool = False) -> tuple[dict, LatticeSpec]:
-    """The parsed file and its n/K/C lattice; with C_optional a missing C is 3K."""
-    obj = json.loads(text)
-    if not isinstance(obj, dict):
+def _skip(text: str, i: int) -> int:
+    return WHITESPACE.match(text, i).end()
+
+
+def _header(text: str, key: str, C_optional: bool = False) -> tuple[dict, LatticeSpec]:
+    """The file's object and its n/K/C lattice; with C_optional a missing C is 3K.
+
+    Keys go through json's scanstring and values through raw_decode, except
+    a list under `key`, which `_reader.pairs` reads as a flat float64 array.
+    """
+    obj = {}
+    i = _skip(text, 0)
+    if not text.startswith("{", i):
         raise TypeError("expected a JSON object")
+    i = _skip(text, i + 1)
+    more = not text.startswith("}", i)
+    if not more:
+        i = _skip(text, i + 1)
+    while more:
+        if not text.startswith('"', i):
+            raise ValueError(f"expected a key at char {i}")
+        name, i = scanstring(text, i + 1)
+        i = _skip(text, i)
+        if not text.startswith(":", i):
+            raise ValueError(f"expected ':' at char {i}")
+        i = _skip(text, i + 1)
+        if name == key and text.startswith("[", i):
+            from ._reader import pairs  # compiled on the first read, not with tflocal
+
+            obj[name], i = pairs(text, i)
+        else:
+            obj[name], i = _DECODER.raw_decode(text, i)
+        i = _skip(text, i)
+        more = text.startswith(",", i)
+        if not (more or text.startswith("}", i)):
+            raise ValueError(f"expected ',' or '}}' at char {i}")
+        i = _skip(text, i + 1)
+    if i != len(text):
+        raise ValueError(f"extra data at char {i}")
     n, K = integer(obj["n"], "n"), integer(obj["K"], "K")
     C = None if C_optional and "C" not in obj else integer(obj["C"], "C")
     return obj, LatticeSpec(n, K, C)
 
 
-def _array(raw, shape: tuple) -> np.ndarray:
-    """A flat list of [re, im] pairs as a complex array of `shape`."""
+def _array(flat, shape: tuple) -> np.ndarray:
+    """The flat array `_reader.pairs` read as a complex array of `shape`."""
     count = math.prod(shape)
-    arr = np.array(raw, dtype=np.float64)
-    if arr.shape != (count, 2):
+    if not isinstance(flat, np.ndarray) or flat.size != 2 * count:
         raise UsageError(f"expected {count} [re, im] pairs")
-    return arr.view(np.complex128).reshape(shape)
+    return flat.view(np.complex128).reshape(shape)
 
 
 def dump_signal(f: Signal) -> str:
@@ -264,7 +312,7 @@ def dump_signal(f: Signal) -> str:
 
 def load_signal(text: str) -> Signal:
     with _reading("signal"):
-        obj, spec = _header(text)
+        obj, spec = _header(text, "values")
         vals = _array(obj["values"], spec.shape)
     return Signal(spec, vals)
 
@@ -276,7 +324,7 @@ def dump_field(F: PhaseSpaceField) -> str:
 
 def load_field(text: str) -> PhaseSpaceField:
     with _reading("field"):
-        obj, spec = _header(text, C_optional=True)
+        obj, spec = _header(text, "values", C_optional=True)
         torus = TorusGrid(spec.n, integer(obj["M"], "M"))
         r = integer(obj["m_radius"], "m_radius")
         deg = integer(obj["degree_bound"], "degree_bound")
@@ -291,7 +339,7 @@ def dump_kernel_json(K: OperatorKernel) -> str:
 
 def load_kernel_json(text: str) -> OperatorKernel:
     with _reading("kernel"):
-        obj, spec = _header(text)
+        obj, spec = _header(text, "matrix")
         torus = TorusGrid(spec.n, integer(obj["M"], "M"))
         size = spec.side**spec.n
         vals = _array(obj["matrix"], (size, size))

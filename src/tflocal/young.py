@@ -65,12 +65,20 @@ def _eval_power(p: float, t: np.ndarray) -> np.ndarray:
 
 
 def _eval_eq5(t: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        safe = np.where(t > 0, t, 1.0)
-        head = -safe * safe * np.log(safe)
-        head = np.where(t > 0, head, 0.0)
-        tail = t * t + EQ5_TAIL
-    return np.where(t <= EQ5_BREAK, head, tail)
+    """-t^2 log t for 0 < t <= EQ5_BREAK, t^2 + EQ5_TAIL beyond, 0 for t <= 0.
+
+    The head is 0 - s^2 log s with s = t where t > 0, else 1: the bits of
+    (-s) s log s, and +0 where t <= 0.  Both parts are taken over all of t:
+    a fifth of the Luxemburg solver's arguments lie in the tail, and masked
+    passes over the two parts measured no faster than the whole array.
+    """
+    with np.errstate(over="ignore"):
+        s = np.where(t > 0, t, 1.0)
+        head = s * s
+        head *= np.log(s)
+        tail = t * t
+        tail += EQ5_TAIL
+    return np.where(t <= EQ5_BREAK, 0.0 - head, tail)
 
 
 class _LogGrid(NamedTuple):

@@ -4,12 +4,14 @@ import pkgutil
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import tflocal
 from tflocal import (
+    DomainError,
     LatticeSpec,
     OperatorKernel,
     PhaseSpaceField,
@@ -20,6 +22,7 @@ from tflocal import (
     serialization,
 )
 from tflocal.errors import fmt17
+from tflocal._reader import pairs
 from tflocal.serialization import (
     _join17,
     dump_field,
@@ -32,7 +35,7 @@ from tflocal.serialization import (
     load_signal,
 )
 from tflocal.locop import spectrum
-from tflocal.verify import _random_signal, _trig_symbol, trial_rng
+from tflocal.verify import Environment, _random_signal, _trig_symbol, trial_rng
 
 
 def test_fmt17_round_trips():
@@ -55,12 +58,18 @@ def test_every_module_imports_first():
 
 
 def test_import_builds_no_formatter_tables():
-    # the writer's tables are built on first use, and nothing imports fractions
+    # the writer's and the reader's tables are built on first use, the reader is imported
+    # on the first read, and nothing imports fractions
     root = os.path.dirname(os.path.dirname(tflocal.__file__))
     code = (
         "import sys, tflocal; "
         "assert 'fractions' not in sys.modules, 'fractions imported'; "
-        "assert tflocal.serialization._tables.cache_info().currsize == 0, 'tables built'"
+        "tables = tflocal.serialization._tables.cache_info; "
+        "assert tables().currsize == 0, 'tables built'; "
+        "assert 'tflocal._reader' not in sys.modules, 'reader imported'; "
+        "text = '{\"n\": 1, \"K\": 0, \"C\": 0, \"values\": [[0,1.5]]}'; "
+        "tflocal.serialization.load_signal(text); "
+        "assert tables().currsize == 1, 'no tables for the reader'"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=root), capture_output=True, text=True
@@ -164,7 +173,32 @@ _BAD_PAIRS = [
     lambda v: v + [[0, 0]],  # one pair over
     lambda v: [[0, 0, 0]] + v[1:],  # a 3-element pair
     lambda v: [[10**400, 0]] + v[1:],  # an integer too large for a float
+    lambda v: [[float("nan"), 0]] + v[1:],  # json's NaN and Infinity are not JSON
+    lambda v: [[0, float("-inf")]] + v[1:],
 ]
+# numbers JSON's grammar refuses, each put in place of the first 0
+_BAD_NUMBERS = [
+    "01", "-01", "1.", ".5", "+1", "1e", "1e+", "--1", "1.2.3", "1e5.2", "1e5e3", "0x10", "1_000",
+    "-", "e5", "1e-+5", "1-5", "- 1", "1 2", "1e 5", "0\x00",
+]
+# edits of the list text that keep the count of numbers but break the list of pairs
+_BAD_LISTS = [
+    lambda t: t[:-1] + ",]",  # [[0,0],...,]
+    lambda t: t.replace("],[", "][", 1),  # [[0,0][0,0],...]
+    lambda t: t.replace("],[", "] [", 1),
+    lambda t: t.replace("],[", "],,[", 1),
+    lambda t: t.replace("],[", ",", 1),  # a 4-element pair
+    lambda t: t.replace(",", ",,", 1),
+    lambda t: "[" + t + "]",  # [[[0,0],...]]
+    lambda t: t + "]",
+    lambda t: "[," + t[1:],
+]
+
+
+def _with_list(good: dict, key: str, listtext: str) -> str:
+    """The file text of `good` with `listtext` as the list under `key`."""
+    head = json.dumps({k: v for k, v in good.items() if k != key})
+    return f'{head[:-1]}, "{key}": {listtext}}}'
 
 
 @pytest.mark.parametrize("fmt", sorted(_FILES))
@@ -177,9 +211,48 @@ def test_loaders_reject_malformed_files(fmt):
     for bad in _BAD_PAIRS:
         with pytest.raises(UsageError):
             load(json.dumps({**good, key: bad(good[key])}))
-    for text in ("[]", "null", json.dumps({**good, key: "abc"}), "[" * 200_000 + "]" * 200_000):
+    compact = json.dumps(good[key], separators=(",", ":"))
+    for tok in _BAD_NUMBERS:
+        with pytest.raises(UsageError):
+            load(_with_list(good, key, compact.replace("0", tok, 1)))
+    for edit in _BAD_LISTS:
+        with pytest.raises(UsageError):
+            load(_with_list(good, key, edit(compact)))
+    for text in (
+        "[]",
+        "null",
+        json.dumps({**good, key: "abc"}),
+        "[" * 200_000 + "]" * 200_000,
+        json.dumps(good) + " {}",  # trailing data
+        json.dumps(good)[:-1],  # no closing brace
+    ):
         with pytest.raises(UsageError):
             load(text)
+
+
+@pytest.mark.parametrize("fmt", sorted(_FILES))
+def test_loaders_accept_json_layouts(fmt):
+    load, key, good = _FILES[fmt]
+
+    def arr(obj):
+        return getattr(obj, "matrix", getattr(obj, "values", None))
+
+    good = {**good, key: [[k + 0.5, -k] for k in range(len(good[key]))]}
+    want = arr(load(json.dumps(good)))
+    for text in (
+        json.dumps(good, indent=1),
+        json.dumps(good, indent="\t"),
+        json.dumps(dict(reversed(good.items()))),  # the list first
+        json.dumps(good, separators=(",", ":")),
+        " \r\n" + json.dumps(good).replace("[", "[ \n").replace(",", " ,\t") + "\n\n",
+    ):
+        assert np.array_equal(arr(load(text)), want)
+
+
+def test_loaders_keep_json_domain_errors():
+    load, key, good = _FILES["signal"]
+    with pytest.raises(DomainError):  # 1e400 reads as inf, which a signal refuses
+        load(_with_list(good, key, "[[1e400,0]" + ",[0,0]" * 6 + "]"))
 
 
 def test_kernel_rejects_non_object_provenance():
@@ -333,3 +406,98 @@ def test_writers_match_the_percent_writer(env):
     sv = s.singular_values.tolist()
     old = ",".join(["%.17g"] * len(sv)) % tuple(sv)
     assert dump_summary(s).startswith(f'{{"singular_values": [{old}], ')
+
+
+def _json_read(text: str, key: str) -> np.ndarray:
+    """The reader as it was before the vectorized one: json.loads, then np.array."""
+    return np.array(json.loads(text)[key], dtype=np.float64).ravel()
+
+
+def _bits_corpus(rng) -> np.ndarray:
+    """10^5 doubles over every binade, subnormals and the edges of the range."""
+    count = 100_000
+    sign = rng.integers(0, 2, count, dtype=np.uint64) << np.uint64(63)
+    expo = rng.integers(0, 2047, count, dtype=np.uint64) << np.uint64(52)  # 0: subnormal or zero
+    mant = rng.integers(0, 2**52, count, dtype=np.uint64)
+    edges = [0.0, -0.0, 1.7976931348623157e308, -1.7976931348623157e308, 2.2250738585072014e-308, -2.2250738585072014e-308]
+    tiny = np.ldexp(rng.integers(1, 2**20, 1000).astype(np.float64), -1074)  # multiples of 2^-1074
+    p10 = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    ints = np.array([2.0**53 + 2, 1e22, 1e23, 123456789.0, 2.0**63, 2.0**64])
+    flat = np.concatenate([(sign | expo | mant).view(np.float64), edges, tiny, -tiny[:10], p10, np.nextafter(p10, 0), ints])
+    return flat[: flat.size // 2 * 2]
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _check_list(listtext: str) -> np.ndarray:
+    """pairs of the file {"values": listtext}, checked against json bit for bit."""
+    text = '{"values": ' + listtext + "}"
+    got, end = pairs(text, len('{"values": '))
+    assert end == len(text) - 1
+    want = _json_read(text, "values")
+    assert _same_bits(got, want), np.flatnonzero(got.view(np.int64) != want.view(np.int64))[:5]
+    return got
+
+
+def test_reader_matches_json_bit_for_bit():
+    flat = _bits_corpus(np.random.default_rng(3317))
+    pairs = flat.reshape(-1, 2).tolist()
+    writers = {
+        "join17": lambda: "[" + _join17(flat, pairs=True) + "]",
+        "json": lambda: json.dumps(pairs),
+        "json indent": lambda: json.dumps(pairs, indent=2),
+        "repr": lambda: "[" + ",".join("[%r,%r]" % tuple(p) for p in pairs) + "]",
+        "%.25e": lambda: "[" + ",".join("[%.25e,%.25e]" % tuple(p) for p in pairs) + "]",
+        "%.40g": lambda: "[" + ",".join("[%.40g,%.40g]" % tuple(p) for p in pairs) + "]",  # > 19 digits
+    }
+    for name, write in writers.items():
+        assert np.array_equal(_check_list(write()), flat), name  # "%.40g" writes -0.0 as -0
+
+
+# 19-digit decimals within about 2^-110 of a midpoint between doubles, closer than
+# the reader's double-double products are exact: D 5^q = 2^(E-53-q) + small
+# (mod 2^(E-52-q)) for q > 0, D 2^(53-E+q) = small (mod 5^-q) for q < 0
+_NEAR_MIDPOINTS = [
+    "1980551042127802583e-32", "2651997056473401345e-32", "1767998037648934230e-32", "4845101103080072281e-32",
+    "3961102084255605166e-32", "3077103065431138051e-32", "9690202206160144562e-32", "8806203187335677447e-32",
+    "7922204168511210332e-32", "1704212361014607872e23", "1476244402220175333e23", "1248276443425742794e23",
+    "2629165906827022309e23", "2173229989238157231e23", "3339233204479688488e23", "4479072998451851183e23",
+    "6101012131282247518e23", "3567201163274121027e23", "7468819884048842752e23", "8178887181701508931e23",
+    "8888954479354175110e23", "1370159626234525291e30", "2740319252469050582e30", "2916340984601552191e30",
+    "5656660237070602773e30", "5832681969203104382e30",
+]
+
+
+def test_reader_matches_json_on_integers_and_decimals():
+    rng = np.random.default_rng(1718)
+    ints = [2**53 + 1, 10**22, 10**23, 2**64, 2**64 + 1, 10**19, 10**19 - 1, -(2**63)]
+    ints += [int(rng.integers(1, 10)) * 10**k + int(rng.integers(0, 10**k, dtype=np.uint64)) for k in range(18)]
+    ints += [-int("9" * k) for k in range(1, 26)] + ["1" + "0" * k for k in range(30)]
+    decimals = [
+        "9007199254740993", "2.2250738585072011e-308", "1.00000000000000011102230246251565404236316680908203125",
+        "0.1e1", "1e0000005", "4.9406564584124654e-324", "2.4703282292062328e-324", "2.4703282292062327e-324",
+        "1.7976931348623158e308", "0.30000000000000004", "1E5", "1e+5", "1e-5", "0e0", "-0e-0", "0.000", "1e-400",
+    ]
+    tokens = [str(i) for i in ints] + decimals + _NEAR_MIDPOINTS
+    tokens += ["0"] * (len(tokens) % 2)
+    _check_list("[" + ",".join(f"[{a},{b}]" for a, b in zip(tokens[0::2], tokens[1::2])) + "]")
+    # -0 is a JSON integer, read as +0.0; -0.0 is a negative zero
+    got = _check_list("[[-0,-0.0],[0,-0e5]]")
+    assert list(np.signbit(got)) == [False, True, False, True]
+
+
+@pytest.mark.parametrize("n, K", [(2, 2), (1, 16)])
+def test_kernel_load_holds_at_most_five_times_the_text(n, K):
+    # json.loads held 7.7 and 5.5 times these texts: a float per number and a list per pair
+    env = Environment(LatticeSpec(n, K), TorusGrid(n, 6 * K + 1))
+    text = dump_kernel_json(kernel(_trig_symbol(env, trial_rng(67, "ser", n)), env.window, env.window2))
+    load_kernel_json(text)  # the tables are built once
+    tracemalloc.start()
+    try:
+        load_kernel_json(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * len(text), peak / len(text)

@@ -15,7 +15,7 @@ from tflocal import (
     quasi_young,
 )
 from tflocal.verify import _interp_table
-from tflocal.young import EQ5_BREAK, EQ5_TAIL, young_from_dict
+from tflocal.young import EQ5_BREAK, EQ5_TAIL, _eval_eq5, young_from_dict
 
 YSTAR = 2 * math.exp(-1.5)
 
@@ -54,6 +54,25 @@ def test_eq5_values():
     assert abs(tail - 1.5 * math.exp(-3)) <= 1e-16
     assert abs(phi(EQ5_BREAK) - 1.5 * math.exp(-3)) <= 1e-15
     assert phi(0.0) == 0.0
+
+
+def _eq5_where(t: np.ndarray) -> np.ndarray:
+    """eq5 as it was written first, head and tail over every value, picked by np.where."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        safe = np.where(t > 0, t, 1.0)
+        head = -safe * safe * np.log(safe)
+        head = np.where(t > 0, head, 0.0)
+        tail = t * t + EQ5_TAIL
+    return np.where(t <= EQ5_BREAK, head, tail)
+
+
+def test_eq5_keeps_the_bits_of_the_where_formula():
+    rng = np.random.default_rng(1505)
+    edges = [0.0, -0.0, 5e-324, EQ5_BREAK, np.nextafter(EQ5_BREAK, 0), np.nextafter(EQ5_BREAK, 1)]
+    edges += [1e154, 1e300, np.inf, np.nan, 1e-160, 1.0]
+    t = np.concatenate([edges, np.exp(rng.uniform(math.log(1e-300), math.log(1e300), 100_000))])
+    assert np.array_equal(_eval_eq5(t).view(np.int64), _eq5_where(t).view(np.int64))
+    assert np.array_equal(_eval_eq5(t.reshape(4, -1)).ravel().view(np.int64), _eq5_where(t).view(np.int64))
 
 
 def test_eq5_convexity_second_differences():
